@@ -127,6 +127,12 @@ def load_csv(path: str | Path, label: int | str | None = None) -> Dataset:
                 x[i, col_out] = value
                 col_out += 1
 
+    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(raw_labels))
+    if bad.any():
+        i = int(np.argmax(bad))
+        cell = next(c for c in body[i] if not np.isfinite(float(c)))
+        raise DataError(f"{path}: row {first_line + i} has non-finite cell {cell!r}")
+
     class_values = tuple(float(v) for v in np.unique(raw_labels))
     if len(class_values) < 2:
         raise DataError(

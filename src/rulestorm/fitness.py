@@ -74,12 +74,15 @@ def balance_score(rs: RuleSet) -> float:
     The penalty is the mean squared deviation of per-class rule counts from
     the even share r/c, scaled by 1/r.
     """
-    counts = np.zeros(rs.c)
-    for rule in rs.rules:
-        counts[rule.consequent - 1] += 1
-    even = rs.r / rs.c
-    v = float(np.mean((counts - even) ** 2))
-    return max(0.0, 1.0 - v / rs.r)
+    return class_balance(np.array([rule.consequent for rule in rs.rules]), rs.c)
+
+
+def class_balance(consequents: np.ndarray, c: int) -> float:
+    """balance_score of rules with these consequents (in 1..c)."""
+    r = len(consequents)
+    counts = np.bincount(consequents - 1, minlength=c).astype(float)
+    v = float(np.mean((counts - r / c) ** 2))
+    return max(0.0, 1.0 - v / r)
 
 
 def evaluate(rs: RuleSet, ld: LabeledDataset, weights: FitnessWeights | None = None) -> FitnessBreakdown:

@@ -3,6 +3,8 @@
 A record is scored by every rule (rule weight times antecedent activation);
 the highest-scoring rule assigns the class. Activations use min for AND and
 max for OR over the membership degrees of the non-don't-care antecedents.
+`activation` and `classify` do this for one record and are the reference
+that `predict_dataset`, built on the shared rule kernel, is tested against.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError
-from .membership import FuzzyPartition, degree, degree_matrix
-from .rules import AND, Rule, RuleSet
+from .membership import FuzzyPartition, degree, degree_table
+from .rules import AND, Rule, RuleSet, fold_rules, rule_arrays
+
+# perfbench/worker.py traces this name here; predict_dataset no longer calls it.
+from .membership import degree_matrix  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,7 @@ class Model:
                 f"{len(self.partitions)} partitions for {self.rules.m} attributes"
             )
         for part in self.partitions:
-            if not part.degenerate and part.p != self.rules.p:
+            if part.p != self.rules.p:
                 raise ConfigError(
                     f"partition has {part.p} labels but rules use {self.rules.p}"
                 )
@@ -52,6 +57,14 @@ class Model:
             raise ConfigError(
                 f"majority class {self.majority_class} outside 1..{self.rules.c}"
             )
+        m, p, c = self.rules.m, self.rules.p, self.rules.c
+        for i, rule in enumerate(self.rules.rules, start=1):
+            if len(rule.antecedents) != m or not all(0 <= a <= p for a in rule.antecedents):
+                raise ConfigError(f"rule {i} antecedents {rule.antecedents}: need {m} labels in 0..{p}")
+            if not 1 <= rule.consequent <= c:
+                raise ConfigError(f"rule {i} class {rule.consequent} outside 1..{c}")
+            if not 0.0 <= rule.weight <= 1.0:  # also false for nan
+                raise ConfigError(f"rule {i} weight {rule.weight} outside [0, 1]")
 
 
 def activation(rule: Rule, partitions: tuple[FuzzyPartition, ...], x: np.ndarray) -> float:
@@ -95,43 +108,31 @@ def classify(model: Model, x: np.ndarray, sum_scores: bool = False) -> tuple[int
     return model.rules.rules[winner].consequent, float(scores[winner])
 
 
+def predict_scores(scores: np.ndarray, consequents: np.ndarray, c: int, majority: int, sum_scores: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, winning scores) from rule scores (r, n), as classify picks
+    them for one record."""
+    if sum_scores:
+        totals = np.zeros((c, scores.shape[1]))
+        for k, row in zip(consequents, scores):
+            totals[k - 1] += row
+        preds = np.argmax(totals, axis=0) + 1
+    else:
+        totals = scores
+        preds = consequents[np.argmax(scores, axis=0)]
+    dead = ~np.any(scores > 0.0, axis=0)
+    return np.where(dead, majority, preds), np.where(dead, 0.0, totals.max(axis=0))
+
+
 def predict_dataset(model: Model, ds: Dataset, sum_scores: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized classify over all records: (classes, scores)."""
     if ds.m != model.rules.m:
         raise ConfigError(
             f"dataset has {ds.m} attributes but the model expects {model.rules.m}"
         )
-    per_attribute = [
-        degree_matrix(model.partitions[j], ds.x[:, j]) for j in range(ds.m)
-    ]
-    rule_scores = np.empty((model.rules.r, ds.n))
-    for i, rule in enumerate(model.rules.rules):
-        columns = [
-            per_attribute[j][:, label - 1]
-            for j, label in enumerate(rule.antecedents)
-            if label != 0
-        ]
-        if not columns:
-            act = np.ones(ds.n)
-        else:
-            stacked = np.stack(columns, axis=1)
-            act = stacked.min(axis=1) if rule.connective == AND else stacked.max(axis=1)
-        rule_scores[i] = rule.weight * act
-    if sum_scores:
-        class_scores = np.zeros((model.rules.c, ds.n))
-        for i, rule in enumerate(model.rules.rules):
-            class_scores[rule.consequent - 1] += rule_scores[i]
-        preds = np.argmax(class_scores, axis=0) + 1
-        scores = class_scores.max(axis=0)
-    else:
-        winners = np.argmax(rule_scores, axis=0)
-        consequents = np.array([rule.consequent for rule in model.rules.rules])
-        preds = consequents[winners]
-        scores = rule_scores[winners, np.arange(ds.n)]
-    dead = ~np.any(rule_scores > 0.0, axis=0)
-    preds = np.where(dead, model.majority_class, preds)
-    scores = np.where(dead, 0.0, scores)
-    return preds.astype(int), scores
+    ants, consequents, is_and, weights = rule_arrays(model.rules)
+    scores = fold_rules(degree_table(model.partitions, ds.x, model.rules.p), ants, is_and)
+    scores *= weights[:, None]
+    return predict_scores(scores, consequents, model.rules.c, model.majority_class, sum_scores)
 
 
 @dataclass(frozen=True)
@@ -189,13 +190,15 @@ def binary_counts(model: Model, ds: Dataset, positive_value: float | None = None
         raise ConfigError(
             f"sensitivity/specificity need a binary model, got {model.rules.c} classes"
         )
+    preds, _ = predict_dataset(model, ds, sum_scores=sum_scores)
+    return _confusion(model, ds, preds, positive_value)
+
+
+def _confusion(model: Model, ds: Dataset, preds: np.ndarray, positive_value: float | None) -> ConfusionCounts:
     if positive_value is None:
         positive_value = max(model.class_values)
-    preds, _ = predict_dataset(model, ds, sum_scores=sum_scores)
-    pred_orig = _original_labels(model.class_values, preds)
-    true_orig = _original_labels(ds.class_values, ds.y)
-    pred_pos = pred_orig == positive_value
-    true_pos = true_orig == positive_value
+    pred_pos = _original_labels(model.class_values, preds) == positive_value
+    true_pos = _original_labels(ds.class_values, ds.y) == positive_value
     return ConfusionCounts(
         tp=int(np.sum(pred_pos & true_pos)),
         fp=int(np.sum(pred_pos & ~true_pos)),
@@ -219,7 +222,7 @@ def evaluate_model(model: Model, ds: Dataset, positive_value: float | None = Non
         return EvaluationReport(
             counts=None, sensitivity=None, specificity=None, accuracy=acc, n=ds.n
         )
-    counts = binary_counts(model, ds, positive_value, sum_scores=sum_scores)
+    counts = _confusion(model, ds, preds, positive_value)
     return EvaluationReport(
         counts=counts,
         sensitivity=sensitivity(counts),

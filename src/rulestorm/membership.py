@@ -110,6 +110,17 @@ def degree_matrix(partition: FuzzyPartition, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def degree_table(partitions: tuple[FuzzyPartition, ...], x: np.ndarray, p: int) -> np.ndarray:
+    """Degrees of every record in every label, shape (m, p + 2, n), indexed
+    [attribute, label, record]. Label 0 holds 1.0 and label p + 1 holds 0.0,
+    the neutral elements of min and max: the AND and OR don't-cares."""
+    table = np.zeros((len(partitions), p + 2, x.shape[0]))
+    table[:, 0] = 1.0
+    for j, partition in enumerate(partitions):
+        table[j, 1 : p + 1] = degree_matrix(partition, x[:, j]).T
+    return table
+
+
 def fuzzify(partition: FuzzyPartition, x: float) -> int:
     """Label with the highest degree; ties go to the smaller label index."""
     degs = [degree(partition, k, x) for k in range(1, partition.p + 1)]

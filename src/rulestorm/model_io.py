@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .inference import Model
 from .membership import FuzzyPartition, TriangularMF
 from .rules import AND, OR, Rule, RuleSet
@@ -126,4 +126,7 @@ def load_model(path: str | Path) -> Model:
         raise DataError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise DataError("model file must contain a JSON object")
-    return model_from_document(document)
+    try:
+        return model_from_document(document)
+    except ConfigError as exc:
+        raise DataError(f"invalid model file: {exc}") from exc

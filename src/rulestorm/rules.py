@@ -3,6 +3,9 @@
 A genotype concatenates r blocks of m + 2 genes: m antecedent genes, one
 class gene, one connective gene. Decoding rounds and clamps, then repairs the
 result so no rule is empty and every class keeps at least one rule.
+
+Training and inference score a whole rule table with `fold_rules`, over a
+padded attribute-major table of membership degrees or of label indicators.
 """
 
 from __future__ import annotations
@@ -85,8 +88,11 @@ def genotype_bounds(shape: RuleSetShape) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def decode(genes: np.ndarray, shape: RuleSetShape) -> RuleSet:
-    """Round genes to a repaired rule set. Total on any real vector."""
+def decode_arrays(
+    genes: np.ndarray, shape: RuleSetShape
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Round genes to repaired rule arrays: antecedents (r, m) in 0..p,
+    consequents (r,) in 1..c and is_and (r,). Total on any real vector."""
     genes = np.asarray(genes, dtype=float)
     if genes.shape != (shape.genotype_length,):
         raise ConfigError(
@@ -95,13 +101,12 @@ def decode(genes: np.ndarray, shape: RuleSetShape) -> RuleSet:
     block = genes.reshape(shape.r, shape.m + 2)
     ants = np.clip(np.rint(block[:, : shape.m]), 0, shape.p).astype(int)
     consequents = np.clip(np.rint(block[:, shape.m]), 1, shape.c).astype(int)
-    connectives = [AND if g < 0.5 else OR for g in block[:, shape.m + 1]]
+    is_and = block[:, shape.m + 1] < 0.5
 
     # repair 1: an all-dont-care rule gets one antecedent switched on, at an
     # attribute chosen by rule position so identical rules repair differently
-    for i in range(shape.r):
-        if not ants[i].any():
-            ants[i, i % shape.m] = 1
+    empty = np.flatnonzero(~ants.any(axis=1))
+    ants[empty, empty % shape.m] = 1
 
     # repair 2: every class keeps at least one rule
     counts = np.bincount(consequents, minlength=shape.c + 1)[1:]
@@ -113,23 +118,33 @@ def decode(genes: np.ndarray, shape: RuleSetShape) -> RuleSet:
         consequents[donor_rule] = missing
         counts[donor_class - 1] -= 1
         counts[missing - 1] += 1
+    return ants, consequents, is_and
 
+
+def decode(genes: np.ndarray, shape: RuleSetShape) -> RuleSet:
+    """Round genes to a repaired rule set. Total on any real vector."""
+    ants, consequents, is_and = decode_arrays(genes, shape)
     rules = tuple(
-        Rule(tuple(int(a) for a in ants[i]), int(consequents[i]), connectives[i])
+        Rule(tuple(ants[i].tolist()), int(consequents[i]), AND if is_and[i] else OR)
         for i in range(shape.r)
     )
     return RuleSet(rules=rules, m=shape.m, p=shape.p, c=shape.c)
 
 
+def rule_arrays(rs: RuleSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(antecedents, consequents, is_and, weights) arrays of a rule set."""
+    return (
+        np.array([rule.antecedents for rule in rs.rules], dtype=int).reshape(rs.r, rs.m),
+        np.array([rule.consequent for rule in rs.rules], dtype=int),
+        np.array([rule.connective == AND for rule in rs.rules], dtype=bool),
+        np.array([rule.weight for rule in rs.rules], dtype=float),
+    )
+
+
 def encode(rs: RuleSet) -> np.ndarray:
     """Inverse of decode on repaired rule sets. AND -> 0.0, OR -> 1.0."""
-    genes = np.empty(rs.r * (rs.m + 2))
-    w = rs.m + 2
-    for i, rule in enumerate(rs.rules):
-        genes[i * w : i * w + rs.m] = rule.antecedents
-        genes[i * w + rs.m] = rule.consequent
-        genes[i * w + rs.m + 1] = 0.0 if rule.connective == AND else 1.0
-    return genes
+    ants, consequents, is_and, _ = rule_arrays(rs)
+    return np.column_stack([ants, consequents, ~is_and]).astype(float).ravel()
 
 
 def match_mask(rule: Rule, ld: LabeledDataset) -> np.ndarray:
@@ -163,3 +178,22 @@ def with_weights(rs: RuleSet, ld: LabeledDataset, decimals: int | None = None) -
             w = round(w, decimals)
         weighted.append(replace(rule, weight=w))
     return RuleSet(rules=tuple(weighted), m=rs.m, p=rs.p, c=rs.c)
+
+
+def fold_rules(table: np.ndarray, ants: np.ndarray, is_and: np.ndarray) -> np.ndarray:
+    """Each rule's rows of an (m, p + 2, n) table padded as
+    `membership.degree_table` is, combined over the attributes: min for AND
+    rules, max for OR rules. Shape (r, n); a rule without antecedents gives 1.
+    On degrees this gives activations, on label indicators match masks."""
+    is_and = is_and | ~ants.any(axis=1)
+    ants = np.where(is_and[:, None] | (ants != 0), ants, table.shape[1] - 1)
+    out = np.empty((len(ants), table.shape[2]), dtype=table.dtype)
+    for rows, combine in ((is_and, np.minimum), (~is_and, np.maximum)):
+        idx = ants[rows]
+        if not len(idx):
+            continue
+        acc = table[0][idx[:, 0]]
+        for j in range(1, len(table)):
+            combine(acc, table[j][idx[:, j]], out=acc)
+        out[rows] = acc
+    return out

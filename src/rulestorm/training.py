@@ -22,17 +22,16 @@ import numpy as np
 from . import bso, ga
 from .dataset import Dataset, attribute_stats, majority_class
 from .errors import ConfigError
-from .fitness import FitnessBreakdown, FitnessWeights, balance_score
-from .inference import Model
-from .membership import (
-    FuzzyPartition,
-    LabeledDataset,
-    build_partition,
-    degree_matrix,
-    fuzzify_dataset,
-)
-from .rules import RuleSetShape, decode, genotype_bounds, match_mask, with_weights
+from .fitness import FitnessBreakdown, FitnessWeights, class_balance
+from .inference import Model, predict_scores
+from .membership import FuzzyPartition, LabeledDataset, build_partition, degree_table, fuzzify_dataset
+from .rules import RuleSetShape, decode, decode_arrays, fold_rules, genotype_bounds, with_weights
 from .search import Evaluation, RunResult
+
+# perfbench/worker.py traces these names here; the objective no longer calls them.
+from .fitness import balance_score  # noqa: F401
+from .membership import degree_matrix  # noqa: F401
+from .rules import match_mask  # noqa: F401
 
 OPTIMIZERS = ("bso-ewma", "bso-plain", "ga")
 
@@ -42,8 +41,9 @@ WEIGHT_DECIMALS = 4
 class RuleObjective:
     """Callable objective over genotypes for one fuzzified training split.
 
-    Precomputes each attribute's membership-degree matrix so that scoring a
-    candidate costs a handful of vector operations per rule.
+    Builds padded attribute-major tables of the membership degrees and the
+    crisp label indicators once, so that scoring a candidate costs a fixed
+    number of vector operations for the whole rule table.
     """
 
     def __init__(
@@ -67,58 +67,37 @@ class RuleObjective:
         self.accuracy_weight = accuracy_weight
         self.majority = majority
         self.sum_scores = sum_scores
-        # degrees[j][i, k] = membership of record i in label k+1 of attribute j
-        self.degrees = [degree_matrix(partitions[j], x[:, j]) for j in range(shape.m)]
+        self.degrees = degree_table(partitions, x, shape.p)
+        # indicators[j, k, i]: record i has label k on attribute j, padded as
+        # the degrees are (no record has label 0 or p + 1)
+        self.indicators = ld.labels.T[:, None, :] == np.arange(shape.p + 2)[:, None]
+        self.indicators[:, 0] = True
 
-    def _train_accuracy(self, rule_set, match_fractions) -> float:
-        n = self.ld.n
-        scores = np.empty((rule_set.r, n))
-        for i, rule in enumerate(rule_set.rules):
-            weight = 0.5 * (
-                (1.0 - rule.antecedent_count() / rule_set.m) + match_fractions[i]
-            )
-            columns = [
-                self.degrees[j][:, label - 1]
-                for j, label in enumerate(rule.antecedents)
-                if label != 0
-            ]
-            if not columns:
-                act = np.ones(n)
-            else:
-                stacked = np.stack(columns, axis=1)
-                act = (
-                    stacked.min(axis=1)
-                    if rule.connective == "AND"
-                    else stacked.max(axis=1)
-                )
-            scores[i] = weight * act
-        if self.sum_scores:
-            class_scores = np.zeros((rule_set.c, n))
-            for i, rule in enumerate(rule_set.rules):
-                class_scores[rule.consequent - 1] += scores[i]
-            preds = np.argmax(class_scores, axis=0) + 1
-        else:
-            consequents = np.array([rule.consequent for rule in rule_set.rules])
-            preds = consequents[np.argmax(scores, axis=0)]
-        dead = ~np.any(scores > 0.0, axis=0)
-        preds = np.where(dead, self.majority, preds)
+    def _match_fractions(self, ants: np.ndarray, is_and: np.ndarray) -> np.ndarray:
+        matched = fold_rules(self.indicators, ants, is_and)
+        return np.count_nonzero(matched, axis=1) / self.ld.n
+
+    def _train_accuracy(self, ants, consequents, is_and, match_fractions) -> float:
+        weight = 0.5 * ((1.0 - np.count_nonzero(ants, axis=1) / self.shape.m) + match_fractions)
+        scores = fold_rules(self.degrees, ants, is_and)
+        scores *= weight[:, None]
+        preds, _ = predict_scores(scores, consequents, self.shape.c, self.majority, self.sum_scores)
         return float(np.mean(preds == self.ld.classes))
 
     def __call__(self, genotype: np.ndarray) -> Evaluation:
-        rule_set = decode(genotype, self.shape)
-        masks = [match_mask(rule, self.ld) for rule in rule_set.rules]
-        match_fractions = [float(mask.sum()) / self.ld.n for mask in masks]
-        total_len = sum(rule.antecedent_count() for rule in rule_set.rules)
-        g1 = 1.0 - total_len / (rule_set.r * rule_set.m)
-        g2 = sum(match_fractions) / rule_set.r
-        g3 = balance_score(rule_set)
+        ants, consequents, is_and = decode_arrays(genotype, self.shape)
+        match_fractions = self._match_fractions(ants, is_and)
+        r, m = self.shape.r, self.shape.m
+        g1 = 1.0 - int(np.count_nonzero(ants)) / (r * m)
+        g2 = sum(match_fractions.tolist()) / r
+        g3 = class_balance(consequents, self.shape.c)
         quality = (
             self.weights.alpha * g1 + self.weights.beta * g2 + self.weights.gamma * g3
         )
         breakdown = FitnessBreakdown(g1=g1, g2=g2, g3=g3, fitness=quality)
         if self.accuracy_weight == 0.0:
             return Evaluation(value=quality, breakdown=breakdown)
-        acc = self._train_accuracy(rule_set, match_fractions)
+        acc = self._train_accuracy(ants, consequents, is_and, match_fractions)
         value = (1.0 - self.accuracy_weight) * quality + self.accuracy_weight * acc
         return Evaluation(value=value, breakdown=breakdown)
 
@@ -194,30 +173,24 @@ def train_model(
     best_rules = decode(run_result.best.genotype, shape)
     weighted = with_weights(best_rules, ld, decimals=WEIGHT_DECIMALS)
     breakdown = run_result.best.evaluation.breakdown
-    match_fractions = [
-        float(match_mask(rule, ld).sum()) / ld.n for rule in best_rules.rules
-    ]
-    train_acc = objective._train_accuracy(best_rules, match_fractions)
+    ants, consequents, is_and = decode_arrays(run_result.best.genotype, shape)
+    train_acc = objective._train_accuracy(
+        ants, consequents, is_and, objective._match_fractions(ants, is_and)
+    )
 
-    metadata = {
-        "optimizer": optimizer,
-        "seed": seed,
+    settings = {
         "labels_per_attribute": labels_per_attribute,
         "rule_count": rule_count,
         "fitness_weights": [weights.alpha, weights.beta, weights.gamma],
         "accuracy_weight": accuracy_weight,
         "sum_scores": sum_scores,
+    }
+    metadata = {
+        "optimizer": optimizer,
+        "seed": seed,
+        **settings,
         "train_records": train.n,
-        "params_digest": params_digest(
-            {
-                **param_payload,
-                "labels_per_attribute": labels_per_attribute,
-                "rule_count": rule_count,
-                "accuracy_weight": accuracy_weight,
-                "fitness_weights": [weights.alpha, weights.beta, weights.gamma],
-                "sum_scores": sum_scores,
-            }
-        ),
+        "params_digest": params_digest({**param_payload, **settings}),
     }
     model = Model(
         partitions=partitions,

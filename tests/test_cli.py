@@ -321,6 +321,27 @@ def test_missing_data_file_is_a_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_non_finite_data_cell_is_a_data_error(data_csv, fast_config, capsys):
+    rows = data_csv.read_text().splitlines()
+    cells = rows[3].split(",")
+    cells[1] = "nan"
+    rows[3] = ",".join(cells)
+    data_csv.write_text("\n".join(rows) + "\n")
+    code = main(["train", "--data", str(data_csv), "--config", str(fast_config)])
+    assert code == 3
+    assert "row 4 has non-finite cell 'nan'" in capsys.readouterr().err
+
+
+def test_evaluate_invalid_model_rule_is_a_data_error(tmp_path, data_csv, capsys):
+    model_path = perfect_model(tmp_path)
+    document = json.loads(model_path.read_text())
+    document["rules"][0]["antecedents"] = [-1]
+    model_path.write_text(json.dumps(document))
+    code = main(["evaluate", str(model_path), "--data", str(data_csv)])
+    assert code == 3
+    assert "labels in 0..3" in capsys.readouterr().err
+
+
 def test_seed_flag_overrides_config_seed(tmp_path, data_csv):
     config = write_fast_config(tmp_path / "seeded.json", seed=1, bso={"population_size": 10, "cluster_count": 2, "max_iterations": 6, "stagnation_window": 20, "seed": 1})
     out = tmp_path / "run"

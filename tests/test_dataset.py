@@ -100,6 +100,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 2.*column 1"):
             load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_reports_row(self, tmp_path, cell):
+        p = write_csv(tmp_path / "t.csv", [[1, 0], [2, 1], [cell, 1]])
+        with pytest.raises(DataError, match=f"row 3.*{cell!r}"):
+            load_csv(p)
+
+    def test_non_finite_label_rejected(self, tmp_path):
+        p = write_csv(tmp_path / "t.csv", [[1, 0], [2, 1], [3, "inf"]])
+        with pytest.raises(DataError, match="non-finite"):
+            load_csv(p)
+
     def test_single_class_rejected(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", [[1, 0], [2, 0]])
         with pytest.raises(DataError, match="distinct"):

@@ -175,7 +175,7 @@ def test_predictions_invariant_to_weight_rescaling():
         ((0, 3), 2, AND, 0.55),
         ((3, 1), 1, OR, 0.3),
     ]
-    scaled = [(a, c, conn, w * 7.3) for a, c, conn, w in specs]
+    scaled = [(a, c, conn, w * 0.137) for a, c, conn, w in specs]
     m1 = make_model(specs)
     m2 = make_model(scaled)
     x = rng.uniform(0.0, 10.0, size=(60, 2))
@@ -336,6 +336,57 @@ def test_model_rejects_label_count_mismatch():
         )
 
 
+def test_model_rejects_degenerate_partition_with_too_few_labels():
+    lone = FuzzyPartition(mfs=(TriangularMF(1.0, 1.0, 1.0),), minimum=1.0, maximum=1.0, degenerate=True)
+    with pytest.raises(ConfigError, match="1 labels"):
+        Model(
+            partitions=(lone, unit_partitions(1)[0]),
+            rules=RuleSet(rules=(Rule((1, 0), 1, AND, 0.5), Rule((0, 1), 2, AND, 0.5)), m=2, p=3, c=2),
+            class_values=(0.0, 1.0),
+            attribute_names=("a1", "a2"),
+            majority_class=1,
+            metadata={},
+        )
+
+
 def test_model_rejects_majority_out_of_range():
     with pytest.raises(ConfigError):
         make_model([((1, 0), 1, AND, 0.5), ((0, 1), 2, AND, 0.5)], majority=3)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (((1, 0, 2), 1, AND, 0.5), r"\(1, 0, 2\)"),
+        (((-1, 0), 1, AND, 0.5), "in 0..3"),
+        (((4, 0), 1, OR, 0.5), "in 0..3"),
+        (((1, 0), 0, AND, 0.5), "class 0 outside 1..2"),
+        (((1, 0), 7, AND, 0.5), "class 7 outside 1..2"),
+        (((1, 0), 1, AND, 1.5), "outside \\[0, 1\\]"),
+        (((1, 0), 1, AND, -0.1), "outside \\[0, 1\\]"),
+        (((1, 0), 1, AND, float("nan")), "outside \\[0, 1\\]"),
+        (((1, 0), 1, AND, float("inf")), "outside \\[0, 1\\]"),
+    ],
+)
+def test_model_rejects_bad_rule(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        make_model([((0, 1), 2, AND, 0.5), spec])
+
+
+def test_evaluate_model_predicts_once(monkeypatch):
+    import rulestorm.inference as inference
+
+    calls = []
+    original = inference.predict_dataset
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "predict_dataset", counting)
+    model = make_model([((1, 0), 1, AND, 0.6), ((3, 0), 2, AND, 0.6)])
+    ds = make_dataset([[0.0, 5.0], [10.0, 5.0], [9.0, 1.0]], [1, 2, 1])
+    report = evaluate_model(model, ds)
+    assert len(calls) == 1
+    assert report.counts == binary_counts(model, ds)
+    assert report.accuracy == pytest.approx(2 / 3)

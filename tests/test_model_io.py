@@ -122,3 +122,23 @@ def test_load_rejects_missing_required_key(tmp_path, trained):
     path.write_text(json.dumps(document))
     with pytest.raises(DataError, match="rules"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("antecedents", [-1, 0], "labels in 0..3"),
+        ("antecedents", [1, 0, 2], "need 2 labels"),
+        ("class", 7, "class 7"),
+        ("weight", 2.0, "weight"),
+    ],
+)
+def test_load_rejects_invalid_rule(tmp_path, trained, field, value, message):
+    _, model = trained
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    document = json.loads(path.read_text())
+    document["rules"][0][field] = value
+    path.write_text(json.dumps(document))
+    with pytest.raises(DataError, match=message):
+        load_model(path)
