@@ -20,19 +20,12 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError
-from .search import (
-    ConvergenceTrace,
-    Individual,
-    RunResult,
-    TraceBuilder,
-    evaluate_objective,
-    sample_population,
-)
+from .search import Population, RunResult
+
+# perfbench/worker.py traces these names here; Population calls them now.
+from .search import evaluate_objective, sample_population  # noqa: F401
 
 MODES = ("plain", "ewma")
-
-# Improvements at or below this size do not reset the stagnation counter.
-IMPROVEMENT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -194,77 +187,37 @@ def run(params: BsoParams, objective, lower, upper) -> RunResult:
     """Maximize the objective; deterministic given params (one RNG stream).
 
     Stops at max_iterations, or once stagnation_window consecutive
-    iterations pass without the best value improving by more than 1e-9.
+    iterations pass without the best value improving by more than
+    search.IMPROVEMENT_EPS.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rng = np.random.default_rng(params.seed)
-    trace = TraceBuilder()
-
-    genotypes = sample_population(rng, lower, upper, params.population_size)
-    evaluations = [
-        evaluate_objective(objective, genotypes[i], 0)
-        for i in range(params.population_size)
-    ]
-    total_evaluations = params.population_size
-    values = np.array([ev.value for ev in evaluations])
-    ewma = genotypes.copy() if params.mode == "ewma" else None
-    trace.record(0, values, evaluations, total_evaluations)
-
-    best_value = float(values.max())
-    stagnant = 0
+    pop = Population(
+        objective, lower, upper, params.population_size, params.seed, params.stagnation_window
+    )
+    rng = pop.rng
+    ewma = pop.genotypes.copy() if params.mode == "ewma" else None
     for nc in range(1, params.max_iterations + 1):
-        clusters = cluster_population(genotypes, values, params.cluster_count, rng)
-        centers = [np.array(genotypes[c.center], copy=True) for c in clusters]
+        clusters = cluster_population(pop.genotypes, pop.values, params.cluster_count, rng)
+        centers = [np.array(pop.genotypes[c.center], copy=True) for c in clusters]
         if rng.random() < params.replace_center_prob:
-            centers[int(rng.integers(len(clusters)))] = rng.uniform(lower, upper)
+            centers[int(rng.integers(len(clusters)))] = rng.uniform(pop.lower, pop.upper)
 
         candidates = []
         states = []
         for slot in range(params.population_size):
-            base = select_base(clusters, genotypes, centers, params, rng)
+            base = select_base(clusters, pop.genotypes, centers, params, rng)
             state = None if ewma is None else ewma[slot]
             candidate, new_state = generate_candidate(
-                base, state, nc, params, rng, lower, upper
+                base, state, nc, params, rng, pop.lower, pop.upper
             )
             candidates.append(candidate)
             states.append(new_state)
 
-        candidate_evals = [
-            evaluate_objective(objective, candidates[slot], nc)
-            for slot in range(params.population_size)
-        ]
-        total_evaluations += params.population_size
-        for slot in range(params.population_size):
-            if candidate_evals[slot].value > values[slot]:
-                genotypes[slot] = candidates[slot]
-                values[slot] = candidate_evals[slot].value
-                evaluations[slot] = candidate_evals[slot]
+        for slot, evaluation in enumerate(pop.evaluate(candidates, nc)):
+            if evaluation.value > pop.values[slot]:
+                pop.genotypes[slot] = candidates[slot]
+                pop.evaluations[slot] = evaluation
                 if ewma is not None:
                     ewma[slot] = states[slot]
-
-        new_best = float(values.max())
-        if new_best > best_value + IMPROVEMENT_EPS:
-            stagnant = 0
-        else:
-            stagnant += 1
-        best_value = max(best_value, new_best)
-        trace.record(nc, values, evaluations, total_evaluations)
-        if stagnant >= params.stagnation_window:
+        if pop.end_iteration(nc):
             break
-
-    population = tuple(
-        Individual(
-            genotype=genotypes[i].copy(),
-            evaluation=evaluations[i],
-            ewma=None if ewma is None else ewma[i].copy(),
-        )
-        for i in range(params.population_size)
-    )
-    best_idx = int(np.argmax(values))
-    return RunResult(
-        best=population[best_idx],
-        trace=trace.build(),
-        population=population,
-        evaluations=total_evaluations,
-    )
+    return pop.result(ewma)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import fields
@@ -31,7 +32,7 @@ from .experiments import (
 )
 from .fitness import FitnessWeights
 from .ga import GaParams
-from .inference import evaluate_model, predict_dataset
+from .inference import evaluate_model, predict_dataset, report_from_predictions
 from .model_io import load_model, save_model
 from .training import OPTIMIZERS, train_model
 
@@ -60,7 +61,6 @@ CONFIG_KEYS = {
     "e_values",
     "k_values",
     "threshold",
-    "workers",
 }
 
 DEFAULT_RATIOS = (0.7, 0.75, 0.8, 0.85)
@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_name_list,
         help="comma-separated backends (default all three)",
     )
-    sweep.add_argument("--workers", type=int, help="concurrent cells (default 1)")
 
     grid = sub.add_parser(
         "param-sweep",
@@ -350,7 +349,8 @@ def cmd_evaluate(args) -> int:
         _, ds = split(ds, SplitSpec(fraction=ratios[0], seed=seed))
     sum_scores = bool(_pick(args, config, "sum_scores", False))
 
-    report = evaluate_model(model, ds, sum_scores=sum_scores)
+    internal, scores = predict_dataset(model, ds, sum_scores=sum_scores)
+    report = report_from_predictions(model, ds, internal)
     print(f"records: {report.n}")
     print(f"accuracy: {_metric(report.accuracy)}")
     print(f"sensitivity: {_metric(report.sensitivity)}")
@@ -362,11 +362,8 @@ def cmd_evaluate(args) -> int:
     if args.out is not None or "out" in config:
         out = _out_dir(args, config)
         predictions_path = out / "predictions.csv"
-        internal, scores = predict_dataset(model, ds, sum_scores=sum_scores)
-        import csv as _csv
-
         with open(predictions_path, "w", newline="") as handle:
-            writer = _csv.writer(handle)
+            writer = csv.writer(handle)
             writer.writerow(("record", "true_label", "predicted_label", "score"))
             for i in range(ds.n):
                 true = ds.class_values[int(ds.y[i]) - 1]
@@ -395,9 +392,8 @@ def cmd_sweep(args) -> int:
     ratios = tuple(_pick(args, config, "ratios", DEFAULT_RATIOS))
     seeds = tuple(_pick(args, config, "seeds", DEFAULT_SEEDS))
     optimizers = _optimizer_list(args, config)
-    workers = int(_pick(args, config, "workers", 1))
 
-    result = run_sweep(ds, settings, ratios, seeds, optimizers, workers=workers)
+    result = run_sweep(ds, settings, ratios, seeds, optimizers)
     out = _out_dir(args, config)
     path = out / "sweep.csv"
     write_sweep_csv(result, path)

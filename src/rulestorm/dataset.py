@@ -71,8 +71,11 @@ def load_csv(path: str | Path, label: int | str | None = None) -> Dataset:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"data file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
 

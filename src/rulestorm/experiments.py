@@ -4,14 +4,12 @@ benchmarks.
 Every driver trains complete models through :func:`rulestorm.training.train_model`
 and reduces the results to flat CSV rows for external plotting. Cells are
 independent: each one derives its split and optimizer streams from its own
-(ratio, seed) pair, so running them across a thread pool cannot change any
-number, only the wall-clock columns.
+(ratio, seed) pair.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .bso import BsoParams
@@ -127,31 +125,27 @@ class SweepResult:
         )
 
 
-def _cell_params(settings: ExperimentSettings, optimizer: str, seed: int):
-    """Copies of the optimizer params carrying the cell's seed."""
-    return (
-        replace(settings.bso_params, seed=seed),
-        replace(settings.ga_params, seed=seed),
+def _train(train: Dataset, settings: ExperimentSettings, optimizer: str, seed: int):
+    """Train one model with the settings, both optimizers seeded with `seed`."""
+    return train_model(
+        train,
+        labels_per_attribute=settings.labels_per_attribute,
+        rule_count=settings.rule_count,
+        fitness_weights=settings.fitness_weights,
+        accuracy_weight=settings.accuracy_weight,
+        optimizer=optimizer,
+        bso_params=replace(settings.bso_params, seed=seed),
+        ga_params=replace(settings.ga_params, seed=seed),
+        sum_scores=settings.sum_scores,
     )
 
 
 def _train_and_score(
     ds: Dataset, settings: ExperimentSettings, ratio: float, optimizer: str, seed: int
 ) -> SweepRun:
-    bso_params, ga_params = _cell_params(settings, optimizer, seed)
     try:
         train, test = split(ds, SplitSpec(fraction=ratio, seed=seed))
-        result = train_model(
-            train,
-            labels_per_attribute=settings.labels_per_attribute,
-            rule_count=settings.rule_count,
-            fitness_weights=settings.fitness_weights,
-            accuracy_weight=settings.accuracy_weight,
-            optimizer=optimizer,
-            bso_params=bso_params,
-            ga_params=ga_params,
-            sum_scores=settings.sum_scores,
-        )
+        result = _train(train, settings, optimizer, seed)
         report = evaluate_model(result.model, test, sum_scores=settings.sum_scores)
     except Exception as exc:  # cell failures are recorded, never raised
         return SweepRun(
@@ -182,15 +176,12 @@ def run_sweep(
     ratios: tuple[float, ...],
     seeds: tuple[int, ...],
     optimizers: tuple[str, ...] = OPTIMIZERS,
-    workers: int = 1,
 ) -> SweepResult:
     """Train and evaluate one model per (ratio, optimizer, seed) combination.
 
     Failures inside a cell are captured on its row; the sweep always
-    completes. Results are independent of the worker count.
+    completes.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     for ratio in ratios:
         if not 0.0 < ratio < 1.0:
             raise ConfigError(f"sweep ratios must be in (0, 1), got {ratio}")
@@ -199,19 +190,12 @@ def run_sweep(
             raise ConfigError(
                 f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}"
             )
-    cells = [
-        (ratio, optimizer, seed)
+    runs = [
+        _train_and_score(ds, settings, ratio, optimizer, seed)
         for ratio in ratios
         for optimizer in optimizers
         for seed in seeds
     ]
-    if workers == 1:
-        runs = [_train_and_score(ds, settings, *cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(
-                pool.map(lambda cell: _train_and_score(ds, settings, *cell), cells)
-            )
     return SweepResult(
         runs=tuple(runs),
         ratios=tuple(ratios),
@@ -398,23 +382,12 @@ def run_benchmark(
     rows = []
     for fraction in fractions:
         for optimizer in optimizers:
-            bso_params, ga_params = _cell_params(settings, optimizer, seed)
             try:
                 if fraction == 1.0:
                     train = ds
                 else:
                     train, _ = split(ds, SplitSpec(fraction=fraction, seed=seed))
-                result = train_model(
-                    train,
-                    labels_per_attribute=settings.labels_per_attribute,
-                    rule_count=settings.rule_count,
-                    fitness_weights=settings.fitness_weights,
-                    accuracy_weight=settings.accuracy_weight,
-                    optimizer=optimizer,
-                    bso_params=bso_params,
-                    ga_params=ga_params,
-                    sum_scores=settings.sum_scores,
-                )
+                result = _train(train, settings, optimizer, seed)
             except Exception as exc:
                 rows.append(
                     BenchmarkRow(

@@ -12,13 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .search import (
-    Individual,
-    RunResult,
-    TraceBuilder,
-    evaluate_objective,
-    sample_population,
-)
+from .search import Population, RunResult
+
+# perfbench/worker.py traces these names here; Population calls them now.
+from .search import evaluate_objective, sample_population  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -62,68 +59,32 @@ def run_ga(params: GaParams, objective, lower, upper) -> RunResult:
     """Maximize the objective; deterministic given params (one RNG stream).
 
     Stops at `generations`, or once stagnation_window consecutive
-    generations pass without the best value improving by more than 1e-9.
+    generations pass without the best value improving by more than
+    search.IMPROVEMENT_EPS.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    dims = lower.shape[0]
-    rng = np.random.default_rng(params.seed)
-    trace = TraceBuilder()
-
-    genotypes = sample_population(rng, lower, upper, params.population_size)
-    evaluations = [
-        evaluate_objective(objective, genotypes[i], 0)
-        for i in range(params.population_size)
-    ]
-    total_evaluations = params.population_size
-    values = np.array([ev.value for ev in evaluations])
-    trace.record(0, values, evaluations, total_evaluations)
-
-    best_value = float(values.max())
-    stagnant = 0
+    pop = Population(
+        objective, lower, upper, params.population_size, params.seed, params.stagnation_window
+    )
+    rng = pop.rng
+    dims = pop.lower.shape[0]
     for generation in range(1, params.generations + 1):
-        elite = int(np.argmax(values))
-        next_genotypes = np.empty_like(genotypes)
-        next_evaluations = [evaluations[elite]]
-        next_genotypes[0] = genotypes[elite]
+        elite = int(np.argmax(pop.values))
+        children = np.empty_like(pop.genotypes)
+        children[0] = pop.genotypes[elite]
         for slot in range(1, params.population_size):
-            p1 = tournament_pick(values, params.tournament_size, rng)
-            p2 = tournament_pick(values, params.tournament_size, rng)
+            p1 = tournament_pick(pop.values, params.tournament_size, rng)
+            p2 = tournament_pick(pop.values, params.tournament_size, rng)
             if rng.random() < params.crossover_prob:
                 take_first = rng.random(dims) < 0.5
-                child = np.where(take_first, genotypes[p1], genotypes[p2])
+                child = np.where(take_first, pop.genotypes[p1], pop.genotypes[p2])
             else:
-                child = genotypes[p1].copy()
+                child = pop.genotypes[p1].copy()
             mutate = rng.random(dims) < params.mutation_prob
             steps = rng.standard_normal(dims) * params.mutation_sigma
             child = np.where(mutate, child + steps, child)
-            next_genotypes[slot] = np.minimum(np.maximum(child, lower), upper)
-            next_evaluations.append(
-                evaluate_objective(objective, next_genotypes[slot], generation)
-            )
-        total_evaluations += params.population_size - 1
-        genotypes = next_genotypes
-        evaluations = next_evaluations
-        values = np.array([ev.value for ev in evaluations])
-
-        new_best = float(values.max())
-        if new_best > best_value + 1e-9:
-            stagnant = 0
-        else:
-            stagnant += 1
-        best_value = max(best_value, new_best)
-        trace.record(generation, values, evaluations, total_evaluations)
-        if stagnant >= params.stagnation_window:
+            children[slot] = np.minimum(np.maximum(child, pop.lower), pop.upper)
+        pop.evaluations = [pop.evaluations[elite], *pop.evaluate(children[1:], generation)]
+        pop.genotypes = children
+        if pop.end_iteration(generation):
             break
-
-    population = tuple(
-        Individual(genotype=genotypes[i].copy(), evaluation=evaluations[i])
-        for i in range(params.population_size)
-    )
-    best_idx = int(np.argmax(values))
-    return RunResult(
-        best=population[best_idx],
-        trace=trace.build(),
-        population=population,
-        evaluations=total_evaluations,
-    )
+    return pop.result()

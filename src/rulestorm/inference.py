@@ -57,6 +57,8 @@ class Model:
             raise ConfigError(
                 f"majority class {self.majority_class} outside 1..{self.rules.c}"
             )
+        if not self.rules.rules:
+            raise ConfigError("a model needs at least one rule")
         m, p, c = self.rules.m, self.rules.p, self.rules.c
         for i, rule in enumerate(self.rules.rules, start=1):
             if len(rule.antecedents) != m or not all(0 <= a <= p for a in rule.antecedents):
@@ -208,13 +210,18 @@ def _confusion(model: Model, ds: Dataset, preds: np.ndarray, positive_value: flo
 
 
 def evaluate_model(model: Model, ds: Dataset, positive_value: float | None = None, sum_scores: bool = False) -> EvaluationReport:
-    """Accuracy for any class count; confusion-based metrics when binary.
+    """Accuracy for any class count; confusion-based metrics when binary."""
+    preds, _ = predict_dataset(model, ds, sum_scores=sum_scores)
+    return report_from_predictions(model, ds, preds, positive_value)
+
+
+def report_from_predictions(model: Model, ds: Dataset, preds: np.ndarray, positive_value: float | None = None) -> EvaluationReport:
+    """The evaluation report for predictions that `predict_dataset` made.
 
     Predictions and true labels are compared in the original label coding,
     so a model evaluates correctly on any split regardless of which classes
     the split happens to contain.
     """
-    preds, _ = predict_dataset(model, ds, sum_scores=sum_scores)
     pred_orig = _original_labels(model.class_values, preds)
     true_orig = _original_labels(ds.class_values, ds.y)
     acc = float(np.mean(pred_orig == true_orig))

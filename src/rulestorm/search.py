@@ -2,7 +2,8 @@
 
 Both optimizers maximize a user-supplied objective over a box-bounded real
 vector, keep one sequential RNG stream for full determinism, and report the
-same per-iteration convergence trace.
+same per-iteration convergence trace. `Population` is the loop they share;
+each optimizer adds only how it breeds candidates and which ones survive.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import numpy as np
 
 from .errors import EvaluationError
 from .fitness import FitnessBreakdown
+
+# Improvements at or below this size do not reset the stagnation counter.
+IMPROVEMENT_EPS = 1e-9
 
 TRACE_HEADER = (
     "iteration",
@@ -129,3 +133,63 @@ class TraceBuilder:
 
     def build(self) -> ConvergenceTrace:
         return ConvergenceTrace(records=tuple(self._records))
+
+
+class Population:
+    """One search's bounds, RNG stream, members, evaluation count and trace.
+
+    Construction samples `size` members uniformly within the bounds and
+    evaluates them as iteration 0. Each iteration, the optimizer breeds with
+    `rng`, scores candidates with `evaluate`, installs the survivors in
+    `genotypes` and `evaluations`, and calls `end_iteration`.
+    """
+
+    def __init__(self, objective, lower, upper, size: int, seed: int, stagnation_window: int) -> None:
+        self.lower = np.asarray(lower, dtype=float)
+        self.upper = np.asarray(upper, dtype=float)
+        self.rng = np.random.default_rng(seed)
+        self.evaluation_count = 0
+        self._objective = objective
+        self._window = stagnation_window
+        self._stagnant = 0
+        self._trace = TraceBuilder()
+        self.genotypes = sample_population(self.rng, self.lower, self.upper, size)
+        self.evaluations = self.evaluate(self.genotypes, 0)
+        self.values = np.array([ev.value for ev in self.evaluations])
+        self._best = float(self.values.max())
+        self._trace.record(0, self.values, self.evaluations, self.evaluation_count)
+
+    def evaluate(self, genotypes, iteration: int) -> list[Evaluation]:
+        """Score each genotype in order; the only caller of the objective."""
+        self.evaluation_count += len(genotypes)
+        return [evaluate_objective(self._objective, g, iteration) for g in genotypes]
+
+    def end_iteration(self, iteration: int) -> bool:
+        """Refresh `values`, record the trace; True once the best value has
+        not improved by more than IMPROVEMENT_EPS for stagnation_window
+        consecutive iterations."""
+        self.values = np.array([ev.value for ev in self.evaluations])
+        new_best = float(self.values.max())
+        if new_best > self._best + IMPROVEMENT_EPS:
+            self._stagnant = 0
+        else:
+            self._stagnant += 1
+        self._best = max(self._best, new_best)
+        self._trace.record(iteration, self.values, self.evaluations, self.evaluation_count)
+        return self._stagnant >= self._window
+
+    def result(self, ewma: np.ndarray | None = None) -> RunResult:
+        population = tuple(
+            Individual(
+                genotype=self.genotypes[i].copy(),
+                evaluation=self.evaluations[i],
+                ewma=None if ewma is None else ewma[i].copy(),
+            )
+            for i in range(len(self.evaluations))
+        )
+        return RunResult(
+            best=population[int(np.argmax(self.values))],
+            trace=self._trace.build(),
+            population=population,
+            evaluations=self.evaluation_count,
+        )

@@ -69,8 +69,11 @@ class RuleObjective:
         self.sum_scores = sum_scores
         self.degrees = degree_table(partitions, x, shape.p)
         # indicators[j, k, i]: record i has label k on attribute j, padded as
-        # the degrees are (no record has label 0 or p + 1)
-        self.indicators = ld.labels.T[:, None, :] == np.arange(shape.p + 2)[:, None]
+        # the degrees are (no record has label 0 or p + 1); C order, so each
+        # (j, k) row the fold gathers is contiguous
+        self.indicators = np.ascontiguousarray(
+            ld.labels.T[:, None, :] == np.arange(shape.p + 2)[:, None]
+        )
         self.indicators[:, 0] = True
 
     def _match_fractions(self, ants: np.ndarray, is_and: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import make_separable_dataset
 
+from rulestorm import cli
 from rulestorm.cli import main
 from rulestorm.inference import Model
 from rulestorm.membership import build_partition
@@ -247,6 +248,45 @@ def test_evaluate_writes_predictions(tmp_path, data_csv, fast_config):
     assert len(rows) == 1 + 60
 
 
+def test_evaluate_with_out_predicts_once(tmp_path, capsys, monkeypatch):
+    model_path = perfect_model(tmp_path)
+    data_path = tmp_path / "clean.csv"
+    with open(data_path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["a1", "label"])
+        for v, label in ((0.0, "0.0"), (2.0, "1.0"), (9.0, "1.0")):
+            writer.writerow([repr(v), label])
+    calls = []
+    original = cli.predict_dataset
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "predict_dataset", counted)
+    out = tmp_path / "scored"
+    code = main(["evaluate", str(model_path), "--data", str(data_path), "--out", str(out)])
+    assert code == 0
+    assert len(calls) == 1
+    assert "accuracy: 0.6667" in capsys.readouterr().out
+    with open(out / "predictions.csv", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [row[2] for row in rows] == ["0.0", "0.0", "1.0"]
+
+
+@pytest.mark.parametrize("antecedent", ["x", 1.7])
+def test_evaluate_model_with_non_integer_antecedent_is_a_data_error(
+    tmp_path, data_csv, capsys, antecedent
+):
+    model_path = perfect_model(tmp_path)
+    document = json.loads(model_path.read_text())
+    document["rules"][0]["antecedents"][0] = antecedent
+    model_path.write_text(json.dumps(document))
+    code = main(["evaluate", str(model_path), "--data", str(data_csv)])
+    assert code == 3
+    assert "antecedent must be an integer" in capsys.readouterr().err
+
+
 def test_evaluate_split_scores_held_out_side(tmp_path, data_csv, fast_config, capsys):
     out = tmp_path / "run"
     main(
@@ -403,8 +443,6 @@ def test_sweep_command_writes_summary(tmp_path, data_csv, fast_config, capsys):
             "0,1",
             "--optimizer",
             "bso-ewma,ga",
-            "--workers",
-            "2",
             "--out",
             str(out),
         ]
@@ -433,8 +471,6 @@ def test_sweep_csv_is_deterministic_across_runs(tmp_path, data_csv, fast_config)
                 "0,1",
                 "--optimizer",
                 "bso-ewma",
-                "--workers",
-                str(1 if name == "s1" else 3),
                 "--out",
                 str(out),
             ]
@@ -491,6 +527,15 @@ def test_benchmark_command(tmp_path, data_csv, fast_config, capsys):
     stdout = capsys.readouterr().out
     assert "benchmark:" in stdout
     assert "reached" in stdout
+
+
+def test_sweep_config_with_workers_is_a_config_error(tmp_path, data_csv, capsys):
+    config = write_fast_config(tmp_path / "workers.json", workers=2)
+    code = main(
+        ["sweep", "--data", str(data_csv), "--config", str(config), "--seeds", "0"]
+    )
+    assert code == 2
+    assert "workers" in capsys.readouterr().err
 
 
 def test_bad_sweep_ratio_is_a_config_error(tmp_path, data_csv, capsys):

@@ -71,16 +71,6 @@ def test_sweep_single_cell_has_zero_std():
     assert rows[0]["min_test_accuracy"] == rows[0]["max_test_accuracy"]
 
 
-def test_sweep_workers_do_not_change_results():
-    ds = make_separable_dataset()
-    kwargs = dict(
-        ratios=(0.7, 0.8), seeds=(0, 1), optimizers=("bso-ewma", "bso-plain")
-    )
-    serial = run_sweep(ds, fast_settings(), workers=1, **kwargs)
-    threaded = run_sweep(ds, fast_settings(), workers=4, **kwargs)
-    assert serial.runs == threaded.runs
-
-
 def test_sweep_records_cell_failure_and_continues():
     # 0.99 of 60 records leaves a single test record: the split must refuse,
     # and the refusal lands on the row instead of aborting the sweep.
@@ -115,8 +105,6 @@ def test_sweep_rejects_bad_inputs():
     ds = make_separable_dataset()
     with pytest.raises(ConfigError):
         run_sweep(ds, fast_settings(), ratios=(1.2,), seeds=(0,))
-    with pytest.raises(ConfigError):
-        run_sweep(ds, fast_settings(), ratios=(0.8,), seeds=(0,), workers=0)
     with pytest.raises(ConfigError):
         run_sweep(
             ds, fast_settings(), ratios=(0.8,), seeds=(0,), optimizers=("sgd",)

@@ -92,6 +92,7 @@ def test_fold_equals_activation_and_match_mask(seed, n, m, p, c, extra_rules, ze
     activations = fold_rules(objective.degrees, ants, is_and)
     matched = fold_rules(objective.indicators, ants, is_and)
     assert activations.shape == matched.shape == (rs.r, ds.n)
+    assert objective.degrees.flags.c_contiguous and objective.indicators.flags.c_contiguous
     for i, rule in enumerate(rs.rules):
         assert matched[i].tolist() == match_mask(rule, ld).tolist()
         expected = [activation(rule, partitions, ds.x[k]) for k in range(ds.n)]
