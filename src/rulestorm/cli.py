@@ -223,6 +223,8 @@ def _params_from(config: dict, section: str, cls, seed: int, force_seed: bool):
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise ConfigError(f"config: {section}.{unknown[0]} is not a parameter")
+    if section == "bso" and "mode" in overrides:
+        raise ConfigError("config: bso.mode is not a parameter; set optimizer to bso-ewma or bso-plain")
     effective = seed if force_seed else overrides.get("seed", seed)
     try:
         return cls(**{**overrides, "seed": effective})

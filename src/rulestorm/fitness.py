@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .membership import LabeledDataset
-from .rules import Rule, RuleSet, match_mask
+from .rules import Rule, RuleSet, match_fractions, match_mask, rule_arrays
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,13 @@ def match_count(rule: Rule, ld: LabeledDataset) -> int:
 
 def brevity_score(rs: RuleSet) -> float:
     """1 minus the mean fraction of active antecedents per rule."""
-    total = sum(rule.antecedent_count() for rule in rs.rules)
-    return 1.0 - total / (rs.r * rs.m)
+    ants, consequents, _, _ = rule_arrays(rs)
+    return breakdown(ants, consequents, np.zeros(rs.r), rs.c, FitnessWeights()).g1
 
 
 def coverage_score(rs: RuleSet, ld: LabeledDataset) -> float:
     """Mean fraction of records matched, averaged over rules."""
-    total = sum(match_count(rule, ld) for rule in rs.rules)
-    return total / (rs.r * ld.n)
+    return evaluate(rs, ld).g2
 
 
 def balance_score(rs: RuleSet) -> float:
@@ -85,15 +84,17 @@ def class_balance(consequents: np.ndarray, c: int) -> float:
     return max(0.0, 1.0 - v / r)
 
 
+def breakdown(ants: np.ndarray, consequents: np.ndarray, fractions: np.ndarray, c: int, weights: FitnessWeights) -> FitnessBreakdown:
+    """Quality score of a rule table given as arrays: antecedents (r, m),
+    consequents (r,) in 1..c and each rule's match fraction (r,)."""
+    r, m = ants.shape
+    g1 = 1.0 - int(np.count_nonzero(ants)) / (r * m)
+    g2 = sum(fractions.tolist()) / r  # this summation order is what trace.csv records
+    g3 = class_balance(consequents, c)
+    return FitnessBreakdown(g1, g2, g3, fitness=weights.alpha * g1 + weights.beta * g2 + weights.gamma * g3)
+
+
 def evaluate(rs: RuleSet, ld: LabeledDataset, weights: FitnessWeights | None = None) -> FitnessBreakdown:
     """Score a rule set against a fuzzified dataset."""
-    w = weights if weights is not None else FitnessWeights()
-    g1 = brevity_score(rs)
-    g2 = coverage_score(rs, ld)
-    g3 = balance_score(rs)
-    return FitnessBreakdown(
-        g1=g1,
-        g2=g2,
-        g3=g3,
-        fitness=w.alpha * g1 + w.beta * g2 + w.gamma * g3,
-    )
+    ants, consequents, is_and, _ = rule_arrays(rs)
+    return breakdown(ants, consequents, match_fractions(ld, ants, is_and), rs.c, weights or FitnessWeights())

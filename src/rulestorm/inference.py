@@ -49,10 +49,8 @@ class Model:
             raise ConfigError(
                 f"{len(self.class_values)} class values for {self.rules.c} classes"
             )
-        if len(self.attribute_names) != self.rules.m:
-            raise ConfigError(
-                f"{len(self.attribute_names)} names for {self.rules.m} attributes"
-            )
+        if len(self.attribute_names) != self.rules.m or not all(isinstance(n, str) for n in self.attribute_names):
+            raise ConfigError(f"need {self.rules.m} attribute names, all strings, got {self.attribute_names}")
         if not 1 <= self.majority_class <= self.rules.c:
             raise ConfigError(
                 f"majority class {self.majority_class} outside 1..{self.rules.c}"

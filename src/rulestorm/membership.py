@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dataset import AttributeStats, Dataset
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -23,10 +24,19 @@ class TriangularMF:
 
 @dataclass(frozen=True)
 class FuzzyPartition:
+    """Labels over [minimum, maximum]: finite breakpoints, a <= b <= c."""
+
     mfs: tuple[TriangularMF, ...]
     minimum: float
     maximum: float
     degenerate: bool = False
+
+    def __post_init__(self) -> None:
+        for mf in self.mfs:
+            if not -np.inf < mf.a <= mf.b <= mf.c < np.inf:  # also false for nan
+                raise ConfigError(f"membership function {[mf.a, mf.b, mf.c]}: need finite a <= b <= c")
+        if not -np.inf < self.minimum <= self.maximum < np.inf:
+            raise ConfigError(f"range [{self.minimum}, {self.maximum}]: need finite minimum <= maximum")
 
     @property
     def p(self) -> int:
@@ -43,6 +53,8 @@ def build_partition(stats: AttributeStats, p: int) -> FuzzyPartition:
     if p < 2:
         raise ConfigError(f"a partition needs at least 2 labels, got p={p}")
     lo, hi = stats.minimum, stats.maximum
+    if not np.isfinite(hi - lo):
+        raise DataError(f"attribute range [{lo}, {hi}] is too wide to partition")
     if stats.constant or lo == hi:
         warnings.warn(
             f"constant attribute (min == max == {lo}); every value maps to "
@@ -143,6 +155,16 @@ class LabeledDataset:
     @property
     def m(self) -> int:
         return self.labels.shape[1]
+
+    @cached_property
+    def indicators(self) -> np.ndarray:
+        """Crisp labels, shape (m, p + 2, n) and padded as `degree_table`
+        pads degrees: [j, k, i] is whether record i has label k on attribute
+        j. C order, so each (j, k) row that `fold_rules` gathers is contiguous."""
+        table = np.ascontiguousarray(self.labels.T[:, None, :] == np.arange(self.p + 2)[:, None])
+        table[:, 0] = True
+        table.setflags(write=False)
+        return table
 
 
 def fuzzify_dataset(

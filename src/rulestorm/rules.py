@@ -5,7 +5,8 @@ class gene, one connective gene. Decoding rounds and clamps, then repairs the
 result so no rule is empty and every class keeps at least one rule.
 
 Training and inference score a whole rule table with `fold_rules`, over a
-padded attribute-major table of membership degrees or of label indicators.
+padded attribute-major table of membership degrees or of label indicators;
+`match_mask` is the rule-by-rule reference for the crisp matches.
 """
 
 from __future__ import annotations
@@ -75,17 +76,9 @@ def genotype_bounds(shape: RuleSetShape) -> tuple[np.ndarray, np.ndarray]:
     Antecedent genes round into 0..p, class genes into 1..c, and the
     connective gene stays in [0, 1] around its 0.5 threshold.
     """
-    lower = np.empty(shape.genotype_length)
-    upper = np.empty(shape.genotype_length)
-    w = shape.m + 2
-    for i in range(shape.r):
-        lower[i * w : i * w + shape.m] = -0.49
-        upper[i * w : i * w + shape.m] = shape.p + 0.49
-        lower[i * w + shape.m] = 0.51
-        upper[i * w + shape.m] = shape.c + 0.49
-        lower[i * w + shape.m + 1] = 0.0
-        upper[i * w + shape.m + 1] = 1.0
-    return lower, upper
+    lower = np.r_[np.full(shape.m, -0.49), 0.51, 0.0]
+    upper = np.r_[np.full(shape.m, shape.p + 0.49), shape.c + 0.49, 1.0]
+    return np.tile(lower, shape.r), np.tile(upper, shape.r)
 
 
 def decode_arrays(
@@ -162,22 +155,27 @@ def match_mask(rule: Rule, ld: LabeledDataset) -> np.ndarray:
     return hits.all(axis=1) if rule.connective == AND else hits.any(axis=1)
 
 
-def rule_weight(rule: Rule, ld: LabeledDataset) -> float:
-    """Mean of the rule's brevity and coverage terms, in [0, 1]."""
-    brevity = 1.0 - rule.antecedent_count() / len(rule.antecedents)
-    coverage = float(match_mask(rule, ld).sum()) / ld.n
-    return 0.5 * (brevity + coverage)
+def match_fractions(ld: LabeledDataset, ants: np.ndarray, is_and: np.ndarray) -> np.ndarray:
+    """Fraction of the records that each rule matches, shape (r,): the
+    match masks that `fold_rules` gives on `ld.indicators`, counted."""
+    return np.count_nonzero(fold_rules(ld.indicators, ants, is_and), axis=1) / ld.n
+
+
+def rule_weights(ants: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """Each rule's weight in [0, 1]: the mean of its brevity (1 minus its
+    share of active antecedents) and its match fraction."""
+    return 0.5 * ((1.0 - np.count_nonzero(ants, axis=1) / ants.shape[1]) + fractions)
 
 
 def with_weights(rs: RuleSet, ld: LabeledDataset, decimals: int | None = None) -> RuleSet:
     """Copy of the rule set with data-derived weights on every rule."""
-    weighted = []
-    for rule in rs.rules:
-        w = rule_weight(rule, ld)
-        if decimals is not None:
-            w = round(w, decimals)
-        weighted.append(replace(rule, weight=w))
-    return RuleSet(rules=tuple(weighted), m=rs.m, p=rs.p, c=rs.c)
+    ants, _, is_and, _ = rule_arrays(rs)
+    weights = rule_weights(ants, match_fractions(ld, ants, is_and)).tolist()
+    if decimals is not None:
+        # Python's round, not np.round: the two differ on some halfway cases
+        weights = [round(w, decimals) for w in weights]
+    rules = tuple(replace(rule, weight=w) for rule, w in zip(rs.rules, weights))
+    return RuleSet(rules=rules, m=rs.m, p=rs.p, c=rs.c)
 
 
 def fold_rules(table: np.ndarray, ants: np.ndarray, is_and: np.ndarray) -> np.ndarray:

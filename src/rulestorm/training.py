@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bso, ga
 from .dataset import Dataset, attribute_stats, majority_class
 from .errors import ConfigError
-from .fitness import FitnessBreakdown, FitnessWeights, class_balance
+from .fitness import FitnessBreakdown, FitnessWeights, breakdown
 from .inference import Model, predict_scores
 from .membership import FuzzyPartition, LabeledDataset, build_partition, degree_table, fuzzify_dataset
-from .rules import RuleSetShape, decode, decode_arrays, fold_rules, genotype_bounds, with_weights
+from .rules import RuleSetShape, decode, decode_arrays, fold_rules, genotype_bounds
+from .rules import match_fractions, rule_weights, with_weights
 from .search import Evaluation, RunResult
 
 # perfbench/worker.py traces these names here; the objective no longer calls them.
@@ -41,9 +42,9 @@ WEIGHT_DECIMALS = 4
 class RuleObjective:
     """Callable objective over genotypes for one fuzzified training split.
 
-    Builds padded attribute-major tables of the membership degrees and the
-    crisp label indicators once, so that scoring a candidate costs a fixed
-    number of vector operations for the whole rule table.
+    Builds the padded attribute-major table of membership degrees once (the
+    label indicators are `ld.indicators`), so that scoring a candidate costs
+    a fixed number of vector operations for the whole rule table.
     """
 
     def __init__(
@@ -68,41 +69,22 @@ class RuleObjective:
         self.majority = majority
         self.sum_scores = sum_scores
         self.degrees = degree_table(partitions, x, shape.p)
-        # indicators[j, k, i]: record i has label k on attribute j, padded as
-        # the degrees are (no record has label 0 or p + 1); C order, so each
-        # (j, k) row the fold gathers is contiguous
-        self.indicators = np.ascontiguousarray(
-            ld.labels.T[:, None, :] == np.arange(shape.p + 2)[:, None]
-        )
-        self.indicators[:, 0] = True
 
-    def _match_fractions(self, ants: np.ndarray, is_and: np.ndarray) -> np.ndarray:
-        matched = fold_rules(self.indicators, ants, is_and)
-        return np.count_nonzero(matched, axis=1) / self.ld.n
-
-    def _train_accuracy(self, ants, consequents, is_and, match_fractions) -> float:
-        weight = 0.5 * ((1.0 - np.count_nonzero(ants, axis=1) / self.shape.m) + match_fractions)
+    def _train_accuracy(self, ants, consequents, is_and, fractions) -> float:
         scores = fold_rules(self.degrees, ants, is_and)
-        scores *= weight[:, None]
+        scores *= rule_weights(ants, fractions)[:, None]
         preds, _ = predict_scores(scores, consequents, self.shape.c, self.majority, self.sum_scores)
         return float(np.mean(preds == self.ld.classes))
 
     def __call__(self, genotype: np.ndarray) -> Evaluation:
         ants, consequents, is_and = decode_arrays(genotype, self.shape)
-        match_fractions = self._match_fractions(ants, is_and)
-        r, m = self.shape.r, self.shape.m
-        g1 = 1.0 - int(np.count_nonzero(ants)) / (r * m)
-        g2 = sum(match_fractions.tolist()) / r
-        g3 = class_balance(consequents, self.shape.c)
-        quality = (
-            self.weights.alpha * g1 + self.weights.beta * g2 + self.weights.gamma * g3
-        )
-        breakdown = FitnessBreakdown(g1=g1, g2=g2, g3=g3, fitness=quality)
+        fractions = match_fractions(self.ld, ants, is_and)
+        quality = breakdown(ants, consequents, fractions, self.shape.c, self.weights)
         if self.accuracy_weight == 0.0:
-            return Evaluation(value=quality, breakdown=breakdown)
-        acc = self._train_accuracy(ants, consequents, is_and, match_fractions)
-        value = (1.0 - self.accuracy_weight) * quality + self.accuracy_weight * acc
-        return Evaluation(value=value, breakdown=breakdown)
+            return Evaluation(value=quality.fitness, breakdown=quality)
+        acc = self._train_accuracy(ants, consequents, is_and, fractions)
+        value = (1.0 - self.accuracy_weight) * quality.fitness + self.accuracy_weight * acc
+        return Evaluation(value=value, breakdown=quality)
 
 
 @dataclass(frozen=True)
@@ -166,20 +148,15 @@ def train_model(
         param_payload = {"ga": params.__dict__}
     else:
         params = bso_params if bso_params is not None else bso.BsoParams()
-        mode = "plain" if optimizer == "bso-plain" else "ewma"
-        if params.mode != mode:
-            params = bso.BsoParams(**{**params.__dict__, "mode": mode})
+        params = replace(params, mode="plain" if optimizer == "bso-plain" else "ewma")
         run_result = bso.run(params, objective, lower, upper)
         seed = params.seed
         param_payload = {"bso": params.__dict__}
 
     best_rules = decode(run_result.best.genotype, shape)
     weighted = with_weights(best_rules, ld, decimals=WEIGHT_DECIMALS)
-    breakdown = run_result.best.evaluation.breakdown
     ants, consequents, is_and = decode_arrays(run_result.best.genotype, shape)
-    train_acc = objective._train_accuracy(
-        ants, consequents, is_and, objective._match_fractions(ants, is_and)
-    )
+    train_acc = objective._train_accuracy(ants, consequents, is_and, match_fractions(ld, ants, is_and))
 
     settings = {
         "labels_per_attribute": labels_per_attribute,
@@ -206,6 +183,6 @@ def train_model(
     return TrainingResult(
         model=model,
         run=run_result,
-        breakdown=breakdown,
+        breakdown=run_result.best.evaluation.breakdown,
         train_accuracy=train_acc,
     )

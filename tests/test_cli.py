@@ -372,6 +372,18 @@ def test_non_finite_data_cell_is_a_data_error(data_csv, fast_config, capsys):
     assert "row 4 has non-finite cell 'nan'" in capsys.readouterr().err
 
 
+def test_attribute_range_too_wide_to_partition_is_a_data_error(tmp_path, data_csv, fast_config, capsys):
+    rows = data_csv.read_text().splitlines()
+    for i in range(1, len(rows)):
+        cells = rows[i].split(",")
+        cells[0] = ("-1e308", "1e308")[i % 2]
+        rows[i] = ",".join(cells)
+    data_csv.write_text("\n".join(rows) + "\n")
+    code = main(["train", "--data", str(data_csv), "--config", str(fast_config), "--out", str(tmp_path)])
+    assert code == 3
+    assert "too wide to partition" in capsys.readouterr().err
+
+
 def test_evaluate_invalid_model_rule_is_a_data_error(tmp_path, data_csv, capsys):
     model_path = perfect_model(tmp_path)
     document = json.loads(model_path.read_text())
@@ -380,6 +392,42 @@ def test_evaluate_invalid_model_rule_is_a_data_error(tmp_path, data_csv, capsys)
     code = main(["evaluate", str(model_path), "--data", str(data_csv)])
     assert code == 3
     assert "labels in 0..3" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("membership_functions", [[0.0, 0.0, 5.0], [NAN, NAN, NAN], [5.0, 10.0, 10.0]], "finite a <= b <= c"),
+        ("membership_functions", [[0.0, 0.0, 5.0], [0.0, 5.0, INF], [5.0, 10.0, 10.0]], "finite a <= b <= c"),
+        ("membership_functions", [[0.0, 0.0, 5.0], [6.0, 5.0, 10.0], [5.0, 10.0, 10.0]], "finite a <= b <= c"),
+        ("minimum", 10.0 + 1e9, "finite minimum <= maximum"),
+        ("maximum", NAN, "finite minimum <= maximum"),
+        ("name", [1, 2], "need 1 attribute names, all strings"),
+    ],
+)
+def test_evaluate_invalid_model_attribute_is_a_data_error(tmp_path, data_csv, capsys, key, value, message):
+    model_path = perfect_model(tmp_path)
+    document = json.loads(model_path.read_text())
+    document["attributes"][0][key] = value
+    model_path.write_text(json.dumps(document))
+    code = main(["evaluate", str(model_path), "--data", str(data_csv)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+def test_bso_mode_in_config_is_a_config_error(tmp_path, data_csv, capsys):
+    config = write_fast_config(tmp_path / "mode.json")
+    document = json.loads(config.read_text())
+    document["bso"]["mode"] = "plain"
+    config.write_text(json.dumps(document))
+    code = main(["train", "--data", str(data_csv), "--config", str(config), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bso.mode" in err and "optimizer" in err
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_seed_flag_overrides_config_seed(tmp_path, data_csv):

@@ -99,9 +99,22 @@ def assert_labels_match(model, document) -> None:
         assert type(rule.consequent) is int
 
 
+def assert_partitions_valid(model) -> None:
+    """Every loaded breakpoint is finite and ordered, every name a string."""
+    for name, partition in zip(model.attribute_names, model.partitions):
+        assert isinstance(name, str)
+        assert np.isfinite([partition.minimum, partition.maximum]).all()
+        assert partition.minimum <= partition.maximum
+        for mf in partition.mfs:
+            assert np.isfinite([mf.a, mf.b, mf.c]).all()
+            assert mf.a <= mf.b <= mf.c
+
+
 def test_base_document_loads():
     document = base_document()
-    assert_labels_match(model_from_document(document), document)
+    model = model_from_document(document)
+    assert_labels_match(model, document)
+    assert_partitions_valid(model)
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,6 +130,35 @@ def test_mutated_model_documents_load_or_raise_input_errors(data):
     except INPUT_ERRORS:
         return
     assert_labels_match(model, document)
+    assert_partitions_valid(model)
+
+
+NUMBER_SLOTS = (
+    ("attributes", 0, "membership_functions", 1, 0),
+    ("attributes", 0, "membership_functions", 1, 1),
+    ("attributes", 1, "membership_functions", 2, 2),
+    ("attributes", 1, "minimum"),
+    ("attributes", 0, "maximum"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(NUMBER_SLOTS), st.floats(allow_nan=True, allow_infinity=True)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_loaded_partitions_are_finite_and_ordered(edits):
+    document = base_document()
+    for slot, value in edits:
+        document = mutate(document, slot, value, delete=False)
+    try:
+        model = model_from_document(document)
+    except INPUT_ERRORS:
+        return
+    assert_partitions_valid(model)
 
 
 INTEGER_SLOTS = (

@@ -1,8 +1,9 @@
 """The attribute-major rule kernel against the scalar oracles.
 
-`fold_rules` over the padded tables of a `RuleObjective` must give, cell for
-cell, what `inference.activation` and `rules.match_mask` give per rule and
-record; `predict_dataset` must give what `inference.classify` gives per
+`fold_rules` over the padded degree table of a `RuleObjective` and over
+`LabeledDataset.indicators` must give, cell for cell, what
+`inference.activation` and `rules.match_mask` give per rule and record;
+`predict_dataset` must give what `inference.classify` gives per
 record; `decode_arrays` must repair exactly as a rule-by-rule decoder does.
 """
 
@@ -90,9 +91,9 @@ def test_fold_equals_activation_and_match_mask(seed, n, m, p, c, extra_rules, ze
     ld, objective = objective_for(ds, partitions, rs)
     ants, _, is_and, _ = rule_arrays(rs)
     activations = fold_rules(objective.degrees, ants, is_and)
-    matched = fold_rules(objective.indicators, ants, is_and)
+    matched = fold_rules(ld.indicators, ants, is_and)
     assert activations.shape == matched.shape == (rs.r, ds.n)
-    assert objective.degrees.flags.c_contiguous and objective.indicators.flags.c_contiguous
+    assert objective.degrees.flags.c_contiguous and ld.indicators.flags.c_contiguous
     for i, rule in enumerate(rs.rules):
         assert matched[i].tolist() == match_mask(rule, ld).tolist()
         expected = [activation(rule, partitions, ds.x[k]) for k in range(ds.n)]

@@ -13,7 +13,7 @@ from rulestorm.rules import (
     encode,
     genotype_bounds,
     match_mask,
-    rule_weight,
+    with_weights,
 )
 
 
@@ -185,14 +185,20 @@ class TestMatching:
         assert match_mask(rule, ld).sum() == self.brute_force(rule, ld)
 
 
+def weight_of(rule, ld, decimals=None):
+    """The weight that with_weights gives the rule in a one-rule set."""
+    rs = RuleSet(rules=(rule,), m=len(rule.antecedents), p=ld.p, c=ld.c)
+    return with_weights(rs, ld, decimals).rules[0].weight
+
+
 class TestRuleWeight:
     def test_all_dont_care_rule_has_weight_one(self):
         ld = ld_from([[1, 2], [2, 1]], [1, 2], p=2, c=2)
-        assert rule_weight(Rule((0, 0), 1, "AND"), ld) == 1.0
+        assert weight_of(Rule((0, 0), 1, "AND"), ld) == 1.0
 
     def test_full_length_never_matching_rule_has_weight_zero(self):
         ld = ld_from([[1, 1]], [1], p=2, c=2)
-        assert rule_weight(Rule((2, 2), 1, "AND"), ld) == 0.0
+        assert weight_of(Rule((2, 2), 1, "AND"), ld) == 0.0
 
     def test_worked_example_third(self):
         # six attributes, four antecedents, matches one record of three:
@@ -204,8 +210,8 @@ class TestRuleWeight:
             c=2,
         )
         rule = Rule((1, 2, 1, 1, 0, 0), 1, "AND")
-        assert rule_weight(rule, ld) == pytest.approx(1 / 3)
-        assert round(rule_weight(rule, ld), 4) == 0.3333
+        assert weight_of(rule, ld) == pytest.approx(1 / 3)
+        assert round(weight_of(rule, ld), 4) == 0.3333
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -220,9 +226,40 @@ class TestRuleWeight:
         )
         ants = [int(a) for a in rng.integers(1, 3, size=m)]
         rule = Rule(tuple(ants), 1, "AND")
-        w = rule_weight(rule, ld)
+        w = weight_of(rule, ld)
         assert 0.0 <= w <= 1.0
         relaxed = list(ants)
         relaxed[rng.integers(0, m)] = 0
-        w2 = rule_weight(Rule(tuple(relaxed), 1, "AND"), ld)
+        w2 = weight_of(Rule(tuple(relaxed), 1, "AND"), ld)
         assert w2 >= w + 1 / (2 * m) - 1e-12
+
+    def test_with_weights_rounds_as_python_round(self):
+        # W = 0.5 * ((1 - 1/5) + 1/16) = 0.43125: round() gives 0.4313,
+        # np.round gives 0.4312
+        ld = ld_from([[2, 1, 1, 1, 1]] + [[1, 1, 1, 1, 1]] * 15, [1] * 16, p=2, c=2)
+        assert weight_of(Rule((2, 0, 0, 0, 0), 1, "AND"), ld, 4) == 0.4313
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 6),
+        p=st.integers(2, 4),
+        r=st.integers(1, 6),
+        seed=st.integers(0, 2**31),
+    )
+    def test_with_weights_equals_rule_by_rule_formula(self, n, m, p, r, seed):
+        # the weight formula in plain Python floats, over the rule-by-rule
+        # match_mask, rounded as model.json stores it
+        rng = np.random.default_rng(seed)
+        ld = ld_from(rng.integers(1, p + 1, size=(n, m)), rng.integers(1, 3, size=n), p=p, c=2)
+        ants = np.where(rng.random((r, m)) < 0.4, 0, rng.integers(1, p + 1, size=(r, m)))
+        rules = tuple(
+            Rule(tuple(ants[i].tolist()), int(rng.integers(1, 3)), "AND" if rng.random() < 0.5 else "OR")
+            for i in range(r)
+        )
+        weighted = with_weights(RuleSet(rules=rules, m=m, p=p, c=2), ld, 4)
+        for rule, got in zip(rules, weighted.rules):
+            k = rule.antecedent_count()
+            coverage = int(match_mask(rule, ld).sum()) / n
+            assert got.weight == round(0.5 * ((1 - k / m) + coverage), 4)
+            assert type(got.weight) is float
