@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import fields
@@ -41,27 +40,48 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
-# Recognized top-level config-file keys (everything else is a schema error).
-CONFIG_KEYS = {
-    "data",
-    "label",
-    "out",
-    "seed",
-    "optimizer",
-    "labels_per_attribute",
-    "rule_count",
-    "fitness_weights",
-    "accuracy_weight",
-    "sum_scores",
-    "split_fraction",
-    "bso",
-    "ga",
-    "ratios",
-    "seeds",
-    "e_values",
-    "k_values",
-    "threshold",
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return _integer(value) or isinstance(value, float)
+
+
+def _string(value) -> bool:
+    return isinstance(value, str)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+# The JSON type of each top-level config value, unless it is null (which
+# means "not set"). Seeds are integers, as --seeds parses them.
+CONFIG_TYPES = {
+    "data": ("a string", _string),
+    "label": ("a string or an integer", lambda v: _string(v) or _integer(v)),
+    "out": ("a string", _string),
+    "seed": ("an integer", _integer),
+    "optimizer": (
+        "a string or a list of strings",
+        lambda v: _string(v) or _list_of(_string)(v),
+    ),
+    "labels_per_attribute": ("an integer", _integer),
+    "rule_count": ("an integer", _integer),
+    "accuracy_weight": ("a number", _number),
+    "sum_scores": ("true or false", lambda v: isinstance(v, bool)),
+    "split_fraction": ("a number", _number),
+    "ratios": ("a list of numbers", _list_of(_number)),
+    "seeds": ("a list of integers", _list_of(_integer)),
+    "e_values": ("a list of numbers", _list_of(_number)),
+    "k_values": ("a list of numbers", _list_of(_number)),
+    "threshold": ("a number", _number),
 }
+# Recognized top-level config-file keys (everything else is a schema error);
+# the three sections are objects, checked where they are read.
+CONFIG_KEYS = set(CONFIG_TYPES) | {"fitness_weights", "bso", "ga"}
 
 DEFAULT_RATIOS = (0.7, 0.75, 0.8, 0.85)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -197,6 +217,10 @@ def load_config(path: str | None) -> dict:
     unknown = sorted(set(document) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"config: unknown key(s) {', '.join(unknown)}")
+    for key, (kind, valid) in CONFIG_TYPES.items():
+        value = document.get(key)
+        if value is not None and not valid(value):
+            raise ConfigError(f"config: {key} must be {kind}, got {value!r}")
     return document
 
 
@@ -261,8 +285,12 @@ def _load_dataset(args, config) -> Dataset:
 
 
 def _out_dir(args, config) -> Path:
+    """The output directory, created if missing; commands resolve it first."""
     out = Path(_pick(args, config, "out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # FileExistsError when out names a file
+        raise ConfigError(f"cannot use {out} as the output directory: {exc}") from exc
     return out
 
 
@@ -285,6 +313,7 @@ def _metric(value: float | None, digits: int = 4) -> str:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
+    out = _out_dir(args, config)
     seed = int(_pick(args, config, "seed", 0))
     settings = _settings(args, config, seed)
     optimizer = _pick(args, config, "optimizer", "bso-ewma")
@@ -307,7 +336,6 @@ def cmd_train(args) -> int:
         sum_scores=settings.sum_scores,
     )
 
-    out = _out_dir(args, config)
     model_path = out / "model.json"
     trace_path = out / "trace.csv"
     save_model(result.model, model_path)
@@ -334,6 +362,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
+    out = _out_dir(args, config) if args.out is not None or "out" in config else None
     model = load_model(args.model)
     ds = _load_dataset(args, config)
     if ds.m != len(model.partitions):
@@ -361,16 +390,22 @@ def cmd_evaluate(args) -> int:
         c = report.counts
         print(f"confusion: tp={c.tp} fp={c.fp} tn={c.tn} fn={c.fn}")
 
-    if args.out is not None or "out" in config:
-        out = _out_dir(args, config)
+    if out is not None:
         predictions_path = out / "predictions.csv"
+        true_labels = [repr(v) for v in ds.class_values]
+        predicted_labels = [repr(v) for v in model.class_values]
+        # The bytes csv.writer gives: no cell needs quoting, rows end in \r\n.
         with open(predictions_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("record", "true_label", "predicted_label", "score"))
-            for i in range(ds.n):
-                true = ds.class_values[int(ds.y[i]) - 1]
-                predicted = model.class_values[int(internal[i]) - 1]
-                writer.writerow((i, repr(true), repr(predicted), repr(float(scores[i]))))
+            handle.write("record,true_label,predicted_label,score\r\n")
+            handle.writelines(
+                map(
+                    "{},{},{},{!r}\r\n".format,
+                    range(ds.n),
+                    map(true_labels.__getitem__, (ds.y - 1).tolist()),
+                    map(predicted_labels.__getitem__, (internal - 1).tolist()),
+                    scores.tolist(),
+                )
+            )
         print(f"predictions: {predictions_path}")
     return EXIT_OK
 
@@ -388,6 +423,7 @@ def _optimizer_list(args, config) -> tuple[str, ...]:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
+    out = _out_dir(args, config)
     seed = int(_pick(args, config, "seed", 0))
     settings = _settings(args, config, seed)
     ds = _load_dataset(args, config)
@@ -396,7 +432,6 @@ def cmd_sweep(args) -> int:
     optimizers = _optimizer_list(args, config)
 
     result = run_sweep(ds, settings, ratios, seeds, optimizers)
-    out = _out_dir(args, config)
     path = out / "sweep.csv"
     write_sweep_csv(result, path)
     for row in summarize_sweep(result):
@@ -418,6 +453,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_param_sweep(args) -> int:
     config = load_config(args.config)
+    out = _out_dir(args, config)
     seed = int(_pick(args, config, "seed", 0))
     settings = _settings(args, config, seed)
     ds = _load_dataset(args, config)
@@ -430,7 +466,6 @@ def cmd_param_sweep(args) -> int:
     rows = run_param_sweep(
         ds, settings, e_values, k_values, ratio=float(ratios[0]), seed=seed
     )
-    out = _out_dir(args, config)
     path = out / "param_sweep.csv"
     write_param_sweep_csv(rows, path)
     for row in rows:
@@ -446,6 +481,7 @@ def cmd_param_sweep(args) -> int:
 
 def cmd_benchmark(args) -> int:
     config = load_config(args.config)
+    out = _out_dir(args, config)
     seed = int(_pick(args, config, "seed", 0))
     settings = _settings(args, config, seed)
     ds = _load_dataset(args, config)
@@ -456,7 +492,6 @@ def cmd_benchmark(args) -> int:
     rows = run_benchmark(
         ds, settings, fractions, threshold, seed=seed, optimizers=optimizers
     )
-    out = _out_dir(args, config)
     path = out / "benchmark.csv"
     write_benchmark_csv(rows, path)
     for row in rows:

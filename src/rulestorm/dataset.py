@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,13 @@ def load_csv(path: str | Path, label: int | str | None = None) -> Dataset:
     to the last column. The first row is treated as a header when its label
     cell does not parse as a number.
 
+    The file is read once. numpy's C reader parses the body of a well-formed
+    file; any file it rejects or might read differently from ``csv`` (blank
+    lines, bare ``\\r`` line ends, quoted newlines, ragged rows, non-numeric
+    or non-finite cells, spellings such as ``1_0`` that only ``float()``
+    accepts) goes through the row-by-row scan, which returns the same arrays
+    or names the offending row, column and cell.
+
     Raises DataError for unusable files and ConfigError for an unusable
     ``label`` argument.
     """
@@ -73,38 +81,131 @@ def load_csv(path: str | Path, label: int | str | None = None) -> Dataset:
         raise DataError(f"data file not found: {path}")
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (csv.Error, UnicodeDecodeError) as exc:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty file")
+    parsed = _parse_numeric(path, text, label)
+    if parsed is None:
+        parsed = _scan_rows(path, text, label)
+    names, x, raw_labels = parsed
 
-    width = len(rows[0])
+    values, inverse = np.unique(raw_labels, return_inverse=True)
+    class_values = tuple(values.tolist())
+    if len(class_values) < 2:
+        raise DataError(
+            f"{path}: need at least two distinct class labels, found {class_values}"
+        )
+    y = (inverse + 1).astype(int, copy=False)
+
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return Dataset(x=x, y=y, attribute_names=names, class_values=class_values)
+
+
+def _columns(
+    path: Path, first: list[str], label: int | str | None
+) -> tuple[int, tuple[str, ...], bool]:
+    """(label column, attribute names, whether the first row is a header)."""
+    width = len(first)
     if width < 2:
         raise DataError(f"{path}: need at least one attribute and a label column")
 
     if isinstance(label, str):
-        if label not in rows[0]:
-            raise ConfigError(f"label column {label!r} not in header {rows[0]}")
-        label_idx = rows[0].index(label)
-        header: list[str] | None = rows[0]
+        if label not in first:
+            raise ConfigError(f"label column {label!r} not in header {first}")
+        label_idx = first.index(label)
+        has_header = True
     else:
         label_idx = width - 1 if label is None else label
         if not 0 <= label_idx < width:
             raise ConfigError(
                 f"label column index {label_idx} out of range for {width} columns"
             )
-        header = rows[0] if _parse_cell(rows[0][label_idx]) is None else None
+        has_header = _parse_cell(first[label_idx]) is None
 
-    if header is not None:
-        names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        body = rows[1:]
-        first_line = 2
+    if has_header:
+        names = tuple(h for i, h in enumerate(first) if i != label_idx)
     else:
         names = tuple(f"a{j + 1}" for j in range(width - 1))
-        body = rows
-        first_line = 1
+    return int(label_idx), names, has_header
 
+
+def _has_long_line(text: str, pos: int, limit: int) -> bool:
+    """Whether a line of ``text`` from ``pos`` on is longer than ``limit``.
+
+    Each step jumps to the last newline within ``limit + 1`` characters, so a
+    file takes about ``len(text) / limit`` steps.
+    """
+    while len(text) - pos > limit:
+        newline = text.rfind("\n", pos, pos + limit + 1)
+        if newline < 0:
+            return True
+        pos = newline + 1
+    return False
+
+
+def _parse_numeric(
+    path: Path, text: str, label: int | str | None
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
+    """(names, x, raw labels) parsed by np.loadtxt, or None to use the scan.
+
+    None whenever the row-by-row scan might raise or return something else:
+    any error in the first row, a csv field over ``csv.field_size_limit()``,
+    a bare ``\\r``, a body that loadtxt parses into more or fewer rows than
+    it has lines (it skips blank lines and joins quoted newlines), a ragged
+    or unparsable cell, or a non-finite value.
+    """
+    # Closing the StringIO frees its buffer (four bytes a character) before
+    # the attribute columns are copied out of the table.
+    with io.StringIO(text, newline="") as lines:
+        try:
+            label_idx, names, has_header = _columns(
+                path, next(csv.reader(lines)), label
+            )
+        except (StopIteration, csv.Error, ConfigError, DataError):
+            return None
+        if not has_header:
+            lines.seek(0)
+        start = lines.tell()
+        newlines = text.count("\n", start)
+        returns = text.count("\r", start)
+        if (
+            returns and returns != text.count("\r\n", start)
+            or len(text) - start == newlines + returns
+            or _has_long_line(text, start, csv.field_size_limit())
+        ):
+            return None
+        try:
+            table = np.loadtxt(
+                lines, delimiter=",", quotechar='"', comments=None, ndmin=2
+            )
+        except ValueError:
+            return None
+    rows = newlines + (not text.endswith("\n"))
+    if table.shape != (rows, len(names) + 1) or not np.isfinite(table).all():
+        return None
+    return names, np.delete(table, label_idx, axis=1), table[:, label_idx]
+
+
+def _scan_rows(
+    path: Path, text: str, label: int | str | None
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """(names, x, raw labels) by calling float() on every cell, row by row.
+
+    The path for files that np.loadtxt rejects or might read differently;
+    its errors name the row, column and cell at fault.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file")
+
+    label_idx, names, has_header = _columns(path, rows[0], label)
+    width = len(names) + 1
+    body = rows[1:] if has_header else rows
+    first_line = 2 if has_header else 1
     if not body:
         raise DataError(f"{path}: no data rows")
 
@@ -135,18 +236,7 @@ def load_csv(path: str | Path, label: int | str | None = None) -> Dataset:
         i = int(np.argmax(bad))
         cell = next(c for c in body[i] if not np.isfinite(float(c)))
         raise DataError(f"{path}: row {first_line + i} has non-finite cell {cell!r}")
-
-    class_values = tuple(float(v) for v in np.unique(raw_labels))
-    if len(class_values) < 2:
-        raise DataError(
-            f"{path}: need at least two distinct class labels, found {class_values}"
-        )
-    remap = {v: k + 1 for k, v in enumerate(class_values)}
-    y = np.array([remap[v] for v in raw_labels], dtype=int)
-
-    x.setflags(write=False)
-    y.setflags(write=False)
-    return Dataset(x=x, y=y, attribute_names=names, class_values=class_values)
+    return names, x, raw_labels
 
 
 def attribute_stats(ds: Dataset) -> tuple[AttributeStats, ...]:

@@ -9,10 +9,10 @@ from conftest import make_separable_dataset
 
 from rulestorm import cli
 from rulestorm.cli import main
-from rulestorm.inference import Model
+from rulestorm.dataset import AttributeStats, load_csv
+from rulestorm.inference import Model, predict_dataset
 from rulestorm.membership import build_partition
 from rulestorm.model_io import load_model, save_model
-from rulestorm.dataset import AttributeStats
 from rulestorm.rules import AND, Rule, RuleSet
 
 
@@ -272,6 +272,115 @@ def test_evaluate_with_out_predicts_once(tmp_path, capsys, monkeypatch):
     with open(out / "predictions.csv", newline="") as handle:
         rows = list(csv.reader(handle))[1:]
     assert [row[2] for row in rows] == ["0.0", "0.0", "1.0"]
+
+
+def write_one_attribute_csv(path, rows):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["a1", "label"])
+        writer.writerows(rows)
+    return path
+
+
+def test_predictions_csv_equals_csv_writer_output(tmp_path):
+    """predictions.csv holds the bytes a csv.writer gives, row by row."""
+    model = Model(
+        partitions=(build_partition(AttributeStats(0.0, 10.0, False), 3),),
+        rules=RuleSet(
+            rules=(
+                Rule(antecedents=(1,), consequent=2, connective=AND, weight=0.75),
+                Rule(antecedents=(3,), consequent=1, connective=AND, weight=0.0001),
+            ),
+            m=1,
+            p=3,
+            c=3,
+        ),
+        class_values=(-1.5, 0.25, 3.0),
+        attribute_names=("a1",),
+        majority_class=3,
+        metadata={},
+    )
+    model_path = tmp_path / "model.json"
+    save_model(model, model_path)
+    data_path = write_one_attribute_csv(
+        tmp_path / "data.csv",
+        [(3, -2), (5.5, 0.5), (5, 3), (0, -2), (10, 0.5), (7, 3), (1.25, 0.5)],
+    )
+    out = tmp_path / "scored"
+    assert main(["evaluate", str(model_path), "--data", str(data_path), "--out", str(out)]) == 0
+
+    loaded = load_model(model_path)
+    ds = load_csv(data_path)
+    internal, scores = predict_dataset(loaded, ds)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("record", "true_label", "predicted_label", "score"))
+        for i in range(ds.n):
+            true = ds.class_values[int(ds.y[i]) - 1]
+            predicted = loaded.class_values[int(internal[i]) - 1]
+            writer.writerow((i, repr(true), repr(predicted), repr(float(scores[i]))))
+    written = (out / "predictions.csv").read_bytes()
+    assert written == reference.read_bytes()
+    assert b"\r\n0,-2.0,0.25,0.30000000000000004\r\n1,0.5,-1.5,1e-05\r\n2,3.0,3.0,0.0\r\n" in written
+
+
+@pytest.mark.parametrize("verb", ["train", "evaluate"])
+def test_out_naming_a_file_is_a_config_error_before_any_work(
+    tmp_path, fast_config, capsys, monkeypatch, verb
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "train_model", refuse)
+    monkeypatch.setattr(cli, "predict_dataset", refuse)
+    data_path = write_one_attribute_csv(
+        tmp_path / "data.csv", [(v, int(v > 5)) for v in range(11)]
+    )
+    out = tmp_path / "afile"
+    out.write_text("keep")
+    model = [str(perfect_model(tmp_path))] if verb == "evaluate" else []
+    code = main(
+        [verb, *model, "--data", str(data_path), "--config", str(fast_config), "--out", str(out)]
+    )
+    assert code == 2
+    assert "output directory" in capsys.readouterr().err
+    assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sum_scores", "no"),
+        ("sum_scores", 1),
+        ("label", 1.5),
+        ("label", True),
+        ("ratios", 0.8),
+        ("ratios", ["0.8"]),
+        ("out", ["a"]),
+        ("data", 5),
+        ("seed", "1"),
+        ("seed", 1.0),
+        ("labels_per_attribute", 2.5),
+        ("rule_count", True),
+        ("seeds", [0.5]),
+        ("e_values", ["x"]),
+        ("k_values", 3),
+        ("accuracy_weight", "1"),
+        ("split_fraction", True),
+        ("threshold", [0.7]),
+        ("optimizer", 5),
+        ("optimizer", ["ga", 1]),
+    ],
+)
+def test_config_value_of_wrong_json_type_is_a_config_error(
+    tmp_path, data_csv, capsys, key, value
+):
+    config = write_fast_config(tmp_path / "typed.json", **{key: value})
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data_csv), "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert f"config: {key} must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("antecedent", ["x", 1.7])

@@ -1,18 +1,22 @@
 """Fuzzing of the two input boundaries: model documents and CSV files.
 
 Whatever a file holds, loading it either succeeds or raises DataError or
-ConfigError (exit codes 3 and 2); no other exception may escape.
+ConfigError (exit codes 3 and 2); no other exception may escape. load_csv
+must also give exactly what the row-by-row loader gave, whichever of its two
+parse paths a file takes.
 """
 
 import csv
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulestorm.dataset import AttributeStats, load_csv
+from rulestorm.dataset import AttributeStats, Dataset, load_csv
 from rulestorm.errors import ConfigError, DataError
 from rulestorm.inference import Model
 from rulestorm.membership import build_partition
@@ -240,3 +244,182 @@ def test_arbitrary_csv_bytes_load_or_raise_input_errors(input_file, content, lab
     except INPUT_ERRORS:
         return
     check_loaded(ds)
+
+
+def reference_load_csv(path, label=None):
+    """load_csv as it was before the numpy path: csv.reader, float() per cell.
+
+    Kept here verbatim in behaviour, independent of the helpers that
+    rulestorm.dataset shares between its two parse paths.
+    """
+    if not path.is_file():
+        raise DataError(f"data file not found: {path}")
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    width = len(rows[0])
+    if width < 2:
+        raise DataError(f"{path}: need at least one attribute and a label column")
+
+    def number(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    if isinstance(label, str):
+        if label not in rows[0]:
+            raise ConfigError(f"label column {label!r} not in header {rows[0]}")
+        label_idx = rows[0].index(label)
+        header = rows[0]
+    else:
+        label_idx = width - 1 if label is None else label
+        if not 0 <= label_idx < width:
+            raise ConfigError(f"label column index {label_idx} out of range for {width} columns")
+        header = rows[0] if number(rows[0][label_idx]) is None else None
+    if header is not None:
+        names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        body, first_line = rows[1:], 2
+    else:
+        names = tuple(f"a{j + 1}" for j in range(width - 1))
+        body, first_line = rows, 1
+    if not body:
+        raise DataError(f"{path}: no data rows")
+
+    x = np.empty((len(body), width - 1), dtype=float)
+    raw_labels = np.empty(len(body), dtype=float)
+    for i, row in enumerate(body):
+        line = first_line + i
+        if len(row) != width:
+            raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
+        col_out = 0
+        for j, cell in enumerate(row):
+            value = number(cell)
+            if value is None:
+                kind = "label" if j == label_idx else "attribute"
+                raise DataError(
+                    f"{path}: row {line}, column {j + 1} has non-numeric {kind} cell {cell!r}"
+                )
+            if j == label_idx:
+                raw_labels[i] = value
+            else:
+                x[i, col_out] = value
+                col_out += 1
+    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(raw_labels))
+    if bad.any():
+        i = int(np.argmax(bad))
+        cell = next(c for c in body[i] if not np.isfinite(float(c)))
+        raise DataError(f"{path}: row {first_line + i} has non-finite cell {cell!r}")
+    class_values = tuple(float(v) for v in np.unique(raw_labels))
+    if len(class_values) < 2:
+        raise DataError(f"{path}: need at least two distinct class labels, found {class_values}")
+    remap = {v: k + 1 for k, v in enumerate(class_values)}
+    y = np.array([remap[v] for v in raw_labels], dtype=int)
+    return Dataset(x=x, y=y, attribute_names=names, class_values=class_values)
+
+
+def load_outcome(load, path, label):
+    """Everything a load returns, bit for bit, or the error it raises."""
+    try:
+        ds = load(path, label)
+    except Exception as exc:  # the outcome under comparison
+        # A decoder that reads the file in chunks reports offsets within the
+        # chunk; only those may differ.
+        return type(exc), re.sub(r"position \d+(-\d+)?", "position N", str(exc))
+    return (
+        ds.x.shape, ds.x.dtype, ds.x.tobytes(), ds.y.shape, ds.y.dtype, ds.y.tobytes(),
+        ds.attribute_names, tuple(map(type, ds.class_values)),
+        np.array(ds.class_values).tobytes(),
+    )
+
+
+def assert_loads_as_reference(path, label) -> None:
+    expected = load_outcome(reference_load_csv, path, label)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+        actual = load_outcome(load_csv, path, label)
+    assert actual == expected
+
+
+NUMERIC_CELLS = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["0.5", "-0", "+.5", "1e3", " 2 ", "7.", "1e-320", "\t3", '"4"', '"1"2']),
+)
+LABEL_CELLS = st.sampled_from(["0", "1", "2", "-1", "0.5", "1.0", '"1"'])
+ODD_CELLS = st.sampled_from([
+    "1_0", "٣", "nan", "inf", "1e999", "#1", "", " ", "x", '"1\n"', '"2\r\n"',
+    '"3\r"', '"1,5"', '"1\n2"', '1"2"', '""', '"', "0x1", "1\x0c",
+])
+LINE_ENDS = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly well-formed numeric tables, a few lines or cells made odd."""
+    width = draw(st.integers(2, 4))
+    lines = []
+    if draw(st.booleans()):
+        names = st.sampled_from(["a1", "a2", "label", "x", '"q"', '"a\nb"'])
+        lines.append(",".join(draw(names) for _ in range(width)))
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(NUMERIC_CELLS) for _ in range(width - 1)] + [draw(LABEL_CELLS)]
+        lines.append(",".join(cells))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["blank", "whitespace", "ragged", "cell"]))
+        if kind == "blank" or not lines:
+            lines.insert(at, "")
+        elif kind == "whitespace":
+            lines.insert(at, draw(st.sampled_from([" ", "\t", " , "])))
+        elif kind == "ragged":
+            line = lines[at - 1]
+            lines[at - 1] = line + ",1" if draw(st.booleans()) else line.rsplit(",", 1)[0]
+        else:
+            cells = lines[at - 1].split(",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(ODD_CELLS)
+            lines[at - 1] = ",".join(cells)
+    mixed = draw(st.booleans())
+    end = draw(LINE_ENDS)
+    ends = [draw(LINE_ENDS) if mixed else end for _ in lines]
+    if lines and not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + e for line, e in zip(lines, ends))
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=csv_texts(), label=st.sampled_from([None, None, 0, 1, 5, "label", "a1", "x"]))
+def test_load_csv_equals_row_by_row_reference(input_file, text, label):
+    with open(input_file, "w", newline="") as handle:
+        handle.write(text)
+    assert_loads_as_reference(input_file, label)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "",
+        "a,label\r\n",
+        "a,label\n\n",
+        "1,0\r\n2,1\r\n",
+        "1,0\n2,1",
+        "1,0\r2,1\r",
+        "a,label\n1,0\n\n2,1\n",
+        "a,label\n1,0\n \n2,1\n",
+        '"1",0\n"2\n",1\n',
+        "1_0,0\n2,1\n",
+        "٣,0\n2,1\n",
+        "nan,0\n2,1\n",
+        "1e999,0\n2,1\n",
+        "#1,0\n2,1\n",
+        pytest.param("0" * 131072 + "1,0\n2,1\n", id="field-over-csv-limit"),
+        b"a,label\n1,0\n\x80,1\n",
+    ],
+)
+def test_load_csv_edge_files_equal_reference(input_file, content):
+    input_file.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert_loads_as_reference(input_file, None)
