@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .search import Population, RunResult
 
 # perfbench/worker.py traces these names here; Population calls them now.
@@ -50,6 +50,7 @@ class BsoParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.population_size < 1:
             raise ConfigError("population_size must be >= 1")
         if not 1 <= self.cluster_count <= self.population_size:

@@ -33,7 +33,7 @@ from .fitness import FitnessWeights
 from .ga import GaParams
 from .inference import evaluate_model, predict_dataset, report_from_predictions
 from .model_io import load_model, save_model
-from .training import OPTIMIZERS, train_model
+from .training import OPTIMIZERS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -234,44 +234,27 @@ def _pick(args: argparse.Namespace, config: dict, key: str, default):
     return default
 
 
-def _params_from(config: dict, section: str, cls, seed: int, force_seed: bool):
-    """Build optimizer params from a config sub-object, with field-path errors.
+def _section(config: dict, name: str, cls, seed: int | None = None, seed_flag: bool = False):
+    """Build `cls` from the config sub-object `name`, with field-path errors
+    such as ``config: bso.population_size must be an integer``.
 
-    An explicit --seed flag beats a seed stored in the config section; without
-    the flag, the section's own seed wins over the top-level one.
+    A `seed` fills in for a missing one in the sub-object; an explicit --seed
+    flag (`seed_flag`) overrides the sub-object's own.
     """
-    overrides = config.get(section, {})
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"config: {section} must be an object")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(overrides) - known)
+    values = {} if config.get(name) is None else config[name]
+    if not isinstance(values, dict):
+        raise ConfigError(f"config: {name} must be an object")
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
     if unknown:
-        raise ConfigError(f"config: {section}.{unknown[0]} is not a parameter")
-    if section == "bso" and "mode" in overrides:
+        raise ConfigError(f"config: {name}.{unknown[0]} is not a parameter")
+    if name == "bso" and "mode" in values:
         raise ConfigError("config: bso.mode is not a parameter; set optimizer to bso-ewma or bso-plain")
-    effective = seed if force_seed else overrides.get("seed", seed)
+    if seed is not None:
+        values = {**values, "seed": seed} if seed_flag else {"seed": seed, **values}
     try:
-        return cls(**{**overrides, "seed": effective})
+        return cls(**values)
     except ConfigError as exc:
-        raise ConfigError(f"config: {section}: {exc}")
-    except TypeError as exc:
-        raise ConfigError(f"config: {section}: {exc}")
-
-
-def _fitness_weights(config: dict) -> FitnessWeights | None:
-    section = config.get("fitness_weights")
-    if section is None:
-        return None
-    if not isinstance(section, dict):
-        raise ConfigError("config: fitness_weights must be an object")
-    known = {"alpha", "beta", "gamma"}
-    unknown = sorted(set(section) - known)
-    if unknown:
-        raise ConfigError(f"config: fitness_weights.{unknown[0]} is not a parameter")
-    try:
-        return FitnessWeights(**section)
-    except ConfigError as exc:
-        raise ConfigError(f"config: fitness_weights: {exc}")
+        raise ConfigError(f"config: {name}.{exc}") from None
 
 
 def _load_dataset(args, config) -> Dataset:
@@ -294,17 +277,25 @@ def _out_dir(args, config) -> Path:
     return out
 
 
-def _settings(args, config, seed: int) -> ExperimentSettings:
-    force_seed = getattr(args, "seed", None) is not None
-    return ExperimentSettings(
+def _setup(args):
+    """Config, output directory, seed, settings and dataset of a training
+    command, read in that order so that bad options fail before any data is
+    read and before any work starts.
+    """
+    config = load_config(args.config)
+    out = _out_dir(args, config)
+    seed = int(_pick(args, config, "seed", 0))
+    seed_flag = args.seed is not None
+    settings = ExperimentSettings(
         labels_per_attribute=int(_pick(args, config, "labels_per_attribute", 3)),
         rule_count=int(_pick(args, config, "rule_count", 10)),
-        fitness_weights=_fitness_weights(config),
+        fitness_weights=_section(config, "fitness_weights", FitnessWeights),
         accuracy_weight=float(_pick(args, config, "accuracy_weight", 1.0)),
-        bso_params=_params_from(config, "bso", BsoParams, seed, force_seed),
-        ga_params=_params_from(config, "ga", GaParams, seed, force_seed),
+        bso_params=_section(config, "bso", BsoParams, seed, seed_flag),
+        ga_params=_section(config, "ga", GaParams, seed, seed_flag),
         sum_scores=bool(_pick(args, config, "sum_scores", False)),
     )
+    return config, out, seed, settings, _load_dataset(args, config)
 
 
 def _metric(value: float | None, digits: int = 4) -> str:
@@ -312,29 +303,15 @@ def _metric(value: float | None, digits: int = 4) -> str:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(args, config)
-    seed = int(_pick(args, config, "seed", 0))
-    settings = _settings(args, config, seed)
+    config, out, seed, settings, ds = _setup(args)
     optimizer = _pick(args, config, "optimizer", "bso-ewma")
-    ds = _load_dataset(args, config)
     fraction = float(_pick(args, config, "split_fraction", 0.8))
     if fraction == 1.0:
         train, test = ds, None
     else:
         train, test = split(ds, SplitSpec(fraction=fraction, seed=seed))
 
-    result = train_model(
-        train,
-        labels_per_attribute=settings.labels_per_attribute,
-        rule_count=settings.rule_count,
-        fitness_weights=settings.fitness_weights,
-        accuracy_weight=settings.accuracy_weight,
-        optimizer=optimizer,
-        bso_params=settings.bso_params,
-        ga_params=settings.ga_params,
-        sum_scores=settings.sum_scores,
-    )
+    result = settings.train(train, optimizer)
 
     model_path = out / "model.json"
     trace_path = out / "trace.csv"
@@ -412,21 +389,11 @@ def cmd_evaluate(args) -> int:
 
 def _optimizer_list(args, config) -> tuple[str, ...]:
     names = _pick(args, config, "optimizer", OPTIMIZERS)
-    if isinstance(names, str):
-        names = (names,)
-    names = tuple(names)
-    for name in names:
-        if name not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {name!r}")
-    return names
+    return (names,) if isinstance(names, str) else tuple(names)
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(args, config)
-    seed = int(_pick(args, config, "seed", 0))
-    settings = _settings(args, config, seed)
-    ds = _load_dataset(args, config)
+    config, out, _, settings, ds = _setup(args)
     ratios = tuple(_pick(args, config, "ratios", DEFAULT_RATIOS))
     seeds = tuple(_pick(args, config, "seeds", DEFAULT_SEEDS))
     optimizers = _optimizer_list(args, config)
@@ -452,11 +419,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_param_sweep(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(args, config)
-    seed = int(_pick(args, config, "seed", 0))
-    settings = _settings(args, config, seed)
-    ds = _load_dataset(args, config)
+    config, out, seed, settings, ds = _setup(args)
     e_values = tuple(_pick(args, config, "e_values", DEFAULT_E_VALUES))
     k_values = tuple(_pick(args, config, "k_values", DEFAULT_K_VALUES))
     ratios = _pick(args, config, "ratios", (0.8,))
@@ -480,11 +443,7 @@ def cmd_param_sweep(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(args, config)
-    seed = int(_pick(args, config, "seed", 0))
-    settings = _settings(args, config, seed)
-    ds = _load_dataset(args, config)
+    config, out, seed, settings, ds = _setup(args)
     fractions = tuple(_pick(args, config, "ratios", DEFAULT_FRACTIONS))
     threshold = float(_pick(args, config, "threshold", 0.7))
     optimizers = _optimizer_list(args, config)

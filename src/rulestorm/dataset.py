@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,9 @@ class AttributeStats:
 class SplitSpec:
     fraction: float
     seed: int
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def _parse_cell(cell: str) -> float | None:

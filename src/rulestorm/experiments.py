@@ -1,38 +1,25 @@
 """Batch experiment drivers: ratio/seed sweeps, parameter grids, convergence
 benchmarks.
 
-Every driver trains complete models through :func:`rulestorm.training.train_model`
-and reduces the results to flat CSV rows for external plotting. Cells are
-independent: each one derives its split and optimizer streams from its own
-(ratio, seed) pair.
+Every driver runs its cells through :func:`run_cell` and reduces the results
+to flat CSV rows for external plotting. Cells are independent: each one
+derives its split and optimizer streams from its own (fraction, seed) pair.
 """
 
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, split
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .fitness import FitnessWeights
 from .ga import GaParams
 from .inference import evaluate_model
-from .training import OPTIMIZERS, train_model
-
-__all__ = [
-    "ExperimentSettings",
-    "SweepRun",
-    "SweepResult",
-    "run_sweep",
-    "write_sweep_csv",
-    "ParamSweepRow",
-    "run_param_sweep",
-    "write_param_sweep_csv",
-    "BenchmarkRow",
-    "run_benchmark",
-    "write_benchmark_csv",
-]
+from .search import TraceRecord
+from .training import OPTIMIZERS, TrainingResult, train_model
 
 SWEEP_HEADER = (
     "ratio",
@@ -51,39 +38,11 @@ SWEEP_HEADER = (
     "errors",
 )
 
-PARAM_SWEEP_HEADER = (
-    "smoothing",
-    "slope_divisor",
-    "ratio",
-    "seed",
-    "train_accuracy",
-    "test_accuracy",
-    "sensitivity",
-    "specificity",
-    "best_value",
-    "iterations",
-    "error",
-)
-
-BENCHMARK_HEADER = (
-    "fraction",
-    "optimizer",
-    "train_records",
-    "threshold",
-    "reached",
-    "iterations_to_threshold",
-    "elapsed_ms_to_threshold",
-    "best_value",
-    "iterations_run",
-    "evaluations",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentSettings:
-    """Everything shared by all cells of an experiment; per-cell seeds are
-    injected into copies of the optimizer params."""
+    """Everything shared by all cells of an experiment. The field names are
+    train_model's keywords; the optimizer params carry the seeds."""
 
     labels_per_attribute: int = 3
     rule_count: int = 10
@@ -93,15 +52,20 @@ class ExperimentSettings:
     ga_params: GaParams = field(default_factory=GaParams)
     sum_scores: bool = False
 
+    def train(self, train: Dataset, optimizer: str) -> TrainingResult:
+        return train_model(train, optimizer=optimizer, **vars(self))
+
 
 @dataclass(frozen=True)
 class SweepRun:
-    """Outcome of one (ratio, optimizer, seed) training run."""
+    """Outcome of one (fraction, optimizer, seed) cell. The test metrics are
+    None when nothing was scored, and everything after `error` when it failed."""
 
     ratio: float
     optimizer: str
     seed: int
     error: str | None = None
+    train_records: int | None = None
     train_accuracy: float | None = None
     test_accuracy: float | None = None
     sensitivity: float | None = None
@@ -109,7 +73,11 @@ class SweepRun:
     best_value: float | None = None
     iterations: int | None = None
     evaluations: int | None = None
-    best_values: tuple[float, ...] = ()
+    records: tuple[TraceRecord, ...] = ()
+
+    @property
+    def best_values(self) -> tuple[float, ...]:
+        return tuple(record.best_value for record in self.records)
 
 
 @dataclass(frozen=True)
@@ -125,49 +93,49 @@ class SweepResult:
         )
 
 
-def _train(train: Dataset, settings: ExperimentSettings, optimizer: str, seed: int):
-    """Train one model with the settings, both optimizers seeded with `seed`."""
-    return train_model(
-        train,
-        labels_per_attribute=settings.labels_per_attribute,
-        rule_count=settings.rule_count,
-        fitness_weights=settings.fitness_weights,
-        accuracy_weight=settings.accuracy_weight,
-        optimizer=optimizer,
-        bso_params=replace(settings.bso_params, seed=seed),
-        ga_params=replace(settings.ga_params, seed=seed),
-        sum_scores=settings.sum_scores,
-    )
-
-
-def _train_and_score(
-    ds: Dataset, settings: ExperimentSettings, ratio: float, optimizer: str, seed: int
+def run_cell(
+    ds: Dataset, settings: ExperimentSettings, fraction: float, optimizer: str, seed: int
 ) -> SweepRun:
+    """Split off `fraction` of the records, train on them with both optimizers
+    seeded by `seed`, and score the held-out side. At fraction 1 the model
+    trains on every record and nothing is scored. A failure is recorded on
+    the run, never raised."""
+    run = SweepRun(ratio=fraction, optimizer=optimizer, seed=seed)
     try:
-        train, test = split(ds, SplitSpec(fraction=ratio, seed=seed))
-        result = _train(train, settings, optimizer, seed)
-        report = evaluate_model(result.model, test, sum_scores=settings.sum_scores)
+        train, test = (ds, None) if fraction == 1.0 else split(ds, SplitSpec(fraction, seed))
+        result = replace(
+            settings,
+            bso_params=replace(settings.bso_params, seed=seed),
+            ga_params=replace(settings.ga_params, seed=seed),
+        ).train(train, optimizer)
+        if test is not None:
+            report = evaluate_model(result.model, test, sum_scores=settings.sum_scores)
+            run = replace(
+                run,
+                test_accuracy=report.accuracy,
+                sensitivity=report.sensitivity,
+                specificity=report.specificity,
+            )
     except Exception as exc:  # cell failures are recorded, never raised
-        return SweepRun(
-            ratio=ratio,
-            optimizer=optimizer,
-            seed=seed,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return replace(run, error=f"{type(exc).__name__}: {exc}")
     records = result.run.trace.records
-    return SweepRun(
-        ratio=ratio,
-        optimizer=optimizer,
-        seed=seed,
+    return replace(
+        run,
+        train_records=train.n,
         train_accuracy=result.train_accuracy,
-        test_accuracy=report.accuracy,
-        sensitivity=report.sensitivity,
-        specificity=report.specificity,
         best_value=result.run.best.evaluation.value,
         iterations=records[-1].iteration,
         evaluations=result.run.evaluations,
-        best_values=result.run.trace.best_values(),
+        records=records,
     )
+
+
+def _check_optimizers(optimizers) -> None:
+    for optimizer in optimizers:
+        if optimizer not in OPTIMIZERS:
+            raise ConfigError(
+                f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}"
+            )
 
 
 def run_sweep(
@@ -185,13 +153,15 @@ def run_sweep(
     for ratio in ratios:
         if not 0.0 < ratio < 1.0:
             raise ConfigError(f"sweep ratios must be in (0, 1), got {ratio}")
-    for optimizer in optimizers:
-        if optimizer not in OPTIMIZERS:
-            raise ConfigError(
-                f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}"
-            )
+    for seed in seeds:
+        check_seed(seed)
+    _check_optimizers(optimizers)
+    # a summary row collects its cell's runs by value
+    for name, values in (("ratios", ratios), ("seeds", seeds), ("optimizers", optimizers)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"sweep {name} must be distinct, got {list(values)}")
     runs = [
-        _train_and_score(ds, settings, ratio, optimizer, seed)
+        run_cell(ds, settings, ratio, optimizer, seed)
         for ratio in ratios
         for optimizer in optimizers
         for seed in seeds
@@ -223,6 +193,15 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header, then each row's values: floats as repr, bools as
+    true/false, None as an empty cell."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
 def summarize_sweep(result: SweepResult) -> list[dict]:
@@ -265,14 +244,8 @@ def summarize_sweep(result: SweepResult) -> list[dict]:
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    import csv
-
     rows = summarize_sweep(result)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_HEADER)
-        for row in rows:
-            writer.writerow([_fmt(row[column]) for column in SWEEP_HEADER])
+    write_csv(path, SWEEP_HEADER, ([row[c] for c in SWEEP_HEADER] for row in rows))
 
 
 @dataclass(frozen=True)
@@ -281,13 +254,17 @@ class ParamSweepRow:
     slope_divisor: float
     ratio: float
     seed: int
-    error: str | None = None
+    # the fields from here on are the cell's SweepRun fields of the same name
     train_accuracy: float | None = None
     test_accuracy: float | None = None
     sensitivity: float | None = None
     specificity: float | None = None
     best_value: float | None = None
     iterations: int | None = None
+    error: str | None = None
+
+
+PARAM_SWEEP_HEADER = tuple(f.name for f in fields(ParamSweepRow))
 
 
 def run_param_sweep(
@@ -300,51 +277,30 @@ def run_param_sweep(
     optimizer: str = "bso-ewma",
 ) -> list[ParamSweepRow]:
     """Grid of runs varying only the averaging weight and the step-anneal
-    slope divisor; everything else (split, seed, budget) is held fixed."""
-    for e in e_values:
-        if not 0.0 < e <= 1.0:
-            raise ConfigError(f"smoothing values must be in (0, 1], got {e}")
-    for k in k_values:
-        if k <= 0:
-            raise ConfigError(f"slope divisor values must be > 0, got {k}")
+    slope divisor; everything else (split, seed, budget) is held fixed.
+
+    The grid's params are built before the first cell runs, so a bad value
+    raises ConfigError rather than fill the grid with failed rows.
+    """
+    if not 0.0 < ratio < 1.0:
+        raise ConfigError(f"param-sweep ratio must be in (0, 1), got {ratio}")
+    check_seed(seed)
+    _check_optimizers((optimizer,))
+    grid = [
+        (e, k, replace(settings.bso_params, smoothing=e, slope_divisor=k))
+        for e in e_values
+        for k in k_values
+    ]
     rows = []
-    for e in e_values:
-        for k in k_values:
-            grid_settings = replace(
-                settings,
-                bso_params=replace(
-                    settings.bso_params, smoothing=e, slope_divisor=k
-                ),
-            )
-            run = _train_and_score(ds, grid_settings, ratio, optimizer, seed)
-            rows.append(
-                ParamSweepRow(
-                    smoothing=e,
-                    slope_divisor=k,
-                    ratio=ratio,
-                    seed=seed,
-                    error=run.error,
-                    train_accuracy=run.train_accuracy,
-                    test_accuracy=run.test_accuracy,
-                    sensitivity=run.sensitivity,
-                    specificity=run.specificity,
-                    best_value=run.best_value,
-                    iterations=run.iterations,
-                )
-            )
+    for e, k, bso_params in grid:
+        run = run_cell(ds, replace(settings, bso_params=bso_params), ratio, optimizer, seed)
+        results = (getattr(run, name) for name in PARAM_SWEEP_HEADER[4:])
+        rows.append(ParamSweepRow(e, k, ratio, seed, *results))
     return rows
 
 
 def write_param_sweep_csv(rows: list[ParamSweepRow], path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PARAM_SWEEP_HEADER)
-        for row in rows:
-            writer.writerow(
-                [_fmt(getattr(row, column)) for column in PARAM_SWEEP_HEADER]
-            )
+    write_csv(path, PARAM_SWEEP_HEADER, map(astuple, rows))
 
 
 @dataclass(frozen=True)
@@ -360,6 +316,9 @@ class BenchmarkRow:
     iterations_run: int | None = None
     evaluations: int | None = None
     error: str | None = None
+
+
+BENCHMARK_HEADER = tuple(f.name for f in fields(BenchmarkRow))
 
 
 def run_benchmark(
@@ -379,58 +338,35 @@ def run_benchmark(
     for fraction in fractions:
         if not 0.0 < fraction <= 1.0:
             raise ConfigError(f"fractions must be in (0, 1], got {fraction}")
+    check_seed(seed)
+    _check_optimizers(optimizers)
     rows = []
     for fraction in fractions:
         for optimizer in optimizers:
-            try:
-                if fraction == 1.0:
-                    train = ds
-                else:
-                    train, _ = split(ds, SplitSpec(fraction=fraction, seed=seed))
-                result = _train(train, settings, optimizer, seed)
-            except Exception as exc:
-                rows.append(
-                    BenchmarkRow(
-                        fraction=fraction,
-                        optimizer=optimizer,
-                        train_records=None,
-                        threshold=threshold,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            records = result.run.trace.records
-            hit = next(
-                (r for r in records if r.best_value >= threshold), None
-            )
+            run = run_cell(ds, settings, fraction, optimizer, seed)
+            hit = next((r for r in run.records if r.best_value >= threshold), None)
             rows.append(
                 BenchmarkRow(
                     fraction=fraction,
                     optimizer=optimizer,
-                    train_records=train.n,
+                    train_records=run.train_records,
                     threshold=threshold,
                     reached=hit is not None,
                     iterations_to_threshold=None if hit is None else hit.iteration,
                     elapsed_ms_to_threshold=None if hit is None else hit.elapsed_ms,
-                    best_value=result.run.best.evaluation.value,
-                    iterations_run=records[-1].iteration,
-                    evaluations=result.run.evaluations,
+                    best_value=run.best_value,
+                    iterations_run=run.iterations,
+                    evaluations=run.evaluations,
+                    error=run.error,
                 )
             )
     return rows
 
 
 def write_benchmark_csv(rows: list[BenchmarkRow], path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(BENCHMARK_HEADER)
-        for row in rows:
-            record = []
-            for column in BENCHMARK_HEADER:
-                value = getattr(row, column)
-                if column == "iterations_to_threshold" and not row.reached:
-                    value = "DNF" if row.error is None else ""
-                record.append(_fmt(value))
-            writer.writerow(record)
+    """A row that ran to the end without reaching the threshold reads DNF."""
+    ended = [
+        row if row.reached or row.error else replace(row, iterations_to_threshold="DNF")
+        for row in rows
+    ]
+    write_csv(path, BENCHMARK_HEADER, map(astuple, ended))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .membership import LabeledDataset
 from .rules import Rule, RuleSet, match_fractions, match_mask, rule_arrays
 
@@ -33,11 +33,13 @@ class FitnessWeights:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ConfigError("fitness weights must be non-negative")
+        check_fields(self)
+        for name in ("alpha", "beta", "gamma"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         total = self.alpha + self.beta + self.gamma
         if total <= 0:
-            raise ConfigError("fitness weights must not all be zero")
+            raise ConfigError("alpha, beta and gamma must not all be zero")
         object.__setattr__(self, "alpha", self.alpha / total)
         object.__setattr__(self, "beta", self.beta / total)
         object.__setattr__(self, "gamma", self.gamma / total)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .search import Population, RunResult
 
 # perfbench/worker.py traces these names here; Population calls them now.
@@ -30,6 +30,7 @@ class GaParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.population_size < 1:
             raise ConfigError("population_size must be >= 1")
         if self.generations < 0:

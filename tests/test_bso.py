@@ -430,3 +430,29 @@ def test_params_reject_negative_sigma():
 def test_params_reject_probability_out_of_range():
     with pytest.raises(ConfigError):
         BsoParams(one_cluster_prob=1.5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("slope_divisor", math.nan),
+        ("noise_sigma", math.nan),
+        ("noise_scale", True),
+        ("population_size", 5.5),
+        ("max_iterations", 2.5),
+        ("cluster_count", True),
+        ("seed", -2),
+        ("seed", 1.0),
+    ],
+)
+def test_params_reject_non_integer_counts_non_finite_reals_and_negative_seeds(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        BsoParams(**{field: value})
+
+
+def test_params_accept_numpy_integers_and_python_ints_for_reals():
+    p = BsoParams(population_size=np.int64(10), cluster_count=np.int32(2), slope_divisor=20, seed=np.uint8(3))
+    assert p.population_size == 10 and p.seed == 3
+    # stored as Python ints, which json (and so save_model) can write
+    assert type(p.population_size) is int and type(p.seed) is int
+    assert p.slope_divisor == 20 and type(p.slope_divisor) is int

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import make_separable_dataset
 
-from rulestorm import cli
+from rulestorm import cli, experiments
 from rulestorm.cli import main
 from rulestorm.dataset import AttributeStats, load_csv
 from rulestorm.inference import Model, predict_dataset
@@ -332,7 +332,7 @@ def test_out_naming_a_file_is_a_config_error_before_any_work(
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    monkeypatch.setattr(cli, "train_model", refuse)
+    monkeypatch.setattr(experiments, "train_model", refuse)
     monkeypatch.setattr(cli, "predict_dataset", refuse)
     data_path = write_one_attribute_csv(
         tmp_path / "data.csv", [(v, int(v > 5)) for v in range(11)]
@@ -371,12 +371,28 @@ def test_out_naming_a_file_is_a_config_error_before_any_work(
         ("threshold", [0.7]),
         ("optimizer", 5),
         ("optimizer", ["ga", 1]),
+        # a dotted key is a field of a section, checked where the section is read
+        ("bso.slope_divisor", float("nan")),
+        ("bso.noise_sigma", float("nan")),
+        ("ga.mutation_sigma", float("nan")),
+        ("bso.population_size", 5.5),
+        ("bso.max_iterations", 2.5),
+        ("ga.population_size", 7.5),
+        ("bso.cluster_count", True),
+        ("fitness_weights.alpha", float("nan")),
+        ("fitness_weights.beta", float("inf")),
+        ("bso.seed", -2),
+        ("ga.seed", -1),
     ],
 )
 def test_config_value_of_wrong_json_type_is_a_config_error(
     tmp_path, data_csv, capsys, key, value
 ):
-    config = write_fast_config(tmp_path / "typed.json", **{key: value})
+    config = write_fast_config(tmp_path / "typed.json")
+    document = json.loads(config.read_text())
+    section, _, name = key.rpartition(".")
+    (document.setdefault(section, {}) if section else document)[name] = value
+    config.write_text(json.dumps(document))
     out = tmp_path / "run"
     code = main(["train", "--data", str(data_csv), "--config", str(config), "--out", str(out)])
     assert code == 2
@@ -611,29 +627,55 @@ def test_sweep_command_writes_summary(tmp_path, data_csv, fast_config, capsys):
     assert "sweep:" in capsys.readouterr().out
 
 
-def test_sweep_csv_is_deterministic_across_runs(tmp_path, data_csv, fast_config):
+@pytest.mark.parametrize(
+    "verb, flags, artifact",
+    [
+        ("sweep", ["--ratios", "0.8", "--seeds", "0,1", "--optimizer", "bso-ewma"], "sweep.csv"),
+        ("param-sweep", ["--e-values", "0.5,1.0", "--k-values", "20"], "param_sweep.csv"),
+        ("benchmark", ["--ratios", "0.5,1.0", "--threshold", "0.6"], "benchmark.csv"),
+    ],
+)
+def test_sweep_csv_is_deterministic_across_runs(tmp_path, data_csv, fast_config, verb, flags, artifact):
     blobs = []
     for name in ("s1", "s2"):
         out = tmp_path / name
-        main(
-            [
-                "sweep",
-                "--data",
-                str(data_csv),
-                "--config",
-                str(fast_config),
-                "--ratios",
-                "0.8",
-                "--seeds",
-                "0,1",
-                "--optimizer",
-                "bso-ewma",
-                "--out",
-                str(out),
-            ]
-        )
-        blobs.append((out / "sweep.csv").read_bytes())
+        args = [verb, "--data", str(data_csv), "--config", str(fast_config), *flags, "--out", str(out)]
+        assert main(args) == 0
+        blob = (out / artifact).read_bytes()
+        if verb == "benchmark":  # elapsed_ms_to_threshold is wall-clock time
+            lines = [line.split(b",") for line in blob.split(b"\r\n")]
+            drop = lines[0].index(b"elapsed_ms_to_threshold")
+            blob = b"\r\n".join(b",".join(line[:drop] + line[drop + 1 :]) for line in lines)
+        blobs.append(blob)
+    assert blobs[0].count(b"\r\n") > 1
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["sweep", "--seeds", "0,-1"], "seed must be a non-negative integer, got -1"),
+        (["sweep", "--ratios", "0.8,0.8", "--seeds", "0,1", "--optimizer", "ga"], "sweep ratios must be distinct"),
+        (["sweep", "--ratios", "0.8", "--seeds", "0,0"], "sweep seeds must be distinct"),
+        (["sweep", "--ratios", "0.8", "--seeds", "0", "--optimizer", "ga,ga"], "sweep optimizers must be distinct"),
+        (["param-sweep", "--k-values", "20,nan"], "slope_divisor must be a finite number, got nan"),
+        (["param-sweep", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["benchmark", "--seed", "-1", "--optimizer", "ga"], "seed must be a non-negative integer, got -1"),
+    ],
+)
+def test_bad_experiment_value_is_a_config_error_before_any_cell(
+    tmp_path, data_csv, fast_config, capsys, monkeypatch, argv, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell started before the values were checked")
+
+    monkeypatch.setattr(experiments, "train_model", refuse)
+    out = tmp_path / "run"
+    code = main([*argv, "--data", str(data_csv), "--config", str(fast_config), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_param_sweep_command(tmp_path, data_csv, fast_config, capsys):

@@ -170,6 +170,11 @@ class TestSplit:
         assert np.array_equal(a[0].x, b[0].x) and np.array_equal(a[0].y, b[0].y)
         assert np.array_equal(a[1].x, b[1].x) and np.array_equal(a[1].y, b[1].y)
 
+    @pytest.mark.parametrize("fraction, seed", [(0.8, -1), (0.8, 1.0), (float("nan"), 0)])
+    def test_spec_rejects_negative_seed_and_non_finite_fraction(self, fraction, seed):
+        with pytest.raises(ConfigError):
+            SplitSpec(fraction=fraction, seed=seed)
+
     def test_seed_changes_partition(self, pid_path):
         ds = load_csv(pid_path)
         a = split(ds, SplitSpec(fraction=0.8, seed=1))

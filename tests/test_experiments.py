@@ -5,6 +5,7 @@ import csv
 import pytest
 from conftest import make_noise_dataset, make_separable_dataset
 
+from rulestorm import experiments
 from rulestorm.bso import BsoParams
 from rulestorm.errors import ConfigError
 from rulestorm.experiments import (
@@ -13,6 +14,7 @@ from rulestorm.experiments import (
     SWEEP_HEADER,
     ExperimentSettings,
     run_benchmark,
+    run_cell,
     run_param_sweep,
     run_sweep,
     summarize_sweep,
@@ -111,6 +113,62 @@ def test_sweep_rejects_bad_inputs():
         )
 
 
+def refuse_cells(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran before the driver checked its values")
+
+    monkeypatch.setattr(experiments, "run_cell", refuse)
+
+
+@pytest.mark.parametrize(
+    "ratios, seeds, optimizers",
+    [
+        ((0.8, 0.8), (0, 1), ("ga",)),
+        ((0.8,), (1, 1), ("ga",)),
+        ((0.8,), (0,), ("ga", "ga")),
+        ((0.8,), (0, -1), ("ga",)),
+        ((0.8,), (True,), ("ga",)),
+    ],
+)
+def test_sweep_rejects_duplicates_and_negative_seeds_before_any_cell(
+    monkeypatch, ratios, seeds, optimizers
+):
+    refuse_cells(monkeypatch)
+    with pytest.raises(ConfigError):
+        run_sweep(make_separable_dataset(), fast_settings(), ratios, seeds, optimizers)
+
+
+def test_drivers_reject_bad_values_before_any_cell(monkeypatch):
+    refuse_cells(monkeypatch)
+    ds = make_separable_dataset()
+    with pytest.raises(ConfigError, match="seed"):
+        run_param_sweep(ds, fast_settings(), e_values=(0.5,), k_values=(20.0,), seed=-1)
+    with pytest.raises(ConfigError, match="slope_divisor"):
+        run_param_sweep(ds, fast_settings(), e_values=(0.5,), k_values=(20.0, float("nan")))
+    with pytest.raises(ConfigError, match="ratio"):
+        run_param_sweep(ds, fast_settings(), e_values=(0.5,), k_values=(20.0,), ratio=1.0)
+    with pytest.raises(ConfigError, match="seed"):
+        run_benchmark(ds, fast_settings(), fractions=(1.0,), threshold=0.5, seed=-1)
+    with pytest.raises(ConfigError, match="optimizer"):
+        run_benchmark(ds, fast_settings(), fractions=(1.0,), threshold=0.5, optimizers=("sgd",))
+
+
+def test_cell_at_full_fraction_trains_on_every_record_and_scores_nothing():
+    ds = make_separable_dataset()
+    run = run_cell(ds, fast_settings(), 1.0, "ga", 0)
+    assert run.error is None
+    assert run.train_records == ds.n
+    assert run.test_accuracy is run.sensitivity is run.specificity is None
+    assert run.best_values == tuple(r.best_value for r in run.records)
+    assert run.iterations == run.records[-1].iteration
+
+
+def test_cell_records_failure_instead_of_raising():
+    run = run_cell(make_separable_dataset(), fast_settings(), 0.8, "sgd", 0)
+    assert run.error.startswith("ConfigError: optimizer must be one of")
+    assert run.train_records is None and run.records == ()
+
+
 def test_sweep_csv_round_trip(tmp_path):
     ds = make_separable_dataset()
     result = run_sweep(
@@ -185,7 +243,21 @@ def test_param_sweep_csv(tmp_path):
     write_param_sweep_csv(rows, path)
     table = read_csv(path)
     assert table[0] == list(PARAM_SWEEP_HEADER)
+    assert table[0][-1] == "error"
     assert len(table) == 3
+
+
+def test_param_sweep_error_row_ends_in_its_error(tmp_path):
+    # 0.99 of 60 records leaves a single test record, so the split fails
+    rows = run_param_sweep(
+        make_separable_dataset(), fast_settings(), e_values=(0.5,), k_values=(20.0,), ratio=0.99
+    )
+    path = tmp_path / "grid.csv"
+    write_param_sweep_csv(rows, path)
+    header, row = read_csv(path)
+    assert header[-1] == "error" and row[-1].startswith("DataError: ")
+    assert row[:4] == ["0.5", "20.0", "0.99", "0"]
+    assert row[4:-1] == [""] * 6
 
 
 def test_benchmark_row_coverage_and_full_fraction():
@@ -224,6 +296,20 @@ def test_benchmark_unreachable_threshold_is_dnf_not_error(tmp_path):
     assert table[0] == list(BENCHMARK_HEADER)
     column = table[0].index("iterations_to_threshold")
     assert all(row[column] == "DNF" for row in table[1:])
+
+
+def test_benchmark_error_row_format(tmp_path):
+    rows = run_benchmark(
+        make_separable_dataset(), fast_settings(), fractions=(0.99,), threshold=0.5, optimizers=("ga",)
+    )
+    path = tmp_path / "bench.csv"
+    write_benchmark_csv(rows, path)
+    header, row = read_csv(path)
+    assert header[-1] == "error" and row[-1].startswith("DataError: ")
+    cell = dict(zip(header, row))
+    assert cell["reached"] == "false"
+    assert cell["iterations_to_threshold"] == ""
+    assert cell["train_records"] == "" and cell["evaluations"] == ""
 
 
 def test_benchmark_rejects_bad_inputs():

@@ -86,6 +86,14 @@ def test_weights_reject_negative():
         FitnessWeights(-1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "weights", [(float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0), (1.0, 1.0, True), (1.0, "1", 1.0)]
+)
+def test_weights_reject_non_finite_or_non_numbers(weights):
+    with pytest.raises(ConfigError, match="must be a finite number"):
+        FitnessWeights(*weights)
+
+
 # ------------------------------------------------------ brevity fixture ---
 
 def test_brevity_fixture_six_rules():

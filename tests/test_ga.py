@@ -56,6 +56,20 @@ def test_params_reject_negative_sigma():
         GaParams(mutation_sigma=-0.5, seed=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mutation_sigma", float("nan")),
+        ("population_size", 7.5),
+        ("generations", False),
+        ("seed", -1),
+    ],
+)
+def test_params_reject_non_integer_counts_non_finite_reals_and_negative_seeds(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        GaParams(**{field: value})
+
+
 # -------------------------------------------------------------- dynamics ---
 
 def test_zero_generations_returns_initial_best():
