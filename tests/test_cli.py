@@ -627,15 +627,7 @@ def test_sweep_command_writes_summary(tmp_path, data_csv, fast_config, capsys):
     assert "sweep:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "verb, flags, artifact",
-    [
-        ("sweep", ["--ratios", "0.8", "--seeds", "0,1", "--optimizer", "bso-ewma"], "sweep.csv"),
-        ("param-sweep", ["--e-values", "0.5,1.0", "--k-values", "20"], "param_sweep.csv"),
-        ("benchmark", ["--ratios", "0.5,1.0", "--threshold", "0.6"], "benchmark.csv"),
-    ],
-)
-def test_sweep_csv_is_deterministic_across_runs(tmp_path, data_csv, fast_config, verb, flags, artifact):
+def _artifact_bytes_of_two_runs(tmp_path, data_csv, fast_config, verb, flags, artifact):
     blobs = []
     for name in ("s1", "s2"):
         out = tmp_path / name
@@ -648,6 +640,24 @@ def test_sweep_csv_is_deterministic_across_runs(tmp_path, data_csv, fast_config,
             blob = b"\r\n".join(b",".join(line[:drop] + line[drop + 1 :]) for line in lines)
         blobs.append(blob)
     assert blobs[0].count(b"\r\n") > 1
+    return blobs
+
+
+def test_sweep_csv_is_deterministic_across_runs(tmp_path, data_csv, fast_config):
+    flags = ["--ratios", "0.8", "--seeds", "0,1", "--optimizer", "bso-ewma"]
+    blobs = _artifact_bytes_of_two_runs(tmp_path, data_csv, fast_config, "sweep", flags, "sweep.csv")
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize(
+    "verb, flags, artifact",
+    [
+        ("param-sweep", ["--e-values", "0.5,1.0", "--k-values", "20"], "param_sweep.csv"),
+        ("benchmark", ["--ratios", "0.5,1.0", "--threshold", "0.6"], "benchmark.csv"),
+    ],
+)
+def test_experiment_csv_is_deterministic_across_runs(tmp_path, data_csv, fast_config, verb, flags, artifact):
+    blobs = _artifact_bytes_of_two_runs(tmp_path, data_csv, fast_config, verb, flags, artifact)
     assert blobs[0] == blobs[1]
 
 
