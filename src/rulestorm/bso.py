@@ -27,6 +27,8 @@ from .search import evaluate_objective, sample_population  # noqa: F401
 
 MODES = ("plain", "ewma")
 
+KMEANS_PASSES = 10
+
 
 @dataclass(frozen=True)
 class BsoParams:
@@ -89,7 +91,7 @@ class Cluster:
     center: int               # index of the best-valued member
 
 
-def cluster_population(genotypes: np.ndarray, values: np.ndarray, k: int, rng, max_passes: int = 10) -> list[Cluster]:
+def cluster_population(genotypes: np.ndarray, values: np.ndarray, k: int, rng) -> list[Cluster]:
     """Seeded k-means over genotypes; centers are best-valued members.
 
     Means start at k distinct members. A cluster emptied by reassignment is
@@ -101,7 +103,7 @@ def cluster_population(genotypes: np.ndarray, values: np.ndarray, k: int, rng, m
         raise ConfigError(f"cluster count {k} out of range for population {q}")
     means = np.array(genotypes[rng.choice(q, size=k, replace=False)], dtype=float)
     assign = None
-    for _ in range(max_passes):
+    for _ in range(KMEANS_PASSES):
         distances = ((genotypes[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(distances, axis=1)
         counts = np.bincount(new_assign, minlength=k)
@@ -221,4 +223,4 @@ def run(params: BsoParams, objective, lower, upper) -> RunResult:
                     ewma[slot] = states[slot]
         if pop.end_iteration(nc):
             break
-    return pop.result(ewma)
+    return pop.result()

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, load_csv, split
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_seed
 from .experiments import (
     ExperimentSettings,
     run_benchmark,
@@ -284,7 +284,8 @@ def _setup(args):
     """
     config = load_config(args.config)
     out = _out_dir(args, config)
-    seed = int(_pick(args, config, "seed", 0))
+    seed = _pick(args, config, "seed", 0)
+    check_seed(seed)  # before it is copied into the bso and ga sections
     seed_flag = args.seed is not None
     settings = ExperimentSettings(
         labels_per_attribute=int(_pick(args, config, "labels_per_attribute", 3)),
@@ -342,11 +343,6 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args, config) if args.out is not None or "out" in config else None
     model = load_model(args.model)
     ds = _load_dataset(args, config)
-    if ds.m != len(model.partitions):
-        raise DataError(
-            f"attribute count mismatch: model expects {len(model.partitions)} "
-            f"attributes, data has {ds.m}"
-        )
     ratios = _pick(args, config, "ratios", None)
     if ratios:
         if len(ratios) != 1:
@@ -355,7 +351,7 @@ def cmd_evaluate(args) -> int:
             )
         seed = int(_pick(args, config, "seed", 0))
         _, ds = split(ds, SplitSpec(fraction=ratios[0], seed=seed))
-    sum_scores = bool(_pick(args, config, "sum_scores", False))
+    sum_scores = bool(_pick(args, config, "sum_scores", model.metadata.get("sum_scores", False)))
 
     internal, scores = predict_dataset(model, ds, sum_scores=sum_scores)
     report = report_from_predictions(model, ds, internal)

@@ -9,6 +9,7 @@ derives its split and optimizer streams from its own (fraction, seed) pair.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
 
@@ -138,6 +139,13 @@ def _check_optimizers(optimizers) -> None:
             )
 
 
+def _check_distinct(verb: str, lists: dict) -> None:
+    """Refuse a repeated value, which would train the same cell twice."""
+    for name, values in lists.items():
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{verb} {name} must be distinct, got {list(values)}")
+
+
 def run_sweep(
     ds: Dataset,
     settings: ExperimentSettings,
@@ -156,10 +164,7 @@ def run_sweep(
     for seed in seeds:
         check_seed(seed)
     _check_optimizers(optimizers)
-    # a summary row collects its cell's runs by value
-    for name, values in (("ratios", ratios), ("seeds", seeds), ("optimizers", optimizers)):
-        if len(set(values)) < len(values):
-            raise ConfigError(f"sweep {name} must be distinct, got {list(values)}")
+    _check_distinct("sweep", {"ratios": ratios, "seeds": seeds, "optimizers": optimizers})
     runs = [
         run_cell(ds, settings, ratio, optimizer, seed)
         for ratio in ratios
@@ -279,20 +284,23 @@ def run_param_sweep(
     """Grid of runs varying only the averaging weight and the step-anneal
     slope divisor; everything else (split, seed, budget) is held fixed.
 
-    The grid's params are built before the first cell runs, so a bad value
-    raises ConfigError rather than fill the grid with failed rows.
+    Every value is checked before the first cell runs, so a bad or repeated
+    value raises ConfigError rather than fill the grid with failed rows.
     """
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"param-sweep ratio must be in (0, 1), got {ratio}")
     check_seed(seed)
     _check_optimizers((optimizer,))
-    grid = [
-        (e, k, replace(settings.bso_params, smoothing=e, slope_divisor=k))
-        for e in e_values
-        for k in k_values
-    ]
+    _check_distinct("param-sweep", {"e (--e-values)": e_values, "K (--k-values)": k_values})
+    for name, param, values in (("e (--e-values)", "smoothing", e_values), ("K (--k-values)", "slope_divisor", k_values)):
+        for value in values:
+            try:
+                replace(settings.bso_params, **{param: value})
+            except ConfigError as exc:
+                raise ConfigError(f"param-sweep {name}: {exc}") from None
     rows = []
-    for e, k, bso_params in grid:
+    for e, k in itertools.product(e_values, k_values):
+        bso_params = replace(settings.bso_params, smoothing=e, slope_divisor=k)
         run = run_cell(ds, replace(settings, bso_params=bso_params), ratio, optimizer, seed)
         results = (getattr(run, name) for name in PARAM_SWEEP_HEADER[4:])
         rows.append(ParamSweepRow(e, k, ratio, seed, *results))
@@ -340,6 +348,7 @@ def run_benchmark(
             raise ConfigError(f"fractions must be in (0, 1], got {fraction}")
     check_seed(seed)
     _check_optimizers(optimizers)
+    _check_distinct("benchmark", {"fractions (--ratios)": fractions, "optimizers": optimizers})
     rows = []
     for fraction in fractions:
         for optimizer in optimizers:

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .membership import FuzzyPartition, degree, degree_table
 from .rules import AND, Rule, RuleSet, fold_rules, rule_arrays
 
@@ -126,8 +126,9 @@ def predict_scores(scores: np.ndarray, consequents: np.ndarray, c: int, majority
 def predict_dataset(model: Model, ds: Dataset, sum_scores: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized classify over all records: (classes, scores)."""
     if ds.m != model.rules.m:
-        raise ConfigError(
-            f"dataset has {ds.m} attributes but the model expects {model.rules.m}"
+        raise DataError(
+            f"attribute count mismatch: model expects {model.rules.m} "
+            f"attributes, data has {ds.m}"
         )
     ants, consequents, is_and, weights = rule_arrays(model.rules)
     scores = fold_rules(degree_table(model.partitions, ds.x, model.rules.p), ants, is_and)
@@ -176,62 +177,45 @@ class EvaluationReport:
     n: int
 
 
-def _original_labels(values: tuple[float, ...], internal: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=float)[internal - 1]
-
-
-def binary_counts(model: Model, ds: Dataset, positive_value: float | None = None, sum_scores: bool = False) -> ConfusionCounts:
-    """Confusion counts in the original label coding.
-
-    The positive class defaults to the largest original label the model was
-    trained on. Requires a binary model.
-    """
+def binary_counts(model: Model, ds: Dataset, sum_scores: bool = False) -> ConfusionCounts:
+    """Confusion counts of a binary model, as `report_from_predictions` counts them."""
     if model.rules.c != 2:
         raise ConfigError(
             f"sensitivity/specificity need a binary model, got {model.rules.c} classes"
         )
-    preds, _ = predict_dataset(model, ds, sum_scores=sum_scores)
-    return _confusion(model, ds, preds, positive_value)
+    return evaluate_model(model, ds, sum_scores).counts
 
 
-def _confusion(model: Model, ds: Dataset, preds: np.ndarray, positive_value: float | None) -> ConfusionCounts:
-    if positive_value is None:
-        positive_value = max(model.class_values)
-    pred_pos = _original_labels(model.class_values, preds) == positive_value
-    true_pos = _original_labels(ds.class_values, ds.y) == positive_value
-    return ConfusionCounts(
-        tp=int(np.sum(pred_pos & true_pos)),
-        fp=int(np.sum(pred_pos & ~true_pos)),
-        tn=int(np.sum(~pred_pos & ~true_pos)),
-        fn=int(np.sum(~pred_pos & true_pos)),
-    )
-
-
-def evaluate_model(model: Model, ds: Dataset, positive_value: float | None = None, sum_scores: bool = False) -> EvaluationReport:
+def evaluate_model(model: Model, ds: Dataset, sum_scores: bool = False) -> EvaluationReport:
     """Accuracy for any class count; confusion-based metrics when binary."""
-    preds, _ = predict_dataset(model, ds, sum_scores=sum_scores)
-    return report_from_predictions(model, ds, preds, positive_value)
+    preds, _ = predict_dataset(model, ds, sum_scores)
+    return report_from_predictions(model, ds, preds)
 
 
-def report_from_predictions(model: Model, ds: Dataset, preds: np.ndarray, positive_value: float | None = None) -> EvaluationReport:
+def report_from_predictions(model: Model, ds: Dataset, preds: np.ndarray) -> EvaluationReport:
     """The evaluation report for predictions that `predict_dataset` made.
 
     Predictions and true labels are compared in the original label coding,
     so a model evaluates correctly on any split regardless of which classes
-    the split happens to contain.
+    the split happens to contain. A binary model's positive class is its
+    largest class value.
     """
-    pred_orig = _original_labels(model.class_values, preds)
-    true_orig = _original_labels(ds.class_values, ds.y)
-    acc = float(np.mean(pred_orig == true_orig))
-    if model.rules.c != 2:
-        return EvaluationReport(
-            counts=None, sensitivity=None, specificity=None, accuracy=acc, n=ds.n
+    pred_orig = np.asarray(model.class_values, dtype=float)[preds - 1]
+    true_orig = np.asarray(ds.class_values, dtype=float)[ds.y - 1]
+    counts = None
+    if model.rules.c == 2:
+        positive = max(model.class_values)
+        pred_pos, true_pos = pred_orig == positive, true_orig == positive
+        counts = ConfusionCounts(
+            tp=int(np.sum(pred_pos & true_pos)),
+            fp=int(np.sum(pred_pos & ~true_pos)),
+            tn=int(np.sum(~pred_pos & ~true_pos)),
+            fn=int(np.sum(~pred_pos & true_pos)),
         )
-    counts = _confusion(model, ds, preds, positive_value)
     return EvaluationReport(
         counts=counts,
-        sensitivity=sensitivity(counts),
-        specificity=specificity(counts),
-        accuracy=acc,
+        sensitivity=None if counts is None else sensitivity(counts),
+        specificity=None if counts is None else specificity(counts),
+        accuracy=float(np.mean(pred_orig == true_orig)),
         n=ds.n,
     )

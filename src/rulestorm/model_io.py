@@ -135,6 +135,8 @@ def model_from_document(document: dict) -> Model:
     metadata = document.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DataError(f"model file: metadata must be an object, got {metadata!r}")
+    if not isinstance(metadata.get("sum_scores", False), bool):
+        raise DataError(f"model file: metadata.sum_scores must be true or false, got {metadata['sum_scores']!r}")
     return Model(
         partitions=partitions,
         rules=RuleSet(rules=rules, m=len(partitions), p=p, c=len(class_values)),

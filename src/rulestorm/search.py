@@ -44,7 +44,6 @@ class Evaluation:
 class Individual:
     genotype: np.ndarray
     evaluation: Evaluation
-    ewma: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -178,13 +177,9 @@ class Population:
         self._trace.record(iteration, self.values, self.evaluations, self.evaluation_count)
         return self._stagnant >= self._window
 
-    def result(self, ewma: np.ndarray | None = None) -> RunResult:
+    def result(self) -> RunResult:
         population = tuple(
-            Individual(
-                genotype=self.genotypes[i].copy(),
-                evaluation=self.evaluations[i],
-                ewma=None if ewma is None else ewma[i].copy(),
-            )
+            Individual(genotype=self.genotypes[i].copy(), evaluation=self.evaluations[i])
             for i in range(len(self.evaluations))
         )
         return RunResult(

@@ -23,7 +23,7 @@ from . import bso, ga
 from .dataset import Dataset, attribute_stats, majority_class
 from .errors import ConfigError
 from .fitness import FitnessBreakdown, FitnessWeights, breakdown
-from .inference import Model, predict_scores
+from .inference import Model, evaluate_model, predict_scores
 from .membership import FuzzyPartition, LabeledDataset, build_partition, degree_table, fuzzify_dataset
 from .rules import RuleSetShape, decode, decode_arrays, fold_rules, genotype_bounds
 from .rules import match_fractions, rule_weights, with_weights
@@ -92,7 +92,7 @@ class TrainingResult:
     model: Model
     run: RunResult
     breakdown: FitnessBreakdown  # quality components of the winning rule set
-    train_accuracy: float
+    train_accuracy: float  # the saved model's accuracy on its training split
 
 
 def params_digest(payload: dict) -> str:
@@ -153,10 +153,9 @@ def train_model(
         seed = params.seed
         param_payload = {"bso": params.__dict__}
 
+    del objective  # frees its degree table before the model is scored
     best_rules = decode(run_result.best.genotype, shape)
     weighted = with_weights(best_rules, ld, decimals=WEIGHT_DECIMALS)
-    ants, consequents, is_and = decode_arrays(run_result.best.genotype, shape)
-    train_acc = objective._train_accuracy(ants, consequents, is_and, match_fractions(ld, ants, is_and))
 
     settings = {
         "labels_per_attribute": labels_per_attribute,
@@ -184,5 +183,5 @@ def train_model(
         model=model,
         run=run_result,
         breakdown=run_result.best.evaluation.breakdown,
-        train_accuracy=train_acc,
+        train_accuracy=evaluate_model(model, train, sum_scores).accuracy,
     )

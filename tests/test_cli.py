@@ -443,6 +443,28 @@ def test_evaluate_split_scores_held_out_side(tmp_path, data_csv, fast_config, ca
     assert "records: 12" in capsys.readouterr().out
 
 
+def test_evaluate_uses_the_models_sum_scores(tmp_path, pid_path, capsys):
+    config = tmp_path / "sum.json"
+    config.write_text(json.dumps({"sum_scores": True, "bso": {"max_iterations": 6}}))
+    out = tmp_path / "run"
+    main(["train", "--data", str(pid_path), "--config", str(config), "--out", str(out), "--seed", "0"])
+    printed = capsys.readouterr().out
+    held_out = printed.split("held-out accuracy: ")[1].split()[0]
+    code = main(["evaluate", str(out / "model.json"), "--data", str(pid_path), "--ratios", "0.8", "--seed", "0"])
+    assert code == 0
+    assert f"accuracy: {held_out}\n" in capsys.readouterr().out
+
+
+def test_evaluate_model_with_non_boolean_sum_scores_is_a_data_error(tmp_path, data_csv, capsys):
+    model_path = perfect_model(tmp_path)
+    document = json.loads(model_path.read_text())
+    document["metadata"]["sum_scores"] = "yes"
+    model_path.write_text(json.dumps(document))
+    code = main(["evaluate", str(model_path), "--data", str(data_csv)])
+    assert code == 3
+    assert "metadata.sum_scores must be true or false" in capsys.readouterr().err
+
+
 def test_evaluate_attribute_mismatch_is_a_data_error(tmp_path, data_csv, capsys):
     model_path = perfect_model(tmp_path)  # expects one attribute
     code = main(["evaluate", str(model_path), "--data", str(data_csv)])
@@ -672,6 +694,14 @@ def test_experiment_csv_is_deterministic_across_runs(tmp_path, data_csv, fast_co
         (["param-sweep", "--k-values", "20,nan"], "slope_divisor must be a finite number, got nan"),
         (["param-sweep", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
         (["benchmark", "--seed", "-1", "--optimizer", "ga"], "seed must be a non-negative integer, got -1"),
+        # the message names the option given, not the section it is copied into
+        (["train", "--seed", "-1"], "config error: seed must be a non-negative integer, got -1"),
+        (["param-sweep", "--k-values", "nan"], "K (--k-values): slope_divisor must be a finite number, got nan"),
+        (["param-sweep", "--e-values", "0"], "e (--e-values): smoothing must be in (0, 1]"),
+        (["param-sweep", "--e-values", "0.5,0.5", "--k-values", "20"], "param-sweep e (--e-values) must be distinct"),
+        (["param-sweep", "--k-values", "20,20"], "param-sweep K (--k-values) must be distinct"),
+        (["benchmark", "--ratios", "0.5,0.5"], "benchmark fractions (--ratios) must be distinct"),
+        (["benchmark", "--ratios", "0.5", "--optimizer", "ga,ga"], "benchmark optimizers must be distinct"),
     ],
 )
 def test_bad_experiment_value_is_a_config_error_before_any_cell(

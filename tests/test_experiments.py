@@ -151,6 +151,12 @@ def test_drivers_reject_bad_values_before_any_cell(monkeypatch):
         run_benchmark(ds, fast_settings(), fractions=(1.0,), threshold=0.5, seed=-1)
     with pytest.raises(ConfigError, match="optimizer"):
         run_benchmark(ds, fast_settings(), fractions=(1.0,), threshold=0.5, optimizers=("sgd",))
+    with pytest.raises(ConfigError, match="e .* must be distinct"):
+        run_param_sweep(ds, fast_settings(), e_values=(0.5, 0.5), k_values=(20.0,))
+    with pytest.raises(ConfigError, match="fractions .* must be distinct"):
+        run_benchmark(ds, fast_settings(), fractions=(1.0, 1.0), threshold=0.5)
+    with pytest.raises(ConfigError, match="optimizers must be distinct"):
+        run_benchmark(ds, fast_settings(), fractions=(1.0,), threshold=0.5, optimizers=("ga", "ga"))
 
 
 def test_cell_at_full_fraction_trains_on_every_record_and_scores_nothing():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rulestorm.dataset import Dataset
-from rulestorm.errors import ConfigError
+from rulestorm.errors import ConfigError, DataError
 from rulestorm.inference import (
     ConfusionCounts,
     Model,
@@ -165,6 +165,13 @@ def test_predict_dataset_matches_classify_per_record():
         cls, score = classify(model, ds.x[i])
         assert preds[i] == cls
         assert scores[i] == pytest.approx(score, abs=1e-12)
+
+
+def test_predict_dataset_attribute_mismatch_is_a_data_error():
+    model = make_model([((1, 0), 1, AND, 0.5), ((0, 1), 2, AND, 0.5)])
+    ds = make_dataset([[0.0, 5.0, 1.0]], [1])
+    with pytest.raises(DataError, match="model expects 2 attributes, data has 3"):
+        predict_dataset(model, ds)
 
 
 def test_predictions_invariant_to_weight_rescaling():

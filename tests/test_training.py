@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rulestorm.bso import BsoParams
-from rulestorm.dataset import Dataset, attribute_stats, majority_class
+from rulestorm.dataset import Dataset, SplitSpec, attribute_stats, load_csv, majority_class, split
 from rulestorm.errors import ConfigError
 from rulestorm.fitness import FitnessWeights
 from rulestorm.ga import GaParams
@@ -124,7 +124,15 @@ def test_train_model_learns_separable_data():
     )
     assert result.train_accuracy >= 0.8
     report = evaluate_model(result.model, ds)
-    assert report.accuracy == pytest.approx(result.train_accuracy, abs=0.05)
+    assert report.accuracy == result.train_accuracy
+
+
+def test_train_accuracy_is_the_saved_models_accuracy(pid_path):
+    # the objective's exact weights and the model's 4-decimal weights
+    # classify some records of this split differently
+    train, _ = split(load_csv(pid_path), SplitSpec(fraction=0.8, seed=1))
+    result = train_model(train, optimizer="ga", ga_params=GaParams(generations=40, seed=1))
+    assert result.train_accuracy == evaluate_model(result.model, train).accuracy
 
 
 def test_train_model_deterministic():
