@@ -61,7 +61,7 @@ def match_count(rule: Rule, ld: LabeledDataset) -> int:
 def brevity_score(rs: RuleSet) -> float:
     """1 minus the mean fraction of active antecedents per rule."""
     ants, consequents, _, _ = rule_arrays(rs)
-    return breakdown(ants, consequents, np.zeros(rs.r), rs.c, FitnessWeights()).g1
+    return breakdown(ants[None], consequents[None], np.zeros((1, rs.r)), rs.c, FitnessWeights())[0].g1
 
 
 def coverage_score(rs: RuleSet, ld: LabeledDataset) -> float:
@@ -75,28 +75,30 @@ def balance_score(rs: RuleSet) -> float:
     The penalty is the mean squared deviation of per-class rule counts from
     the even share r/c, scaled by 1/r.
     """
-    return class_balance(np.array([rule.consequent for rule in rs.rules]), rs.c)
+    return float(class_balance(np.array([rule.consequent for rule in rs.rules]), rs.c))
 
 
-def class_balance(consequents: np.ndarray, c: int) -> float:
-    """balance_score of rules with these consequents (in 1..c)."""
-    r = len(consequents)
-    counts = np.bincount(consequents - 1, minlength=c).astype(float)
-    v = float(np.mean((counts - r / c) ** 2))
-    return max(0.0, 1.0 - v / r)
+def class_balance(consequents: np.ndarray, c: int) -> np.ndarray:
+    """balance_score of rule tables with these consequents (..., r) in 1..c."""
+    r = consequents.shape[-1]
+    counts = np.count_nonzero(consequents[..., None] == np.arange(1, c + 1), axis=-2)
+    v = np.mean((counts - r / c) ** 2, axis=-1)
+    return np.maximum(0.0, 1.0 - v / r)
 
 
-def breakdown(ants: np.ndarray, consequents: np.ndarray, fractions: np.ndarray, c: int, weights: FitnessWeights) -> FitnessBreakdown:
-    """Quality score of a rule table given as arrays: antecedents (r, m),
-    consequents (r,) in 1..c and each rule's match fraction (r,)."""
-    r, m = ants.shape
-    g1 = 1.0 - int(np.count_nonzero(ants)) / (r * m)
-    g2 = sum(fractions.tolist()) / r  # this summation order is what trace.csv records
+def breakdown(ants: np.ndarray, consequents: np.ndarray, fractions: np.ndarray, c: int, weights: FitnessWeights) -> list[FitnessBreakdown]:
+    """Quality scores of Q rule tables given as arrays: antecedents
+    (Q, r, m), consequents (Q, r) in 1..c and each rule's match fraction
+    (Q, r). One FitnessBreakdown per table."""
+    _, r, m = ants.shape
+    g1 = 1.0 - np.count_nonzero(ants, axis=(1, 2)) / (r * m)
+    g2 = sum(fractions.T) / r  # left to right over rules: this summation order is what trace.csv records
     g3 = class_balance(consequents, c)
-    return FitnessBreakdown(g1, g2, g3, fitness=weights.alpha * g1 + weights.beta * g2 + weights.gamma * g3)
+    fitness = weights.alpha * g1 + weights.beta * g2 + weights.gamma * g3
+    return [FitnessBreakdown(*row) for row in zip(g1.tolist(), g2.tolist(), g3.tolist(), fitness.tolist())]
 
 
 def evaluate(rs: RuleSet, ld: LabeledDataset, weights: FitnessWeights | None = None) -> FitnessBreakdown:
     """Score a rule set against a fuzzified dataset."""
     ants, consequents, is_and, _ = rule_arrays(rs)
-    return breakdown(ants, consequents, match_fractions(ld, ants, is_and), rs.c, weights or FitnessWeights())
+    return breakdown(ants[None], consequents[None], match_fractions(ld, ants, is_and)[None], rs.c, weights or FitnessWeights())[0]

@@ -109,18 +109,22 @@ def classify(model: Model, x: np.ndarray, sum_scores: bool = False) -> tuple[int
 
 
 def predict_scores(scores: np.ndarray, consequents: np.ndarray, c: int, majority: int, sum_scores: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, winning scores) from rule scores (r, n), as classify picks
-    them for one record."""
+    """(classes, winning scores), each (Q, n), from non-negative rule scores
+    (Q, r, n) of Q tables with consequents (Q, r), as classify picks them."""
     if sum_scores:
-        totals = np.zeros((c, scores.shape[1]))
-        for k, row in zip(consequents, scores):
-            totals[k - 1] += row
-        preds = np.argmax(totals, axis=0) + 1
-    else:
-        totals = scores
-        preds = consequents[np.argmax(scores, axis=0)]
-    dead = ~np.any(scores > 0.0, axis=0)
-    return np.where(dead, majority, preds), np.where(dead, 0.0, totals.max(axis=0))
+        totals = np.zeros((len(scores), c, scores.shape[2]))
+        tables = np.arange(len(scores))
+        for i in range(scores.shape[1]):  # rules add in rule order
+            totals[tables, consequents[:, i] - 1] += scores[:, i]
+        scores, consequents = totals, np.broadcast_to(np.arange(1, c + 1), (len(scores), c))
+    # a running strict-> max keeps the first of equal maxima, as np.argmax does
+    best = scores[:, 0].copy()
+    preds = np.repeat(consequents[:, :1], scores.shape[2], axis=1)
+    for i in range(1, scores.shape[1]):
+        np.copyto(preds, consequents[:, i, None], where=scores[:, i] > best)
+        np.maximum(best, scores[:, i], out=best)
+    preds[best == 0.0] = majority  # no score above zero
+    return preds, best
 
 
 def predict_dataset(model: Model, ds: Dataset, sum_scores: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +137,8 @@ def predict_dataset(model: Model, ds: Dataset, sum_scores: bool = False) -> tupl
     ants, consequents, is_and, weights = rule_arrays(model.rules)
     scores = fold_rules(degree_table(model.partitions, ds.x, model.rules.p), ants, is_and)
     scores *= weights[:, None]
-    return predict_scores(scores, consequents, model.rules.c, model.majority_class, sum_scores)
+    preds, best = predict_scores(scores[None], consequents[None], model.rules.c, model.majority_class, sum_scores)
+    return preds[0], best[0]
 
 
 @dataclass(frozen=True)

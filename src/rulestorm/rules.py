@@ -21,6 +21,9 @@ from .membership import LabeledDataset
 AND = "AND"
 OR = "OR"
 
+# Bytes of one (rules, records) float64 temporary of the blocked rule kernels.
+BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -84,39 +87,38 @@ def genotype_bounds(shape: RuleSetShape) -> tuple[np.ndarray, np.ndarray]:
 def decode_arrays(
     genes: np.ndarray, shape: RuleSetShape
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Round genes to repaired rule arrays: antecedents (r, m) in 0..p,
-    consequents (r,) in 1..c and is_and (r,). Total on any real vector."""
+    """Round genotypes (Q, L) to repaired rule arrays: antecedents (Q, r, m)
+    in 0..p, consequents (Q, r) in 1..c and is_and (Q, r). Total on any reals."""
     genes = np.asarray(genes, dtype=float)
-    if genes.shape != (shape.genotype_length,):
+    if genes.ndim != 2 or genes.shape[1] != shape.genotype_length:
         raise ConfigError(
             f"genotype length {genes.shape} does not match {shape.genotype_length}"
         )
-    block = genes.reshape(shape.r, shape.m + 2)
-    ants = np.clip(np.rint(block[:, : shape.m]), 0, shape.p).astype(int)
-    consequents = np.clip(np.rint(block[:, shape.m]), 1, shape.c).astype(int)
-    is_and = block[:, shape.m + 1] < 0.5
+    block = genes.reshape(len(genes), shape.r, shape.m + 2)
+    ants = np.clip(np.rint(block[..., : shape.m]), 0, shape.p).astype(int)
+    consequents = np.clip(np.rint(block[..., shape.m]), 1, shape.c).astype(int)
+    is_and = block[..., shape.m + 1] < 0.5
 
     # repair 1: an all-dont-care rule gets one antecedent switched on, at an
     # attribute chosen by rule position so identical rules repair differently
-    empty = np.flatnonzero(~ants.any(axis=1))
-    ants[empty, empty % shape.m] = 1
+    tables, empty = np.nonzero(~ants.any(axis=2))
+    ants[tables, empty, empty % shape.m] = 1
 
-    # repair 2: every class keeps at least one rule
-    counts = np.bincount(consequents, minlength=shape.c + 1)[1:]
-    for missing in range(1, shape.c + 1):
-        if counts[missing - 1] > 0:
-            continue
-        donor_class = int(np.argmax(counts)) + 1
-        donor_rule = int(np.flatnonzero(consequents == donor_class)[0])
-        consequents[donor_rule] = missing
-        counts[donor_class - 1] -= 1
-        counts[missing - 1] += 1
+    # repair 2: a missing class takes the first rule of the largest class
+    counts = np.count_nonzero(consequents[..., None] == np.arange(1, shape.c + 1), axis=1)
+    for missing in range(shape.c):
+        tables = np.flatnonzero(counts[:, missing] == 0)
+        donor_class = np.argmax(counts[tables], axis=1)
+        donor_rule = np.argmax(consequents[tables] == donor_class[:, None] + 1, axis=1)
+        consequents[tables, donor_rule] = missing + 1
+        counts[tables, donor_class] -= 1
+        counts[tables, missing] += 1
     return ants, consequents, is_and
 
 
 def decode(genes: np.ndarray, shape: RuleSetShape) -> RuleSet:
     """Round genes to a repaired rule set. Total on any real vector."""
-    ants, consequents, is_and = decode_arrays(genes, shape)
+    ants, consequents, is_and = (a[0] for a in decode_arrays(np.asarray(genes, dtype=float)[None], shape))
     rules = tuple(
         Rule(tuple(ants[i].tolist()), int(consequents[i]), AND if is_and[i] else OR)
         for i in range(shape.r)
@@ -155,16 +157,28 @@ def match_mask(rule: Rule, ld: LabeledDataset) -> np.ndarray:
     return hits.all(axis=1) if rule.connective == AND else hits.any(axis=1)
 
 
+def record_blocks(n: int, rules: int) -> list[slice]:
+    """Record slices that keep an (rules, block) float64 array of a kernel
+    within BLOCK_BYTES, with at least one record per block."""
+    step = max(1, BLOCK_BYTES // (8 * max(1, rules)))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def match_fractions(ld: LabeledDataset, ants: np.ndarray, is_and: np.ndarray) -> np.ndarray:
     """Fraction of the records that each rule matches, shape (r,): the
-    match masks that `fold_rules` gives on `ld.indicators`, counted."""
-    return np.count_nonzero(fold_rules(ld.indicators, ants, is_and), axis=1) / ld.n
+    match masks that `fold_rules` gives on `ld.indicators`, counted in
+    record blocks and divided by n once."""
+    counts = np.zeros(len(ants), dtype=int)
+    for block in record_blocks(ld.n, len(ants)):
+        counts += np.count_nonzero(fold_rules(ld.indicators[:, :, block], ants, is_and), axis=1)
+    return counts / ld.n
 
 
 def rule_weights(ants: np.ndarray, fractions: np.ndarray) -> np.ndarray:
     """Each rule's weight in [0, 1]: the mean of its brevity (1 minus its
-    share of active antecedents) and its match fraction."""
-    return 0.5 * ((1.0 - np.count_nonzero(ants, axis=1) / ants.shape[1]) + fractions)
+    share of active antecedents) and its match fraction. Antecedents
+    (..., r, m), fractions (..., r)."""
+    return 0.5 * ((1.0 - np.count_nonzero(ants, axis=-1) / ants.shape[-1]) + fractions)
 
 
 def with_weights(rs: RuleSet, ld: LabeledDataset, decimals: int | None = None) -> RuleSet:
@@ -185,13 +199,14 @@ def fold_rules(table: np.ndarray, ants: np.ndarray, is_and: np.ndarray) -> np.nd
     On degrees this gives activations, on label indicators match masks."""
     is_and = is_and | ~ants.any(axis=1)
     ants = np.where(is_and[:, None] | (ants != 0), ants, table.shape[1] - 1)
-    out = np.empty((len(ants), table.shape[2]), dtype=table.dtype)
-    for rows, combine in ((is_and, np.minimum), (~is_and, np.maximum)):
-        idx = ants[rows]
-        if not len(idx):
-            continue
-        acc = table[0][idx[:, 0]]
-        for j in range(1, len(table)):
-            combine(acc, table[j][idx[:, j]], out=acc)
-        out[rows] = acc
-    return out
+    # AND rules first, so each connective folds a contiguous run of rows; labels
+    # are in 0..p + 1, so "clip" never clips, and unlike "raise" it needs no copy
+    order = np.argsort(~is_and, kind="stable")
+    idx, k = ants[order], np.count_nonzero(is_and)
+    acc = table[0].take(idx[:, 0], axis=0, mode="clip")
+    gathered = np.empty_like(acc)
+    for j in range(1, len(table)):
+        table[j].take(idx[:, j], axis=0, out=gathered, mode="clip")
+        np.minimum(acc[:k], gathered[:k], out=acc[:k])
+        np.maximum(acc[k:], gathered[k:], out=acc[k:])
+    return acc.take(np.argsort(order), axis=0, out=gathered, mode="clip")

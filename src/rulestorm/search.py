@@ -97,10 +97,13 @@ def sample_population(rng, lower: np.ndarray, upper: np.ndarray, count: int) -> 
     return rng.uniform(lower, upper, size=(count, lower.shape[0]))
 
 
-def evaluate_objective(objective, genotype: np.ndarray, iteration: int) -> Evaluation:
-    """Call the objective, wrapping any failure with iteration context."""
+def evaluate_objective(objective, genotypes: np.ndarray, iteration: int) -> list[Evaluation]:
+    """Evaluate a (Q, L) batch with one `evaluate_batch` call if the objective
+    has one, else genotype by genotype; wraps failures with iteration context."""
     try:
-        return objective(genotype)
+        if hasattr(objective, "evaluate_batch"):
+            return objective.evaluate_batch(genotypes)
+        return [objective(g) for g in genotypes]
     except Exception as exc:
         raise EvaluationError(
             f"objective evaluation failed at iteration {iteration}: {exc}"
@@ -159,9 +162,10 @@ class Population:
         self._trace.record(0, self.values, self.evaluations, self.evaluation_count)
 
     def evaluate(self, genotypes, iteration: int) -> list[Evaluation]:
-        """Score each genotype in order; the only caller of the objective."""
+        """Evaluations of the iteration's candidates, in order; the only
+        caller of the objective, through `evaluate_objective`."""
         self.evaluation_count += len(genotypes)
-        return [evaluate_objective(self._objective, g, iteration) for g in genotypes]
+        return evaluate_objective(self._objective, np.asarray(genotypes, dtype=float), iteration)
 
     def end_iteration(self, iteration: int) -> bool:
         """Refresh `values`, record the trace; True once the best value has

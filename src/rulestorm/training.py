@@ -26,7 +26,7 @@ from .fitness import FitnessBreakdown, FitnessWeights, breakdown
 from .inference import Model, evaluate_model, predict_scores
 from .membership import FuzzyPartition, LabeledDataset, build_partition, degree_table, fuzzify_dataset
 from .rules import RuleSetShape, decode, decode_arrays, fold_rules, genotype_bounds
-from .rules import match_fractions, rule_weights, with_weights
+from .rules import match_fractions, record_blocks, rule_weights, with_weights
 from .search import Evaluation, RunResult
 
 # perfbench/worker.py traces these names here; the objective no longer calls them.
@@ -40,11 +40,12 @@ WEIGHT_DECIMALS = 4
 
 
 class RuleObjective:
-    """Callable objective over genotypes for one fuzzified training split.
+    """Objective over genotypes for one fuzzified training split.
 
     Builds the padded attribute-major table of membership degrees once (the
-    label indicators are `ld.indicators`), so that scoring a candidate costs
-    a fixed number of vector operations for the whole rule table.
+    label indicators are `ld.indicators`). `evaluate_batch` scores a whole
+    batch of candidates with one fold of all their rules per record block,
+    so the cost per batch is a fixed number of vector operations.
     """
 
     def __init__(
@@ -70,21 +71,33 @@ class RuleObjective:
         self.sum_scores = sum_scores
         self.degrees = degree_table(partitions, x, shape.p)
 
-    def _train_accuracy(self, ants, consequents, is_and, fractions) -> float:
-        scores = fold_rules(self.degrees, ants, is_and)
-        scores *= rule_weights(ants, fractions)[:, None]
-        preds, _ = predict_scores(scores, consequents, self.shape.c, self.majority, self.sum_scores)
-        return float(np.mean(preds == self.ld.classes))
+    def _train_accuracy(self, ants, consequents, is_and, fractions) -> np.ndarray:
+        """Training accuracy (Q,) of Q rule tables, counted in record blocks."""
+        q, r, m = ants.shape
+        weights = rule_weights(ants, fractions)[..., None]
+        ants, is_and = ants.reshape(q * r, m), is_and.reshape(q * r)
+        correct = np.zeros(q, dtype=int)
+        for block in record_blocks(self.ld.n, q * r):
+            scores = fold_rules(self.degrees[:, :, block], ants, is_and)
+            scores = scores.reshape(q, r, scores.shape[1])  # q may be 0: a GA of one breeds no child
+            scores *= weights
+            preds, _ = predict_scores(scores, consequents, self.shape.c, self.majority, self.sum_scores)
+            correct += np.count_nonzero(preds == self.ld.classes[block], axis=1)
+            del scores  # before the next block's fold allocates its buffers
+        return correct / self.ld.n
+
+    def evaluate_batch(self, genotypes: np.ndarray) -> list[Evaluation]:
+        """Evaluations of a (Q, L) batch of genotypes, in order."""
+        ants, consequents, is_and = decode_arrays(genotypes, self.shape)
+        q, r, m = ants.shape
+        fractions = match_fractions(self.ld, ants.reshape(q * r, m), is_and.reshape(q * r)).reshape(q, r)
+        quality = breakdown(ants, consequents, fractions, self.shape.c, self.weights)
+        w = self.accuracy_weight  # at 0 the value is the quality score: 1.0 * G + 0.0 * 0.0
+        accuracy = self._train_accuracy(ants, consequents, is_and, fractions).tolist() if w else [0.0] * q
+        return [Evaluation(value=(1.0 - w) * b.fitness + w * acc, breakdown=b) for b, acc in zip(quality, accuracy)]
 
     def __call__(self, genotype: np.ndarray) -> Evaluation:
-        ants, consequents, is_and = decode_arrays(genotype, self.shape)
-        fractions = match_fractions(self.ld, ants, is_and)
-        quality = breakdown(ants, consequents, fractions, self.shape.c, self.weights)
-        if self.accuracy_weight == 0.0:
-            return Evaluation(value=quality.fitness, breakdown=quality)
-        acc = self._train_accuracy(ants, consequents, is_and, fractions)
-        value = (1.0 - self.accuracy_weight) * quality.fitness + self.accuracy_weight * acc
-        return Evaluation(value=value, breakdown=quality)
+        return self.evaluate_batch(np.asarray(genotype, dtype=float)[None])[0]
 
 
 @dataclass(frozen=True)

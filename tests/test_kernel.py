@@ -4,16 +4,21 @@
 `LabeledDataset.indicators` must give, cell for cell, what
 `inference.activation` and `rules.match_mask` give per rule and record;
 `predict_dataset` must give what `inference.classify` gives per
-record; `decode_arrays` must repair exactly as a rule-by-rule decoder does.
+record; `decode_arrays` must repair exactly as a rule-by-rule decoder does;
+`RuleObjective.evaluate_batch` must give, in any record blocking, exactly
+what `fitness.evaluate` and `evaluate_model` give per genotype.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulestorm.dataset import AttributeStats, Dataset
-from rulestorm.fitness import FitnessWeights
-from rulestorm.inference import Model, activation, classify, predict_dataset
+from rulestorm import rules
+from rulestorm.dataset import AttributeStats, Dataset, majority_class
+from rulestorm.fitness import FitnessWeights, evaluate
+from rulestorm.inference import Model, activation, classify, evaluate_model, predict_dataset, predict_scores
 from rulestorm.membership import build_partition, fuzzify_dataset
 from rulestorm.rules import (
     AND,
@@ -24,8 +29,10 @@ from rulestorm.rules import (
     decode,
     decode_arrays,
     fold_rules,
+    genotype_bounds,
     match_mask,
     rule_arrays,
+    with_weights,
 )
 from rulestorm.training import RuleObjective
 
@@ -164,28 +171,122 @@ def decode_oracle(genes, shape):
     c=st.integers(2, 4),
     extra_rules=st.integers(0, 4),
     empty_share=st.floats(0.0, 1.0),
+    tables=st.integers(1, 4),
 )
-def test_decode_equals_decode_arrays_under_both_repairs(seed, m, p, c, extra_rules, empty_share):
+def test_decode_equals_decode_arrays_under_both_repairs(seed, m, p, c, extra_rules, empty_share, tables):
     shape = RuleSetShape(m=m, p=p, c=c, r=c + extra_rules)
     rng = np.random.default_rng(seed)
-    genes = rng.uniform(-1.0, p + 1.0, size=shape.genotype_length).reshape(shape.r, m + 2)
-    # all-don't-care rules force repair 1; one shared class forces repair 2
-    genes[rng.random(shape.r) < empty_share, :m] = rng.uniform(-0.49, 0.49)
-    genes[:, m] = rng.integers(1, c + 1)
-    genes[:, m + 1] = rng.uniform(0.0, 1.0, size=shape.r)
-    genes = genes.ravel()
+    genes = rng.uniform(-1.0, p + 1.0, size=(tables, shape.r, m + 2))
+    # all-don't-care rules force repair 1; a table whose rules share one
+    # class forces repair 2, a table with random classes mostly does not
+    genes[rng.random((tables, shape.r)) < empty_share, :m] = rng.uniform(-0.49, 0.49)
+    shared = rng.random(tables) < 0.5
+    genes[:, :, m] = np.where(
+        shared[:, None], rng.integers(1, c + 1, size=(tables, 1)), rng.integers(1, c + 1, size=(tables, shape.r))
+    )
+    genes[:, :, m + 1] = rng.uniform(0.0, 1.0, size=(tables, shape.r))
+    genes = genes.reshape(tables, shape.genotype_length)
 
     ants, consequents, is_and = decode_arrays(genes, shape)
-    want_ants, want_consequents, want_connectives = decode_oracle(genes, shape)
-    assert ants.tolist() == want_ants
-    assert consequents.tolist() == want_consequents
-    assert [AND if a else OR for a in is_and] == want_connectives
-    assert decode(genes, shape) == RuleSet(
-        rules=tuple(
-            Rule(tuple(a), k, conn)
-            for a, k, conn in zip(want_ants, want_consequents, want_connectives)
-        ),
-        m=m,
-        p=p,
-        c=c,
+    assert ants.shape == (tables, shape.r, m)
+    for t in range(tables):
+        want_ants, want_consequents, want_connectives = decode_oracle(genes[t], shape)
+        assert ants[t].tolist() == want_ants
+        assert consequents[t].tolist() == want_consequents
+        assert [AND if a else OR for a in is_and[t]] == want_connectives
+        assert decode(genes[t], shape) == RuleSet(
+            rules=tuple(
+                Rule(tuple(a), k, conn)
+                for a, k, conn in zip(want_ants, want_consequents, want_connectives)
+            ),
+            m=m,
+            p=p,
+            c=c,
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 30),
+    m=st.integers(1, 4),
+    c=st.integers(2, 3),
+    extra_rules=st.integers(0, 3),
+    tables=st.integers(1, 6),
+    sum_scores=st.booleans(),
+    accuracy_weight=st.sampled_from([0.0, 0.35, 1.0]),
+    block_bytes=st.sampled_from([1, 200, 2000, rules.BLOCK_BYTES]),
+)
+def test_evaluate_batch_equals_per_genotype_oracles(
+    seed, n, m, c, extra_rules, tables, sum_scores, accuracy_weight, block_bytes
+):
+    """Batches repeat genotypes and force both repairs; small block budgets
+    split the records into blocks down to one record each."""
+    p = 3
+    ds, partitions, _ = random_case(seed, n, m, p, c, c, False)
+    ld = fuzzify_dataset(ds, partitions)
+    shape = RuleSetShape(m=m, p=p, c=c, r=c + extra_rules)
+    weights = FitnessWeights(1.0, 2.0, 0.5)
+    objective = RuleObjective(
+        ld, shape, weights, accuracy_weight, partitions, ds.x, majority_class(ds), sum_scores
     )
+    rng = np.random.default_rng(seed)
+    lower, upper = genotype_bounds(shape)
+    genes = rng.uniform(lower, upper, size=(tables, len(lower))).reshape(tables, shape.r, m + 2)
+    genes[rng.random((tables, shape.r)) < 0.3, :m] = 0.2  # all-don't-care rules
+    genes[rng.random(tables) < 0.4, :, m] = 1.0  # one class only: repair 2
+    genes = genes.reshape(tables, -1)[rng.integers(0, tables, size=tables + 2)]  # repeats
+
+    with mock.patch.object(rules, "BLOCK_BYTES", block_bytes):
+        batch = objective.evaluate_batch(genes)
+    assert len(batch) == len(genes)
+    for genotype, got in zip(genes, batch):
+        rule_set = decode(genotype, shape)
+        quality = evaluate(rule_set, ld, weights)
+        model = Model(
+            partitions, with_weights(rule_set, ld), ds.class_values, ds.attribute_names,
+            majority_class(ds), {},
+        )
+        accuracy = evaluate_model(model, ds, sum_scores).accuracy
+        assert got.breakdown == quality
+        if accuracy_weight == 0.0:
+            assert got.value == quality.fitness
+        else:
+            assert got.value == (1.0 - accuracy_weight) * quality.fitness + accuracy_weight * accuracy
+
+
+def predict_scores_oracle(scores, consequents, c, majority, sum_scores):
+    """One rule table's (classes, winning scores) with np.argmax."""
+    totals = scores
+    if sum_scores:
+        totals = np.zeros((c, scores.shape[1]))
+        for k, row in zip(consequents, scores):
+            totals[k - 1] += row
+        preds = np.argmax(totals, axis=0) + 1
+    else:
+        preds = consequents[np.argmax(scores, axis=0)]
+    dead = ~np.any(scores > 0.0, axis=0)
+    return np.where(dead, majority, preds), np.where(dead, 0.0, totals.max(axis=0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    tables=st.integers(1, 5),
+    r=st.integers(1, 6),
+    n=st.integers(1, 10),
+    c=st.integers(2, 4),
+    sum_scores=st.booleans(),
+)
+def test_batched_predict_scores_equals_per_table_calls(seed, tables, r, n, c, sum_scores):
+    """Scores from a few values, so ties and all-zero records are common."""
+    rng = np.random.default_rng(seed)
+    scores = rng.choice([0.0, 0.25, 0.5], size=(tables, r, n))
+    consequents = rng.integers(1, c + 1, size=(tables, r))
+    preds, best = predict_scores(scores, consequents, c, 2, sum_scores)
+    assert preds.shape == best.shape == (tables, n)
+    for t in range(tables):
+        one_preds, one_best = predict_scores(scores[t : t + 1], consequents[t : t + 1], c, 2, sum_scores)
+        want_preds, want_best = predict_scores_oracle(scores[t], consequents[t], c, 2, sum_scores)
+        assert preds[t].tolist() == one_preds[0].tolist() == want_preds.tolist()
+        assert best[t].tolist() == one_best[0].tolist() == want_best.tolist()

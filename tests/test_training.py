@@ -1,11 +1,14 @@
 """Tests for the training objective and the end-to-end training pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from rulestorm import bso, ga
 from rulestorm.bso import BsoParams
 from rulestorm.dataset import Dataset, SplitSpec, attribute_stats, load_csv, majority_class, split
-from rulestorm.errors import ConfigError
+from rulestorm.errors import ConfigError, EvaluationError
 from rulestorm.fitness import FitnessWeights
 from rulestorm.ga import GaParams
 from rulestorm.inference import Model, evaluate_model
@@ -106,6 +109,58 @@ def test_objective_blend_uses_inference_consistent_accuracy():
         report = evaluate_model(model, ds)
         expected = (1.0 - aw) * out.breakdown.fitness + aw * report.accuracy
         assert out.value == pytest.approx(expected, abs=1e-12)
+
+
+SEARCHES = {
+    "bso": lambda objective, lower, upper: bso.run(
+        BsoParams(population_size=6, cluster_count=2, max_iterations=3, seed=1), objective, lower, upper
+    ),
+    "ga": lambda objective, lower, upper: ga.run_ga(
+        GaParams(population_size=6, generations=3, seed=1), objective, lower, upper
+    ),
+}
+
+
+class CountingObjective(RuleObjective):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches = []
+
+    def evaluate_batch(self, genotypes):
+        self.batches.append(len(genotypes))
+        return super().evaluate_batch(genotypes)
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+def test_search_scores_each_iteration_in_one_batch(search):
+    ds = separable_dataset()
+    plain, ld, shape, partitions = make_objective(ds)
+    objective = CountingObjective(ld, shape, FitnessWeights(), 0.5, partitions, ds.x, majority_class(ds))
+    lower, upper = genotype_bounds(shape)
+    result = SEARCHES[search](objective, lower, upper)
+    assert objective.batches == [6] + [6 if search == "bso" else 5] * 3
+    per_genotype = SEARCHES[search](lambda g: plain(g), lower, upper)  # no evaluate_batch
+    assert [replace(rec, elapsed_ms=0.0) for rec in per_genotype.trace.records] == [
+        replace(rec, elapsed_ms=0.0) for rec in result.trace.records
+    ]
+    for ind in result.population:
+        assert ind.evaluation == objective(ind.genotype)
+
+
+def test_empty_batch_scores_nothing():
+    objective, _, shape, _ = make_objective(separable_dataset())
+    assert objective.evaluate_batch(np.empty((0, shape.genotype_length))) == []
+    lower, upper = genotype_bounds(shape)
+    result = ga.run_ga(GaParams(population_size=1, generations=2, seed=0), objective, lower, upper)
+    assert result.evaluations == 1
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+def test_failing_batch_raises_evaluation_error_with_iteration(search):
+    objective, _, shape, _ = make_objective(separable_dataset())
+    lower, upper = genotype_bounds(RuleSetShape(m=shape.m, p=shape.p, c=shape.c, r=shape.r + 1))
+    with pytest.raises(EvaluationError, match="at iteration 0: genotype length"):
+        SEARCHES[search](objective, lower, upper)
 
 
 def test_objective_rejects_bad_accuracy_weight():
