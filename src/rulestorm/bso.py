@@ -14,10 +14,10 @@ average instead, trading raw exploration for smoothed global information.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, check_fields
 from .search import Population, RunResult
@@ -132,7 +132,12 @@ def cluster_population(genotypes: np.ndarray, values: np.ndarray, k: int, rng) -
 def step_size(nc: int, params: BsoParams, s: float) -> float:
     """Annealed step magnitude: s scaled by a logistic ramp that starts near
     1 and decays towards 0 as the iteration count passes the halfway mark."""
-    return s * float(expit((0.5 * params.max_iterations - nc) / params.slope_divisor))
+    z = (0.5 * params.max_iterations - nc) / params.slope_divisor
+    try:
+        ramp = 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:  # exp(-z) is past the largest float: the ramp is 0
+        ramp = 0.0
+    return s * ramp
 
 
 def select_base(clusters, genotypes: np.ndarray, centers, params: BsoParams, rng) -> np.ndarray:

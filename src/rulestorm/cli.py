@@ -340,7 +340,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
-    out = _out_dir(args, config) if args.out is not None or "out" in config else None
+    out = _out_dir(args, config) if _pick(args, config, "out", None) is not None else None
     model = load_model(args.model)
     ds = _load_dataset(args, config)
     ratios = _pick(args, config, "ratios", None)

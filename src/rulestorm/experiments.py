@@ -8,7 +8,6 @@ derives its split and optimizer streams from its own (fraction, seed) pair.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -19,7 +18,7 @@ from .errors import ConfigError, check_seed
 from .fitness import FitnessWeights
 from .ga import GaParams
 from .inference import evaluate_model
-from .search import TraceRecord
+from .search import TraceRecord, write_csv
 from .training import OPTIMIZERS, TrainingResult, train_model
 
 SWEEP_HEADER = (
@@ -188,25 +187,6 @@ def _std(values: list[float]) -> float | None:
         return None
     mu = sum(values) / len(values)
     return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_csv(path, header, rows) -> None:
-    """Write the header, then each row's values: floats as repr, bools as
-    true/false, None as an empty cell."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
 def summarize_sweep(result: SweepResult) -> list[dict]:

@@ -64,11 +64,6 @@ def brevity_score(rs: RuleSet) -> float:
     return breakdown(ants[None], consequents[None], np.zeros((1, rs.r)), rs.c, FitnessWeights())[0].g1
 
 
-def coverage_score(rs: RuleSet, ld: LabeledDataset) -> float:
-    """Mean fraction of records matched, averaged over rules."""
-    return evaluate(rs, ld).g2
-
-
 def balance_score(rs: RuleSet) -> float:
     """1 minus the per-rule variance of class representation, floored at 0.
 

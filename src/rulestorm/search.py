@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -30,6 +30,25 @@ TRACE_HEADER = (
     "evaluations",
     "elapsed_ms",
 )
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header, then each row's values: floats as repr, bools as
+    true/false, None as an empty cell."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
 @dataclass(frozen=True)
@@ -66,22 +85,7 @@ class ConvergenceTrace:
         return [rec.best_value for rec in self.records]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_HEADER)
-            for rec in self.records:
-                writer.writerow(
-                    [
-                        rec.iteration,
-                        repr(rec.best_value),
-                        repr(rec.mean_value),
-                        "" if rec.g1 is None else repr(rec.g1),
-                        "" if rec.g2 is None else repr(rec.g2),
-                        "" if rec.g3 is None else repr(rec.g3),
-                        rec.evaluations,
-                        repr(rec.elapsed_ms),
-                    ]
-                )
+        write_csv(path, TRACE_HEADER, map(astuple, self.records))
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,27 @@ def test_step_size_decays_over_iterations():
     assert values[-1] < 0.01
 
 
+# (max_iterations, slope_divisor, nc, s) and s * scipy.special.expit(z),
+# recorded when step_size still called scipy; z = (T / 2 - nc) / divisor.
+PINNED_STEPS = [
+    ((500, 20.0, 250, 0.7), 0.35),  # the midpoint, z = 0
+    ((500, 1.0, 1, 0.3), 0.3),  # z = 249: the ramp is exactly 1.0
+    ((500, 20.0, 1, 0.3), 0.2999988246877747),  # the default first iteration
+    ((500, 20.0, 450, 0.9), 4.0858081832190954e-05),  # deep annealing
+    ((500, 20.0, 500, 0.9), 3.353975355767905e-06),  # the default last iteration
+    ((3001, 1.0, 2210, 0.5), 3.69007415700629e-309),  # z = -709.5: subnormal, not 0
+    ((60, 1e-3, 29, 0.9), 0.9),  # z = 1000, before the midpoint
+    ((60, 1e-3, 31, 0.9), 0.0),  # z = -1000: exp(-z) overflows, the ramp is 0
+]
+
+
+@pytest.mark.parametrize(("case", "expected"), PINNED_STEPS)
+def test_step_size_matches_pinned_logistic(case, expected):
+    max_iterations, slope_divisor, nc, s = case
+    p = params_with(max_iterations=max_iterations, slope_divisor=slope_divisor)
+    assert step_size(nc, p, s) == expected
+
+
 # ----------------------------------------------------------- initialization ---
 
 def test_sample_population_respects_bounds():

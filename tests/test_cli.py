@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import make_separable_dataset
 
+import rulestorm
 from rulestorm import cli, experiments
 from rulestorm.cli import main
 from rulestorm.dataset import AttributeStats, load_csv
@@ -272,6 +277,22 @@ def test_evaluate_with_out_predicts_once(tmp_path, capsys, monkeypatch):
     with open(out / "predictions.csv", newline="") as handle:
         rows = list(csv.reader(handle))[1:]
     assert [row[2] for row in rows] == ["0.0", "0.0", "1.0"]
+
+
+@pytest.mark.parametrize("config", [{"out": None}, {}])
+def test_evaluate_without_an_out_directory_writes_no_predictions(tmp_path, monkeypatch, capsys, config):
+    # null in a config file means "not set", the same as a missing key
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    data_path = write_one_attribute_csv(tmp_path / "data.csv", [(0.0, 0.0), (9.0, 1.0)])
+    model_path = perfect_model(tmp_path)
+    code = main(["evaluate", str(model_path), "--data", str(data_path), "--config", str(config_path)])
+    assert code == 0
+    assert "predictions:" not in capsys.readouterr().out
+    assert list(cwd.iterdir()) == []
 
 
 def write_one_attribute_csv(path, rows):
@@ -783,3 +804,25 @@ def test_bad_sweep_ratio_is_a_config_error(tmp_path, data_csv, capsys):
     )
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_runs_without_scipy(tmp_path, data_csv, fast_config):
+    # numpy is the only runtime dependency: a train must not load scipy
+    script = (
+        "import sys\n"
+        "import rulestorm.cli\n"
+        "code = rulestorm.cli.main(sys.argv[1:])\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(rulestorm.__file__).resolve().parent.parent)
+    args = ["train", "--data", str(data_csv), "--config", str(fast_config), "--out", str(tmp_path / "run")]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

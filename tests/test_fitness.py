@@ -11,7 +11,6 @@ from rulestorm.fitness import (
     FitnessWeights,
     balance_score,
     brevity_score,
-    coverage_score,
     evaluate,
     match_count,
 )
@@ -152,14 +151,14 @@ def test_match_count_and_coverage():
     assert match_count(or_rule, ld) == 3
     assert match_count(empty_rule, ld) == 4
     rs = RuleSet(rules=(and_rule, or_rule), m=3, p=3, c=2)
-    assert coverage_score(rs, ld) == pytest.approx((1 + 3) / (2 * 4))
+    assert evaluate(rs, ld).g2 == pytest.approx((1 + 3) / (2 * 4))
 
 
 def test_coverage_ignores_consequent():
     ld = make_labeled([[1, 1, 1], [2, 2, 2]])
     a = RuleSet(rules=(Rule((1, 0, 0), 1, AND),), m=3, p=3, c=2)
     b = RuleSet(rules=(Rule((1, 0, 0), 2, AND),), m=3, p=3, c=2)
-    assert coverage_score(a, ld) == coverage_score(b, ld)
+    assert evaluate(a, ld).g2 == evaluate(b, ld).g2
 
 
 # ------------------------------------------------------------ composite ---

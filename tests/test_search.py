@@ -5,7 +5,7 @@ import pytest
 
 from rulestorm.bso import BsoParams, run
 from rulestorm.ga import GaParams, run_ga
-from rulestorm.search import IMPROVEMENT_EPS, Evaluation
+from rulestorm.search import IMPROVEMENT_EPS, ConvergenceTrace, Evaluation, TraceRecord
 
 Q = 8
 DIMS = 3
@@ -73,4 +73,21 @@ def test_gains_above_eps_keep_the_search_going(runner, per_iteration):
     objective = Counting(2.0 * IMPROVEMENT_EPS / per_iteration)
     result = runner(objective, iterations=12, window=4)
     assert result.trace.records[-1].iteration == 12
+
+
+def test_trace_csv_bytes(tmp_path):
+    # row 0 is what an objective without a breakdown records: empty g cells
+    trace = ConvergenceTrace(
+        records=(
+            TraceRecord(0, 0.30000000000000004, -0.5, None, None, None, 8, 0.25),
+            TraceRecord(1, 1.0, 0.1, 0.5, 1e-05, 0.30000000000000004, 16, 12.0),
+        )
+    )
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    assert path.read_bytes() == (
+        b"iteration,best_G,mean_G,g1,g2,g3,evaluations,elapsed_ms\r\n"
+        b"0,0.30000000000000004,-0.5,,,,8,0.25\r\n"
+        b"1,1.0,0.1,0.5,1e-05,0.30000000000000004,16,12.0\r\n"
+    )
 
