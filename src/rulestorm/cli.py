@@ -20,7 +20,6 @@ from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .errors import ConfigError, DataError, check_seed
 from .experiments import (
-    ExperimentSettings,
     run_benchmark,
     run_param_sweep,
     run_sweep,
@@ -33,7 +32,7 @@ from .fitness import FitnessWeights
 from .ga import GaParams
 from .inference import evaluate_model, predict_dataset, report_from_predictions
 from .model_io import load_model, save_model
-from .training import OPTIMIZERS
+from .training import OPTIMIZERS, ExperimentSettings, train_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,10 +67,6 @@ CONFIG_TYPES = {
         "a string or a list of strings",
         lambda v: _string(v) or _list_of(_string)(v),
     ),
-    "labels_per_attribute": ("an integer", _integer),
-    "rule_count": ("an integer", _integer),
-    "accuracy_weight": ("a number", _number),
-    "sum_scores": ("true or false", lambda v: isinstance(v, bool)),
     "split_fraction": ("a number", _number),
     "ratios": ("a list of numbers", _list_of(_number)),
     "seeds": ("a list of integers", _list_of(_integer)),
@@ -79,9 +74,12 @@ CONFIG_TYPES = {
     "k_values": ("a list of numbers", _list_of(_number)),
     "threshold": ("a number", _number),
 }
+# ExperimentSettings fields that are top-level config keys; the record checks
+# their values.
+SETTINGS_KEYS = ("labels_per_attribute", "rule_count", "accuracy_weight", "sum_scores")
 # Recognized top-level config-file keys (everything else is a schema error);
 # the three sections are objects, checked where they are read.
-CONFIG_KEYS = set(CONFIG_TYPES) | {"fitness_weights", "bso", "ga"}
+CONFIG_KEYS = set(CONFIG_TYPES) | set(SETTINGS_KEYS) | {"fitness_weights", "bso", "ga"}
 
 DEFAULT_RATIOS = (0.7, 0.75, 0.8, 0.85)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -277,6 +275,21 @@ def _out_dir(args, config) -> Path:
     return out
 
 
+def _settings(config: dict, seed: int | None = None, seed_flag: bool = False) -> ExperimentSettings:
+    """The training settings the config sets; the record's defaults fill in
+    the rest."""
+    sections = {
+        "fitness_weights": _section(config, "fitness_weights", FitnessWeights),
+        "bso_params": _section(config, "bso", BsoParams, seed, seed_flag),
+        "ga_params": _section(config, "ga", GaParams, seed, seed_flag),
+    }
+    values = {key: config[key] for key in SETTINGS_KEYS if config.get(key) is not None}
+    try:
+        return ExperimentSettings(**sections, **values)
+    except ConfigError as exc:
+        raise ConfigError(f"config: {exc}") from None
+
+
 def _setup(args):
     """Config, output directory, seed, settings and dataset of a training
     command, read in that order so that bad options fail before any data is
@@ -286,16 +299,7 @@ def _setup(args):
     out = _out_dir(args, config)
     seed = _pick(args, config, "seed", 0)
     check_seed(seed)  # before it is copied into the bso and ga sections
-    seed_flag = args.seed is not None
-    settings = ExperimentSettings(
-        labels_per_attribute=int(_pick(args, config, "labels_per_attribute", 3)),
-        rule_count=int(_pick(args, config, "rule_count", 10)),
-        fitness_weights=_section(config, "fitness_weights", FitnessWeights),
-        accuracy_weight=float(_pick(args, config, "accuracy_weight", 1.0)),
-        bso_params=_section(config, "bso", BsoParams, seed, seed_flag),
-        ga_params=_section(config, "ga", GaParams, seed, seed_flag),
-        sum_scores=bool(_pick(args, config, "sum_scores", False)),
-    )
+    settings = _settings(config, seed, args.seed is not None)
     return config, out, seed, settings, _load_dataset(args, config)
 
 
@@ -312,7 +316,7 @@ def cmd_train(args) -> int:
     else:
         train, test = split(ds, SplitSpec(fraction=fraction, seed=seed))
 
-    result = settings.train(train, optimizer)
+    result = train_model(train, optimizer=optimizer, **vars(settings))
 
     model_path = out / "model.json"
     trace_path = out / "trace.csv"
@@ -341,6 +345,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config) if _pick(args, config, "out", None) is not None else None
+    settings = _settings(config)  # checked as the training commands check it
     model = load_model(args.model)
     ds = _load_dataset(args, config)
     ratios = _pick(args, config, "ratios", None)
@@ -351,7 +356,7 @@ def cmd_evaluate(args) -> int:
             )
         seed = int(_pick(args, config, "seed", 0))
         _, ds = split(ds, SplitSpec(fraction=ratios[0], seed=seed))
-    sum_scores = bool(_pick(args, config, "sum_scores", model.metadata.get("sum_scores", False)))
+    sum_scores = settings.sum_scores if config.get("sum_scores") is not None else model.metadata.get("sum_scores", False)
 
     internal, scores = predict_dataset(model, ds, sum_scores=sum_scores)
     report = report_from_predictions(model, ds, internal)

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
-from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, split
 from .errors import ConfigError, check_seed
-from .fitness import FitnessWeights
-from .ga import GaParams
 from .inference import evaluate_model
+from .rules import RuleSetShape
 from .search import TraceRecord, write_csv
-from .training import OPTIMIZERS, TrainingResult, train_model
+from .training import OPTIMIZERS, ExperimentSettings, check_optimizer, train_model
 
 SWEEP_HEADER = (
     "ratio",
@@ -37,23 +35,6 @@ SWEEP_HEADER = (
     "mean_evaluations",
     "errors",
 )
-
-
-@dataclass(frozen=True)
-class ExperimentSettings:
-    """Everything shared by all cells of an experiment. The field names are
-    train_model's keywords; the optimizer params carry the seeds."""
-
-    labels_per_attribute: int = 3
-    rule_count: int = 10
-    fitness_weights: FitnessWeights | None = None
-    accuracy_weight: float = 1.0
-    bso_params: BsoParams = field(default_factory=BsoParams)
-    ga_params: GaParams = field(default_factory=GaParams)
-    sum_scores: bool = False
-
-    def train(self, train: Dataset, optimizer: str) -> TrainingResult:
-        return train_model(train, optimizer=optimizer, **vars(self))
 
 
 @dataclass(frozen=True)
@@ -103,11 +84,12 @@ def run_cell(
     run = SweepRun(ratio=fraction, optimizer=optimizer, seed=seed)
     try:
         train, test = (ds, None) if fraction == 1.0 else split(ds, SplitSpec(fraction, seed))
-        result = replace(
+        seeded = replace(
             settings,
             bso_params=replace(settings.bso_params, seed=seed),
             ga_params=replace(settings.ga_params, seed=seed),
-        ).train(train, optimizer)
+        )
+        result = train_model(train, optimizer=optimizer, **vars(seeded))
         if test is not None:
             report = evaluate_model(result.model, test, sum_scores=settings.sum_scores)
             run = replace(
@@ -130,12 +112,14 @@ def run_cell(
     )
 
 
-def _check_optimizers(optimizers) -> None:
+def _check_cells(ds: Dataset, settings: ExperimentSettings, seeds, optimizers) -> None:
+    """Checks shared by the drivers: seeds, optimizer names and the rule
+    table's shape on this dataset."""
+    for seed in seeds:
+        check_seed(seed)
     for optimizer in optimizers:
-        if optimizer not in OPTIMIZERS:
-            raise ConfigError(
-                f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}"
-            )
+        check_optimizer(optimizer)
+    RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)
 
 
 def _check_distinct(verb: str, lists: dict) -> None:
@@ -160,9 +144,7 @@ def run_sweep(
     for ratio in ratios:
         if not 0.0 < ratio < 1.0:
             raise ConfigError(f"sweep ratios must be in (0, 1), got {ratio}")
-    for seed in seeds:
-        check_seed(seed)
-    _check_optimizers(optimizers)
+    _check_cells(ds, settings, seeds, optimizers)
     _check_distinct("sweep", {"ratios": ratios, "seeds": seeds, "optimizers": optimizers})
     runs = [
         run_cell(ds, settings, ratio, optimizer, seed)
@@ -269,8 +251,7 @@ def run_param_sweep(
     """
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"param-sweep ratio must be in (0, 1), got {ratio}")
-    check_seed(seed)
-    _check_optimizers((optimizer,))
+    _check_cells(ds, settings, (seed,), (optimizer,))
     _check_distinct("param-sweep", {"e (--e-values)": e_values, "K (--k-values)": k_values})
     for name, param, values in (("e (--e-values)", "smoothing", e_values), ("K (--k-values)", "slope_divisor", k_values)):
         for value in values:
@@ -326,8 +307,7 @@ def run_benchmark(
     for fraction in fractions:
         if not 0.0 < fraction <= 1.0:
             raise ConfigError(f"fractions must be in (0, 1], got {fraction}")
-    check_seed(seed)
-    _check_optimizers(optimizers)
+    _check_cells(ds, settings, (seed,), optimizers)
     _check_distinct("benchmark", {"fractions (--ratios)": fractions, "optimizers": optimizers})
     rows = []
     for fraction in fractions:

@@ -152,10 +152,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ConfigError("confusion counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def sensitivity(counts: ConfusionCounts) -> float | None:
     """True-positive rate; None when there are no actual positives."""
@@ -167,10 +163,6 @@ def specificity(counts: ConfusionCounts) -> float | None:
     """True-negative rate; None when there are no actual negatives."""
     denom = counts.tn + counts.fp
     return None if denom == 0 else counts.tn / denom
-
-
-def accuracy_from_counts(counts: ConfusionCounts) -> float:
-    return (counts.tp + counts.tn) / counts.total
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
 from . import bso, ga
 from .dataset import Dataset, attribute_stats, majority_class
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .fitness import FitnessBreakdown, FitnessWeights, breakdown
 from .inference import Model, evaluate_model, predict_scores
 from .membership import FuzzyPartition, LabeledDataset, build_partition, degree_table, fuzzify_dataset
@@ -114,75 +114,89 @@ def params_digest(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def train_model(
-    train: Dataset,
-    *,
-    labels_per_attribute: int = 3,
-    rule_count: int = 10,
-    fitness_weights: FitnessWeights | None = None,
-    accuracy_weight: float = 1.0,
-    optimizer: str = "bso-ewma",
-    bso_params: bso.BsoParams | None = None,
-    ga_params: ga.GaParams | None = None,
-    sum_scores: bool = False,
-) -> TrainingResult:
+def check_optimizer(optimizer) -> None:
+    if optimizer not in OPTIMIZERS:
+        raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}")
+
+
+@dataclass(frozen=True)
+class ExperimentSettings:
+    """The settings of a training run, with their defaults and checks. The
+    field names are train_model's keywords; the optimizer params carry the
+    seed."""
+
+    labels_per_attribute: int = 3
+    rule_count: int = 10
+    fitness_weights: FitnessWeights = field(default_factory=FitnessWeights)
+    accuracy_weight: float = 1.0
+    bso_params: bso.BsoParams = field(default_factory=bso.BsoParams)
+    ga_params: ga.GaParams = field(default_factory=ga.GaParams)
+    sum_scores: bool = False
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.labels_per_attribute < 2:
+            raise ConfigError(f"labels_per_attribute must be at least 2, got {self.labels_per_attribute}")
+        if self.rule_count < 1:
+            raise ConfigError(f"rule_count must be at least 1, got {self.rule_count}")
+        if not 0.0 <= self.accuracy_weight <= 1.0:
+            raise ConfigError(f"accuracy_weight must be in [0, 1], got {self.accuracy_weight}")
+        object.__setattr__(self, "accuracy_weight", float(self.accuracy_weight))
+        if not isinstance(self.sum_scores, bool):
+            raise ConfigError(f"sum_scores must be true or false, got {self.sum_scores!r}")
+        for name, kind in (("fitness_weights", FitnessWeights), ("bso_params", bso.BsoParams), ("ga_params", ga.GaParams)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+
+
+def train_model(train: Dataset, *, optimizer: str = "bso-ewma", **settings) -> TrainingResult:
     """Fit partitions on the training split, search for rules, weight them.
+    The keywords are the ExperimentSettings fields.
 
     Deterministic given the optimizer parameters (which carry the seed).
     """
-    if optimizer not in OPTIMIZERS:
-        raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}")
-    weights = fitness_weights if fitness_weights is not None else FitnessWeights()
-    partitions = tuple(
-        build_partition(stats, labels_per_attribute)
-        for stats in attribute_stats(train)
-    )
+    check_optimizer(optimizer)
+    s = ExperimentSettings(**settings)
+    partitions = tuple(build_partition(stats, s.labels_per_attribute) for stats in attribute_stats(train))
     ld = fuzzify_dataset(train, partitions)
-    shape = RuleSetShape(
-        m=train.m, p=labels_per_attribute, c=train.c, r=rule_count
-    )
+    shape = RuleSetShape(m=train.m, p=s.labels_per_attribute, c=train.c, r=s.rule_count)
     lower, upper = genotype_bounds(shape)
     majority = majority_class(train)
     objective = RuleObjective(
         ld=ld,
         shape=shape,
-        weights=weights,
-        accuracy_weight=accuracy_weight,
+        weights=s.fitness_weights,
+        accuracy_weight=s.accuracy_weight,
         partitions=partitions,
         x=train.x,
         majority=majority,
-        sum_scores=sum_scores,
+        sum_scores=s.sum_scores,
     )
 
     if optimizer == "ga":
-        params = ga_params if ga_params is not None else ga.GaParams()
+        section, params = "ga", s.ga_params
         run_result = ga.run_ga(params, objective, lower, upper)
-        seed = params.seed
-        param_payload = {"ga": params.__dict__}
     else:
-        params = bso_params if bso_params is not None else bso.BsoParams()
-        params = replace(params, mode="plain" if optimizer == "bso-plain" else "ewma")
+        section, params = "bso", replace(s.bso_params, mode="plain" if optimizer == "bso-plain" else "ewma")
         run_result = bso.run(params, objective, lower, upper)
-        seed = params.seed
-        param_payload = {"bso": params.__dict__}
 
     del objective  # frees its degree table before the model is scored
     best_rules = decode(run_result.best.genotype, shape)
     weighted = with_weights(best_rules, ld, decimals=WEIGHT_DECIMALS)
 
-    settings = {
-        "labels_per_attribute": labels_per_attribute,
-        "rule_count": rule_count,
-        "fitness_weights": [weights.alpha, weights.beta, weights.gamma],
-        "accuracy_weight": accuracy_weight,
-        "sum_scores": sum_scores,
+    recorded = {
+        "labels_per_attribute": s.labels_per_attribute,
+        "rule_count": s.rule_count,
+        "fitness_weights": list(astuple(s.fitness_weights)),
+        "accuracy_weight": s.accuracy_weight,
+        "sum_scores": s.sum_scores,
     }
     metadata = {
         "optimizer": optimizer,
-        "seed": seed,
-        **settings,
+        "seed": params.seed,
+        **recorded,
         "train_records": train.n,
-        "params_digest": params_digest({**param_payload, **settings}),
+        "params_digest": params_digest({section: params.__dict__, **recorded}),
     }
     model = Model(
         partitions=partitions,
@@ -196,5 +210,5 @@ def train_model(
         model=model,
         run=run_result,
         breakdown=run_result.best.evaluation.breakdown,
-        train_accuracy=evaluate_model(model, train, sum_scores).accuracy,
+        train_accuracy=evaluate_model(model, train, s.sum_scores).accuracy,
     )

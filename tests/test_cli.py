@@ -354,6 +354,7 @@ def test_out_naming_a_file_is_a_config_error_before_any_work(
         raise AssertionError("work started before --out was checked")
 
     monkeypatch.setattr(experiments, "train_model", refuse)
+    monkeypatch.setattr(cli, "train_model", refuse)
     monkeypatch.setattr(cli, "predict_dataset", refuse)
     data_path = write_one_attribute_csv(
         tmp_path / "data.csv", [(v, int(v > 5)) for v in range(11)]
@@ -484,6 +485,14 @@ def test_evaluate_model_with_non_boolean_sum_scores_is_a_data_error(tmp_path, da
     code = main(["evaluate", str(model_path), "--data", str(data_csv)])
     assert code == 3
     assert "metadata.sum_scores must be true or false" in capsys.readouterr().err
+
+
+def test_evaluate_config_with_non_boolean_sum_scores_is_a_config_error(tmp_path, data_csv, capsys):
+    config = tmp_path / "sum.json"
+    config.write_text(json.dumps({"sum_scores": 1}))
+    code = main(["evaluate", str(perfect_model(tmp_path)), "--data", str(data_csv), "--config", str(config)])
+    assert code == 2
+    assert "config: sum_scores must be true or false, got 1" in capsys.readouterr().err
 
 
 def test_evaluate_attribute_mismatch_is_a_data_error(tmp_path, data_csv, capsys):
@@ -737,6 +746,38 @@ def test_bad_experiment_value_is_a_config_error_before_any_cell(
     assert code == 2
     assert message in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "verb, flags",
+    [
+        ("sweep", ["--ratios", "0.8", "--seeds", "0"]),
+        ("param-sweep", ["--e-values", "0.5", "--k-values", "20"]),
+        ("benchmark", ["--ratios", "1.0"]),
+    ],
+)
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"accuracy_weight": 2.0}, "config: accuracy_weight must be in [0, 1], got 2.0"),
+        ({"labels_per_attribute": 1}, "config: labels_per_attribute must be at least 2, got 1"),
+        ({"rule_count": 1}, "need at least one rule per class: r=1 < c=2"),
+        ({"sum_scores": 1}, "config: sum_scores must be true or false, got 1"),
+    ],
+)
+def test_bad_training_setting_stops_every_experiment_before_any_cell(
+    tmp_path, data_csv, capsys, monkeypatch, verb, flags, setting, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell started before the settings were checked")
+
+    monkeypatch.setattr(experiments, "train_model", refuse)
+    config = write_fast_config(tmp_path / "bad.json", **setting)
+    out = tmp_path / "run"
+    code = main([verb, *flags, "--data", str(data_csv), "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_param_sweep_command(tmp_path, data_csv, fast_config, capsys):

@@ -157,6 +157,13 @@ def test_drivers_reject_bad_values_before_any_cell(monkeypatch):
         run_benchmark(ds, fast_settings(), fractions=(1.0, 1.0), threshold=0.5)
     with pytest.raises(ConfigError, match="optimizers must be distinct"):
         run_benchmark(ds, fast_settings(), fractions=(1.0,), threshold=0.5, optimizers=("ga", "ga"))
+    # one rule cannot cover both classes
+    with pytest.raises(ConfigError, match="at least one rule per class"):
+        run_sweep(ds, fast_settings(rule_count=1), ratios=(0.8,), seeds=(0,))
+    with pytest.raises(ConfigError, match="at least one rule per class"):
+        run_param_sweep(ds, fast_settings(rule_count=1), e_values=(0.5,), k_values=(20.0,))
+    with pytest.raises(ConfigError, match="at least one rule per class"):
+        run_benchmark(ds, fast_settings(rule_count=1), fractions=(1.0,), threshold=0.5)
 
 
 def test_cell_at_full_fraction_trains_on_every_record_and_scores_nothing():

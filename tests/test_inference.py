@@ -8,7 +8,6 @@ from rulestorm.errors import ConfigError, DataError
 from rulestorm.inference import (
     ConfusionCounts,
     Model,
-    accuracy_from_counts,
     activation,
     binary_counts,
     classify,
@@ -202,11 +201,6 @@ def test_sensitivity_fixture():
 def test_specificity_fixture():
     counts = ConfusionCounts(tp=0, fp=10, tn=30, fn=0)
     assert specificity(counts) == pytest.approx(0.75)
-
-
-def test_accuracy_from_counts():
-    counts = ConfusionCounts(tp=40, fp=5, tn=45, fn=10)
-    assert accuracy_from_counts(counts) == pytest.approx(85.0 / 100.0)
 
 
 def test_undefined_metrics_are_none():

@@ -76,11 +76,14 @@ def test_gains_above_eps_keep_the_search_going(runner, per_iteration):
 
 
 def test_trace_csv_bytes(tmp_path):
-    # row 0 is what an objective without a breakdown records: empty g cells
+    # row 0 is what an objective without a breakdown records: empty g cells;
+    # row 2 what one whose breakdown holds numpy floats records
+    f64 = np.float64
     trace = ConvergenceTrace(
         records=(
             TraceRecord(0, 0.30000000000000004, -0.5, None, None, None, 8, 0.25),
             TraceRecord(1, 1.0, 0.1, 0.5, 1e-05, 0.30000000000000004, 16, 12.0),
+            TraceRecord(2, 1.0, 0.5, f64(0.5), f64(1e-05), f64(0.30000000000000004), 24, 13.5),
         )
     )
     path = tmp_path / "trace.csv"
@@ -89,5 +92,6 @@ def test_trace_csv_bytes(tmp_path):
         b"iteration,best_G,mean_G,g1,g2,g3,evaluations,elapsed_ms\r\n"
         b"0,0.30000000000000004,-0.5,,,,8,0.25\r\n"
         b"1,1.0,0.1,0.5,1e-05,0.30000000000000004,16,12.0\r\n"
+        b"2,1.0,0.5,0.5,1e-05,0.30000000000000004,24,13.5\r\n"
     )
 

@@ -15,7 +15,7 @@ from rulestorm.inference import Model, evaluate_model
 from rulestorm.membership import build_partition, fuzzify_dataset
 from rulestorm.rules import RuleSetShape, decode, genotype_bounds, match_mask, with_weights
 from rulestorm.search import sample_population
-from rulestorm.training import RuleObjective, train_model
+from rulestorm.training import ExperimentSettings, RuleObjective, train_model
 
 
 def separable_dataset(n=60, seed=0):
@@ -233,6 +233,31 @@ def test_train_model_rejects_unknown_optimizer():
     ds = separable_dataset()
     with pytest.raises(ConfigError):
         train_model(ds, optimizer="tabu-search")
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"accuracy_weight": 2.0}, r"accuracy_weight must be in \[0, 1\], got 2.0"),
+        ({"accuracy_weight": True}, "accuracy_weight must be a finite number"),
+        ({"labels_per_attribute": 1}, "labels_per_attribute must be at least 2, got 1"),
+        ({"rule_count": 0}, "rule_count must be at least 1, got 0"),
+        ({"rule_count": 2.5}, "rule_count must be an integer"),
+        ({"sum_scores": 1}, "sum_scores must be true or false, got 1"),
+        ({"fitness_weights": None}, "fitness_weights must be a FitnessWeights, got None"),
+        ({"bso_params": GaParams()}, "bso_params must be a BsoParams"),
+    ],
+)
+def test_train_model_checks_its_settings_before_any_work(monkeypatch, settings, message):
+    monkeypatch.setattr("rulestorm.training.build_partition", None)  # any work would fail here
+    with pytest.raises(ConfigError, match=message):
+        train_model(separable_dataset(), **settings)
+
+
+def test_settings_store_python_numbers():
+    settings = ExperimentSettings(rule_count=np.int64(4), accuracy_weight=1)
+    assert type(settings.rule_count) is int and type(settings.accuracy_weight) is float
+    assert settings == ExperimentSettings(rule_count=4, accuracy_weight=1.0)
 
 
 def test_trained_model_weights_are_quantized():
