@@ -4,7 +4,10 @@ A record is scored by every rule (rule weight times antecedent activation);
 the highest-scoring rule assigns the class. Activations use min for AND and
 max for OR over the membership degrees of the non-don't-care antecedents.
 `activation` and `classify` do this for one record and are the reference
-that `predict_dataset`, built on the shared rule kernel, is tested against.
+that `predict_dataset` is tested against. `predict_dataset` and the training
+objective's accuracy share `score_blocks`. Its record blocks hold at most
+BLOCK_BYTES // (8 · max(Q·r, m·(p + 2))) records, so that a block's degree
+table and its (Q·r, records) fold both stay within `rules.BLOCK_BYTES`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .membership import FuzzyPartition, degree, degree_table
-from .rules import AND, Rule, RuleSet, fold_rules, rule_arrays
+from .rules import AND, Rule, RuleSet, fold_rules, record_blocks, rule_arrays
 
 # perfbench/worker.py traces this name here; predict_dataset no longer calls it.
 from .membership import degree_matrix  # noqa: F401
@@ -127,18 +130,33 @@ def predict_scores(scores: np.ndarray, consequents: np.ndarray, c: int, majority
     return preds, best
 
 
+def score_blocks(table_of, n, ants, consequents, is_and, weights, p, c, majority, sum_scores):
+    """Yield (block, classes (Q, b), winning scores (Q, b)) per record block
+    for Q weighted rule tables: antecedents (Q, r, m), the rest (Q, r).
+    `table_of(block)` gives the block's (m, p + 2, b) degree table."""
+    q, r, m = ants.shape
+    ants, is_and = ants.reshape(q * r, m), is_and.reshape(q * r)
+    for block in record_blocks(n, max(q * r, m * (p + 2))):
+        scores = fold_rules(table_of(block), ants, is_and)
+        scores = scores.reshape(q, r, scores.shape[1])  # q may be 0: a GA of one breeds no child
+        scores *= weights[..., None]
+        preds, best = predict_scores(scores, consequents, c, majority, sum_scores)
+        del scores  # before the next block's fold allocates its buffers
+        yield block, preds, best
+
+
 def predict_dataset(model: Model, ds: Dataset, sum_scores: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized classify over all records: (classes, scores)."""
-    if ds.m != model.rules.m:
-        raise DataError(
-            f"attribute count mismatch: model expects {model.rules.m} "
-            f"attributes, data has {ds.m}"
-        )
-    ants, consequents, is_and, weights = rule_arrays(model.rules)
-    scores = fold_rules(degree_table(model.partitions, ds.x, model.rules.p), ants, is_and)
-    scores *= weights[:, None]
-    preds, best = predict_scores(scores[None], consequents[None], model.rules.c, model.majority_class, sum_scores)
-    return preds[0], best[0]
+    rs = model.rules
+    if ds.m != rs.m:
+        raise DataError(f"attribute count mismatch: model expects {rs.m} attributes, data has {ds.m}")
+    preds, best = np.empty(ds.n, dtype=int), np.empty(ds.n)
+    for block, block_preds, block_best in score_blocks(
+        lambda block: degree_table(model.partitions, ds.x[block], rs.p), ds.n,
+        *(a[None] for a in rule_arrays(rs)), rs.p, rs.c, model.majority_class, sum_scores,
+    ):
+        preds[block], best[block] = block_preds[0], block_best[0]
+    return preds, best
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ from . import bso, ga
 from .dataset import Dataset, attribute_stats, majority_class
 from .errors import ConfigError, check_fields
 from .fitness import FitnessBreakdown, FitnessWeights, breakdown
-from .inference import Model, evaluate_model, predict_scores
+from .inference import Model, evaluate_model, score_blocks
 from .membership import FuzzyPartition, LabeledDataset, build_partition, degree_table, fuzzify_dataset
-from .rules import RuleSetShape, decode, decode_arrays, fold_rules, genotype_bounds
-from .rules import match_fractions, record_blocks, rule_weights, with_weights
+from .rules import RuleSetShape, decode, decode_arrays, genotype_bounds
+from .rules import match_fractions, rule_weights, with_weights
 from .search import Evaluation, RunResult
 
 # perfbench/worker.py traces these names here; the objective no longer calls them.
@@ -73,17 +73,12 @@ class RuleObjective:
 
     def _train_accuracy(self, ants, consequents, is_and, fractions) -> np.ndarray:
         """Training accuracy (Q,) of Q rule tables, counted in record blocks."""
-        q, r, m = ants.shape
-        weights = rule_weights(ants, fractions)[..., None]
-        ants, is_and = ants.reshape(q * r, m), is_and.reshape(q * r)
-        correct = np.zeros(q, dtype=int)
-        for block in record_blocks(self.ld.n, q * r):
-            scores = fold_rules(self.degrees[:, :, block], ants, is_and)
-            scores = scores.reshape(q, r, scores.shape[1])  # q may be 0: a GA of one breeds no child
-            scores *= weights
-            preds, _ = predict_scores(scores, consequents, self.shape.c, self.majority, self.sum_scores)
+        correct = np.zeros(len(ants), dtype=int)
+        for block, preds, _ in score_blocks(
+            lambda block: self.degrees[:, :, block], self.ld.n, ants, consequents, is_and,
+            rule_weights(ants, fractions), self.shape.p, self.shape.c, self.majority, self.sum_scores,
+        ):
             correct += np.count_nonzero(preds == self.ld.classes[block], axis=1)
-            del scores  # before the next block's fold allocates its buffers
         return correct / self.ld.n
 
     def evaluate_batch(self, genotypes: np.ndarray) -> list[Evaluation]:

@@ -4,11 +4,14 @@
 `LabeledDataset.indicators` must give, cell for cell, what
 `inference.activation` and `rules.match_mask` give per rule and record;
 `predict_dataset` must give what `inference.classify` gives per
-record; `decode_arrays` must repair exactly as a rule-by-rule decoder does;
-`RuleObjective.evaluate_batch` must give, in any record blocking, exactly
-what `fitness.evaluate` and `evaluate_model` give per genotype.
+record, in any record blocking; `decode_arrays` must repair exactly as a
+rule-by-rule decoder does; `RuleObjective.evaluate_batch` must give, in any
+record blocking, exactly what `fitness.evaluate` and `classify` give per
+genotype.
 """
 
+import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from rulestorm import rules
 from rulestorm.dataset import AttributeStats, Dataset, majority_class
 from rulestorm.fitness import FitnessWeights, evaluate
-from rulestorm.inference import Model, activation, classify, evaluate_model, predict_dataset, predict_scores
+from rulestorm.inference import Model, activation, classify, predict_dataset, predict_scores
 from rulestorm.membership import build_partition, fuzzify_dataset
 from rulestorm.rules import (
     AND,
@@ -41,7 +44,9 @@ LOW, HIGH = 0.0, 10.0
 
 def random_case(seed, n, m, p, c, r, zero_weights):
     """Records over and beyond [LOW, HIGH], some on partition peaks, and r
-    rules with many don't-cares (all-don't-care rules included)."""
+    rules with many don't-cares (all-don't-care rules included). In about a
+    quarter of the cases one attribute is constant, with the degenerate
+    partition that training gives it."""
     rng = np.random.default_rng(seed)
     partitions = tuple(
         build_partition(AttributeStats(LOW, HIGH, False), p) for _ in range(m)
@@ -51,12 +56,6 @@ def random_case(seed, n, m, p, c, r, zero_weights):
     on_peak = rng.random((n, m)) < 0.3
     x[on_peak] = rng.choice(peaks, size=int(on_peak.sum()))
     y = rng.integers(1, c + 1, size=n)
-    ds = Dataset(
-        x=x,
-        y=y,
-        attribute_names=tuple(f"a{j}" for j in range(m)),
-        class_values=tuple(float(k) for k in range(c)),
-    )
     ants = np.where(rng.random((r, m)) < 0.5, 0, rng.integers(1, p + 1, size=(r, m)))
     weights = rng.choice([0.0, 0.25, 1.0], size=r) if zero_weights else rng.random(r)
     rules = tuple(
@@ -67,6 +66,19 @@ def random_case(seed, n, m, p, c, r, zero_weights):
             float(weights[i]),
         )
         for i in range(r)
+    )
+    if rng.random() < 0.25:
+        j, value = int(rng.integers(m)), float(rng.uniform(LOW, HIGH))
+        x[:, j] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # build_partition warns about a constant attribute
+            flat = build_partition(AttributeStats(value, value, True), p)
+        partitions = partitions[:j] + (flat,) + partitions[j + 1 :]
+    ds = Dataset(
+        x=x,
+        y=y,
+        attribute_names=tuple(f"a{j}" for j in range(m)),
+        class_values=tuple(float(k) for k in range(c)),
     )
     return ds, partitions, RuleSet(rules=rules, m=m, p=p, c=c)
 
@@ -108,8 +120,14 @@ def test_fold_equals_activation_and_match_mask(seed, n, m, p, c, extra_rules, ze
 
 
 @settings(max_examples=150, deadline=None)
-@given(sum_scores=st.booleans(), **case)
-def test_predict_dataset_equals_classify(seed, n, m, p, c, extra_rules, zero_weights, sum_scores):
+@given(
+    sum_scores=st.booleans(),
+    block_bytes=st.sampled_from([1, 200, 2000, rules.BLOCK_BYTES]),
+    **{**case, "n": st.integers(1, 40)},
+)
+def test_predict_dataset_equals_classify(seed, n, m, p, c, extra_rules, zero_weights, sum_scores, block_bytes):
+    """Small block budgets split the records into blocks down to one record
+    each, with a ragged last block."""
     ds, partitions, rs = random_case(seed, n, m, p, c, c + extra_rules, zero_weights)
     model = Model(
         partitions=partitions,
@@ -119,15 +137,37 @@ def test_predict_dataset_equals_classify(seed, n, m, p, c, extra_rules, zero_wei
         majority_class=c,
         metadata={},
     )
-    preds, scores = predict_dataset(model, ds, sum_scores=sum_scores)
+    with mock.patch.object(rules, "BLOCK_BYTES", block_bytes):
+        preds, scores = predict_dataset(model, ds, sum_scores=sum_scores)
     for k in range(ds.n):
         cls, score = classify(model, ds.x[k], sum_scores=sum_scores)
         assert (int(preds[k]), float(scores[k])) == (cls, score)
 
 
+def test_predict_dataset_peak_memory_does_not_grow_with_records():
+    """Apart from its two (n,) outputs, predict_dataset's traced peak is the
+    same on 20,000 and 80,000 records: it builds the degree table and the
+    folds one record block at a time."""
+
+    def peak_beyond_outputs(n):
+        ds, partitions, rs = random_case(0, n, 8, 3, 2, 10, False)
+        model = Model(partitions, rs, ds.class_values, ds.attribute_names, 1, {})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            preds, scores = predict_dataset(model, ds)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return peak - preds.nbytes - scores.nbytes
+
+    assert peak_beyond_outputs(80_000) <= peak_beyond_outputs(20_000) + 2**20
+
+
 def test_generated_cases_cover_the_corner_cases():
     """The strategies above reach OR don't-cares, all-don't-care rules under
-    both connectives, and records no rule scores above zero."""
+    both connectives, records no rule scores above zero and constant
+    attributes."""
     seen = set()
     for seed in range(200):
         ds, partitions, rs = random_case(seed, 8, 2, 3, 2, 4, zero_weights=seed % 2 == 0)
@@ -136,11 +176,13 @@ def test_generated_cases_cover_the_corner_cases():
                 seen.add("or-dont-care")
             if rule.antecedent_count() == 0:
                 seen.add(f"empty-{rule.connective}")
+        if any(partition.degenerate for partition in partitions):
+            seen.add("constant-attribute")
         model = Model(partitions, rs, ds.class_values, ds.attribute_names, 1, {})
         _, scores = predict_dataset(model, ds)
         if np.any(scores == 0.0):
             seen.add("dead-record")
-    assert seen == {"or-dont-care", "empty-AND", "empty-OR", "dead-record"}
+    assert seen == {"or-dont-care", "empty-AND", "empty-OR", "dead-record", "constant-attribute"}
 
 
 def decode_oracle(genes, shape):
@@ -247,7 +289,8 @@ def test_evaluate_batch_equals_per_genotype_oracles(
             partitions, with_weights(rule_set, ld), ds.class_values, ds.attribute_names,
             majority_class(ds), {},
         )
-        accuracy = evaluate_model(model, ds, sum_scores).accuracy
+        # counted record by record, not through the blocked scorer the objective uses
+        accuracy = sum(classify(model, ds.x[k], sum_scores)[0] == ds.y[k] for k in range(ds.n)) / ds.n
         assert got.breakdown == quality
         if accuracy_weight == 0.0:
             assert got.value == quality.fitness

@@ -1,5 +1,6 @@
 """Tests for the training objective and the end-to-end training pipeline."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from rulestorm.dataset import Dataset, SplitSpec, attribute_stats, load_csv, maj
 from rulestorm.errors import ConfigError, EvaluationError
 from rulestorm.fitness import FitnessWeights
 from rulestorm.ga import GaParams
-from rulestorm.inference import Model, evaluate_model
+from rulestorm.inference import Model, classify, evaluate_model, predict_dataset
 from rulestorm.membership import build_partition, fuzzify_dataset
 from rulestorm.rules import RuleSetShape, decode, genotype_bounds, match_mask, with_weights
 from rulestorm.search import sample_population
@@ -97,7 +98,7 @@ def test_objective_blend_uses_inference_consistent_accuracy():
     for genotype in sample_population(rng, lower, upper, 15):
         rule_set = decode(genotype, shape)
         out = objective(genotype)
-        # independent route: exact-weight model scored by the inference module
+        # independent route: exact-weight model scored record by record by classify
         model = Model(
             partitions=partitions,
             rules=with_weights(rule_set, ld),
@@ -106,8 +107,8 @@ def test_objective_blend_uses_inference_consistent_accuracy():
             majority_class=majority_class(ds),
             metadata={},
         )
-        report = evaluate_model(model, ds)
-        expected = (1.0 - aw) * out.breakdown.fitness + aw * report.accuracy
+        accuracy = sum(classify(model, ds.x[k])[0] == ds.y[k] for k in range(ds.n)) / ds.n
+        expected = (1.0 - aw) * out.breakdown.fitness + aw * accuracy
         assert out.value == pytest.approx(expected, abs=1e-12)
 
 
@@ -188,6 +189,27 @@ def test_train_accuracy_is_the_saved_models_accuracy(pid_path):
     train, _ = split(load_csv(pid_path), SplitSpec(fraction=0.8, seed=1))
     result = train_model(train, optimizer="ga", ga_params=GaParams(generations=40, seed=1))
     assert result.train_accuracy == evaluate_model(result.model, train).accuracy
+
+
+def test_constant_column_trains_and_predicts_as_classify(pid_path, tmp_path):
+    """A constant attribute gets a degenerate partition, with one warning,
+    and both the objective and predict_dataset score it through the
+    vectorized degree table."""
+    header, *body = pid_path.read_text().splitlines()
+    path = tmp_path / "pima-constant.csv"
+    path.write_text("\n".join([f"Flat,{header}"] + [f"7,{row}" for row in body]) + "\n")
+    ds = load_csv(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = train_model(ds, bso_params=BsoParams(max_iterations=5, seed=0))
+    assert [str(w.message) for w in caught if "constant attribute" in str(w.message)] == [
+        "constant attribute (min == max == 7.0); every value maps to label 1 with degree 1"
+    ]
+    assert [partition.degenerate for partition in result.model.partitions] == [True] + [False] * 8
+    preds, scores = predict_dataset(result.model, ds)
+    assert ds.n == 768
+    for k in range(ds.n):
+        assert (int(preds[k]), float(scores[k])) == classify(result.model, ds.x[k])
 
 
 def test_train_model_deterministic():
