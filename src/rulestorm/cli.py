@@ -16,6 +16,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .errors import ConfigError, DataError, check_seed
@@ -30,7 +32,7 @@ from .experiments import (
 )
 from .fitness import FitnessWeights
 from .ga import GaParams
-from .inference import evaluate_model, predict_dataset, report_from_predictions
+from .inference import Model, evaluate_model, predict_dataset, report_from_predictions
 from .model_io import load_model, save_model
 from .training import OPTIMIZERS, ExperimentSettings, train_model
 
@@ -342,6 +344,35 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def write_predictions(
+    path: Path, ds: Dataset, model: Model, classes: np.ndarray, scores: np.ndarray
+) -> None:
+    """Write one ``record,true_label,predicted_label,score`` row per record.
+
+    The bytes are those of a csv.writer given ``(i, repr(true), repr(predicted),
+    repr(score))``: no cell needs quoting, and rows end in ``\\r\\n``. Each
+    distinct score and each (true, predicted) label pair is formatted once.
+    Scores are told apart by their bits, so ``-0.0`` stays apart from ``0.0``.
+    """
+    c = len(model.class_values)
+    labels = np.array(
+        [f",{t!r},{p!r}," for t in ds.class_values for p in model.class_values],
+        dtype=object,
+    )
+    distinct, codes = np.unique(scores.view(np.int64), return_inverse=True)
+    texts = np.array([f"{v!r}\r\n" for v in distinct.view(np.float64).tolist()], dtype=object)
+    with open(path, "w", newline="") as handle:
+        handle.write("record,true_label,predicted_label,score\r\n")
+        handle.writelines(
+            map(
+                "{}{}{}".format,
+                range(ds.n),
+                labels[(ds.y - 1) * c + (classes - 1)].tolist(),
+                texts[codes].tolist(),
+            )
+        )
+
+
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     out = _out_dir(args, config) if _pick(args, config, "out", None) is not None else None
@@ -370,20 +401,7 @@ def cmd_evaluate(args) -> int:
 
     if out is not None:
         predictions_path = out / "predictions.csv"
-        true_labels = [repr(v) for v in ds.class_values]
-        predicted_labels = [repr(v) for v in model.class_values]
-        # The bytes csv.writer gives: no cell needs quoting, rows end in \r\n.
-        with open(predictions_path, "w", newline="") as handle:
-            handle.write("record,true_label,predicted_label,score\r\n")
-            handle.writelines(
-                map(
-                    "{},{},{},{!r}\r\n".format,
-                    range(ds.n),
-                    map(true_labels.__getitem__, (ds.y - 1).tolist()),
-                    map(predicted_labels.__getitem__, (internal - 1).tolist()),
-                    scores.tolist(),
-                )
-            )
+        write_predictions(predictions_path, ds, model, internal, scores)
         print(f"predictions: {predictions_path}")
     return EXIT_OK
 

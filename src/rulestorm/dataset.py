@@ -71,10 +71,10 @@ def load_csv(path: str | Path, label: int | str | None = None) -> Dataset:
 
     The file is read once. numpy's C reader parses the body of a well-formed
     file; any file it rejects or might read differently from ``csv`` (blank
-    lines, bare ``\\r`` line ends, quoted newlines, ragged rows, non-numeric
-    or non-finite cells, spellings such as ``1_0`` that only ``float()``
-    accepts) goes through the row-by-row scan, which returns the same arrays
-    or names the offending row, column and cell.
+    lines, bare ``\\r`` line ends, quoted newlines, a header row that spans
+    lines, ragged rows, non-numeric or non-finite cells, spellings such as
+    ``1_0`` that only ``float()`` accepts) goes through the row-by-row scan,
+    which returns the same arrays or names the offending row, column and cell.
 
     Raises DataError for unusable files and ConfigError for an unusable
     ``label`` argument.
@@ -153,34 +153,39 @@ def _parse_numeric(
     """(names, x, raw labels) parsed by np.loadtxt, or None to use the scan.
 
     None whenever the row-by-row scan might raise or return something else:
-    any error in the first row, a csv field over ``csv.field_size_limit()``,
-    a bare ``\\r``, a body that loadtxt parses into more or fewer rows than
-    it has lines (it skips blank lines and joins quoted newlines), a ragged
-    or unparsable cell, or a non-finite value.
+    any error in the first row, a first row that runs on past its line, a
+    csv field over ``csv.field_size_limit()``, a bare ``\\r``, a body that
+    loadtxt parses into more or fewer rows than it has lines (it skips blank
+    lines and joins quoted newlines), a ragged or unparsable cell, or a
+    non-finite value.
     """
-    # Closing the StringIO frees its buffer (four bytes a character) before
-    # the attribute columns are copied out of the table.
-    with io.StringIO(text, newline="") as lines:
-        try:
-            label_idx, names, has_header = _columns(
-                path, next(csv.reader(lines)), label
-            )
-        except (StopIteration, csv.Error, ConfigError, DataError):
-            return None
-        if not has_header:
-            lines.seek(0)
-        start = lines.tell()
-        newlines = text.count("\n", start)
-        returns = text.count("\r", start)
-        if (
-            returns and returns != text.count("\r\n", start)
-            or len(text) - start == newlines + returns
-            or _has_long_line(text, start, csv.field_size_limit())
-        ):
-            return None
+    first_line = text[: text.find("\n") + 1 or len(text)]
+    # A header whose quoted cell runs on past its line goes to the scan: csv
+    # then reads on into the empty second line.
+    header = csv.reader((first_line, ""))
+    try:
+        label_idx, names, has_header = _columns(path, next(header), label)
+    except (csv.Error, ConfigError, DataError):
+        return None
+    start = len(first_line) if has_header else 0
+    newlines = text.count("\n", start)
+    returns = text.count("\r", start)
+    if (
+        header.line_num > 1
+        or returns and returns != text.count("\r\n", start)
+        or len(text) - start == newlines + returns
+        or _has_long_line(text, start, csv.field_size_limit())
+    ):
+        return None
+    # As UTF-8 bytes, ASCII text takes one byte a character, where a StringIO
+    # takes four; both yield the same lines, since no \r stands alone.
+    with io.BytesIO(text.encode("utf-8")) as lines:
+        if has_header:
+            lines.readline()
         try:
             table = np.loadtxt(
-                lines, delimiter=",", quotechar='"', comments=None, ndmin=2
+                lines, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                encoding="utf-8",
             )
         except ValueError:
             return None

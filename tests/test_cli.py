@@ -2,7 +2,9 @@
 
 import csv
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import make_separable_dataset
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rulestorm
 from rulestorm import cli, experiments
 from rulestorm.cli import main
-from rulestorm.dataset import AttributeStats, load_csv
+from rulestorm.dataset import AttributeStats, Dataset, SplitSpec, load_csv, split
 from rulestorm.inference import Model, predict_dataset
 from rulestorm.membership import build_partition
 from rulestorm.model_io import load_model, save_model
@@ -344,6 +348,109 @@ def test_predictions_csv_equals_csv_writer_output(tmp_path):
     written = (out / "predictions.csv").read_bytes()
     assert written == reference.read_bytes()
     assert b"\r\n0,-2.0,0.25,0.30000000000000004\r\n1,0.5,-1.5,1e-05\r\n2,3.0,3.0,0.0\r\n" in written
+
+
+def csv_writer_predictions(path, ds, model, classes, scores):
+    """predictions.csv as csv.writer writes it, one row at a time."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(("record", "true_label", "predicted_label", "score"))
+        for i in range(ds.n):
+            true = ds.class_values[int(ds.y[i]) - 1]
+            predicted = model.class_values[int(classes[i]) - 1]
+            writer.writerow((i, repr(true), repr(predicted), repr(float(scores[i]))))
+    return path.read_bytes()
+
+
+def one_attribute_model(class_values):
+    c = len(class_values)
+    return Model(
+        partitions=(build_partition(AttributeStats(0.0, 10.0, False), 3),),
+        rules=RuleSet(
+            rules=tuple(
+                Rule(antecedents=(1 + k % 3,), consequent=1 + k, connective=AND, weight=0.5)
+                for k in range(c)
+            ),
+            m=1,
+            p=3,
+            c=c,
+        ),
+        class_values=tuple(class_values),
+        attribute_names=("a1",),
+        majority_class=1,
+        metadata={},
+    )
+
+
+# Scores a rule table can give and ones it cannot: signed zeros, nan, inf,
+# subnormals, and values whose repr switches to or from exponent notation.
+SPECIAL_SCORES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e16, 1e-05)
+SCORES = st.one_of(st.sampled_from(SPECIAL_SCORES), st.floats())
+CLASS_VALUES = st.sampled_from([-1.5, 0.0, 0.25, 1.0, 2.0, 3.0, 1e16])
+
+
+@st.composite
+def prediction_cases(draw):
+    """(data class values, model class values, scores, seed for the labels)."""
+    data_values = sorted(draw(st.sets(CLASS_VALUES, min_size=2, max_size=3)))
+    model_values = sorted(draw(st.sets(CLASS_VALUES, min_size=2, max_size=3)))
+    if draw(st.booleans()):
+        # every score differs from every other, bit for bit
+        scores = draw(
+            st.lists(SCORES, min_size=1, max_size=300, unique_by=lambda v: struct.pack("<d", v))
+        )
+    else:
+        runs = draw(st.lists(st.tuples(SCORES, st.integers(1, 80)), min_size=1, max_size=12))
+        scores = [value for value, length in runs for _ in range(length)]
+    return data_values, model_values, scores, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=prediction_cases())
+@example(case=([0.0, 1.0], [-1.5, 0.25, 3.0], [*SPECIAL_SCORES, 0.0, -0.0], 0))
+@example(case=([0.0, 1.0, 2.0], [0.0, 1.0], [0.3] * 500 + [-0.0] * 7 + [0.3] * 9, 1))
+def test_write_predictions_equals_csv_writer(predictions_dir, case):
+    data_values, model_values, scores, seed = case
+    rng = np.random.default_rng(seed)
+    n = len(scores)
+    ds = Dataset(
+        x=np.zeros((n, 1)),
+        y=rng.integers(1, len(data_values) + 1, size=n),
+        attribute_names=("a1",),
+        class_values=tuple(data_values),
+    )
+    model = one_attribute_model(model_values)
+    classes = rng.integers(1, len(model_values) + 1, size=n)
+    scores = np.array(scores, dtype=np.float64)
+    cli.write_predictions(predictions_dir / "predictions.csv", ds, model, classes, scores)
+    expected = csv_writer_predictions(predictions_dir / "reference.csv", ds, model, classes, scores)
+    assert (predictions_dir / "predictions.csv").read_bytes() == expected
+
+
+@pytest.fixture(scope="module")
+def predictions_dir(tmp_path_factory):
+    """One directory whose files every example overwrites."""
+    return tmp_path_factory.mktemp("predictions")
+
+
+def test_sum_scores_predictions_on_a_split_equal_csv_writer_output(tmp_path, pid_path, capsys):
+    config = tmp_path / "sum.json"
+    config.write_text(json.dumps({"sum_scores": True, "bso": {"max_iterations": 6}}))
+    out = tmp_path / "run"
+    main(["train", "--data", str(pid_path), "--config", str(config), "--out", str(out), "--seed", "0"])
+    args = ["--data", str(pid_path), "--ratios", "0.8", "--seed", "0", "--out", str(out)]
+    assert main(["evaluate", str(out / "model.json"), *args]) == 0
+    assert "records: 154\n" in capsys.readouterr().out
+
+    model = load_model(out / "model.json")
+    assert model.metadata["sum_scores"] is True
+    _, held_out = split(load_csv(pid_path), SplitSpec(fraction=0.8, seed=0))
+    classes, scores = predict_dataset(model, held_out, sum_scores=True)
+    # the summed scores are not the winner-take-all ones, so the file shows
+    # which decision rule evaluate used
+    assert not np.array_equal(scores, predict_dataset(model, held_out)[1])
+    expected = csv_writer_predictions(tmp_path / "reference.csv", held_out, model, classes, scores)
+    assert (out / "predictions.csv").read_bytes() == expected
 
 
 @pytest.mark.parametrize("verb", ["train", "evaluate"])

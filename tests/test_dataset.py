@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulestorm import dataset
 from rulestorm.dataset import (
     AttributeStats,
     Dataset,
@@ -85,6 +86,25 @@ class TestLoadCsv:
         ds = load_csv(p, label=0)
         assert ds.x[:, 0].tolist() == [7.0, 8.0]
         assert ds.y.tolist() == [1, 2]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # data/pima.csv
+            '"v","w","label"\r\n1,2,0\r\n3,4.5,1\r\n',  # R's write.csv quotes names
+            "1,2,0\n3,4.5,1",
+        ],
+    )
+    def test_well_formed_files_skip_the_row_scan(self, tmp_path, pid_path, monkeypatch, content):
+        def refuse(*args):
+            raise AssertionError("the row-by-row scan ran on a well-formed file")
+
+        path = pid_path
+        if content is not None:
+            path = tmp_path / "t.csv"
+            path.write_bytes(content.encode())
+        monkeypatch.setattr(dataset, "_scan_rows", refuse)
+        assert load_csv(path).n == (768 if content is None else 2)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

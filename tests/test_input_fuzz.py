@@ -423,3 +423,11 @@ def test_load_csv_equals_row_by_row_reference(input_file, text, label):
 def test_load_csv_edge_files_equal_reference(input_file, content):
     input_file.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert_loads_as_reference(input_file, None)
+
+
+@pytest.mark.parametrize("label", [None, 0])
+def test_header_cell_spanning_lines_loads_as_reference(input_file, label):
+    # Read alone, the first line is a two-cell header, and the lines after it
+    # parse as a numeric body; csv reads the first two lines as one row.
+    input_file.write_bytes(b'a,"b\n"1",0\n5,0\n6,1\n')
+    assert_loads_as_reference(input_file, label)
