@@ -129,15 +129,20 @@ def cluster_population(genotypes: np.ndarray, values: np.ndarray, k: int, rng) -
     return clusters
 
 
-def step_size(nc: int, params: BsoParams, s: float) -> float:
-    """Annealed step magnitude: s scaled by a logistic ramp that starts near
-    1 and decays towards 0 as the iteration count passes the halfway mark."""
+def anneal_ramp(nc: int, params: BsoParams) -> float:
+    """Logistic ramp of iteration nc: starts near 1 and decays towards 0 as
+    the iteration count passes the halfway mark."""
     z = (0.5 * params.max_iterations - nc) / params.slope_divisor
     try:
-        ramp = 1.0 / (1.0 + math.exp(-z))
+        return 1.0 / (1.0 + math.exp(-z))
     except OverflowError:  # exp(-z) is past the largest float: the ramp is 0
-        ramp = 0.0
-    return s * ramp
+        return 0.0
+
+
+def step_size(nc: int, params: BsoParams, s: float) -> float:
+    """Annealed step magnitude: s scaled by the ramp of iteration nc, as
+    generate_candidate scales it."""
+    return s * anneal_ramp(nc, params)
 
 
 def select_base(clusters, genotypes: np.ndarray, centers, params: BsoParams, rng) -> np.ndarray:
@@ -170,8 +175,9 @@ def select_base(clusters, genotypes: np.ndarray, centers, params: BsoParams, rng
     return lam * x1 + (1.0 - lam) * x2
 
 
-def generate_candidate(base: np.ndarray, ewma_state: np.ndarray | None, nc: int, params: BsoParams, rng, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Perturb a base point into a bound-clamped candidate.
+def generate_candidate(base: np.ndarray, ewma_state: np.ndarray | None, ramp: float, params: BsoParams, rng, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Perturb a base point into a bound-clamped candidate; `ramp` is the
+    iteration's `anneal_ramp`.
 
     Both modes consume the same two draws (step scalar, noise vector) so
     their RNG streams stay aligned under a shared seed. Plain mode perturbs
@@ -180,7 +186,7 @@ def generate_candidate(base: np.ndarray, ewma_state: np.ndarray | None, nc: int,
     """
     s = rng.random()
     z = np.asarray(rng.standard_normal(base.shape[0]), dtype=float)
-    xi = step_size(nc, params, s)
+    xi = s * ramp
     noise = params.noise_mean + params.noise_sigma * z
     if params.mode == "plain":
         candidate = base + xi * noise
@@ -209,13 +215,14 @@ def run(params: BsoParams, objective, lower, upper) -> RunResult:
         if rng.random() < params.replace_center_prob:
             centers[int(rng.integers(len(clusters)))] = rng.uniform(pop.lower, pop.upper)
 
+        ramp = anneal_ramp(nc, params)
         candidates = []
         states = []
         for slot in range(params.population_size):
             base = select_base(clusters, pop.genotypes, centers, params, rng)
             state = None if ewma is None else ewma[slot]
             candidate, new_state = generate_candidate(
-                base, state, nc, params, rng, pop.lower, pop.upper
+                base, state, ramp, params, rng, pop.lower, pop.upper
             )
             candidates.append(candidate)
             states.append(new_state)

@@ -130,14 +130,19 @@ def predict_scores(scores: np.ndarray, consequents: np.ndarray, c: int, majority
     return preds, best
 
 
-def score_blocks(table_of, n, ants, consequents, is_and, weights, p, c, majority, sum_scores):
+def score_blocks(table_of, n, ants, consequents, is_and, weights, p, c, majority, sum_scores, values=None):
     """Yield (block, classes (Q, b), winning scores (Q, b)) per record block
     for Q weighted rule tables: antecedents (Q, r, m), the rest (Q, r).
-    `table_of(block)` gives the block's (m, p + 2, b) degree table."""
+    `table_of(block)` gives the block's (m, p + 2, b) degree table or, with
+    `values`, its rank table (`membership.rank_table`): the folded ranks are
+    cast to np.intp and looked up in `values`, which gives the bits that
+    folding the degrees gives."""
     q, r, m = ants.shape
     ants, is_and = ants.reshape(q * r, m), is_and.reshape(q * r)
     for block in record_blocks(n, max(q * r, m * (p + 2))):
         scores = fold_rules(table_of(block), ants, is_and)
+        if values is not None:
+            scores = values.take(scores.astype(np.intp))  # take with intp indices is the fast path
         scores = scores.reshape(q, r, scores.shape[1])  # q may be 0: a GA of one breeds no child
         scores *= weights[..., None]
         preds, best = predict_scores(scores, consequents, c, majority, sum_scores)

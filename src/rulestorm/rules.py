@@ -5,8 +5,9 @@ class gene, one connective gene. Decoding rounds and clamps, then repairs the
 result so no rule is empty and every class keeps at least one rule.
 
 Training and inference score a whole rule table with `fold_rules`, over a
-padded attribute-major table of membership degrees or of label indicators;
-`match_mask` is the rule-by-rule reference for the crisp matches.
+padded attribute-major table of membership degrees, of their ranks or of the
+label indicators of the distinct label rows; `match_mask` is the rule-by-rule
+reference for the crisp matches.
 """
 
 from __future__ import annotations
@@ -165,12 +166,14 @@ def record_blocks(n: int, rules: int) -> list[slice]:
 
 
 def match_fractions(ld: LabeledDataset, ants: np.ndarray, is_and: np.ndarray) -> np.ndarray:
-    """Fraction of the records that each rule matches, shape (r,): the
-    match masks that `fold_rules` gives on `ld.indicators`, counted in
-    record blocks and divided by n once."""
-    counts = np.zeros(len(ants), dtype=int)
-    for block in record_blocks(ld.n, len(ants)):
-        counts += np.count_nonzero(fold_rules(ld.indicators[:, :, block], ants, is_and), axis=1)
+    """Fraction of the records that each rule matches, shape (r,). The match
+    masks that `fold_rules` gives on `ld.indicators`, one column per distinct
+    label row, are counted as `mask @ ld.multiplicities` in blocks of rows;
+    the integer counts are divided by n once."""
+    table, multiplicities = ld.indicators, ld.multiplicities
+    counts = np.zeros(len(ants), dtype=np.int64)
+    for block in record_blocks(table.shape[2], len(ants)):
+        counts += fold_rules(table[:, :, block], ants, is_and).astype(np.int64) @ multiplicities[block]
     return counts / ld.n
 
 
@@ -195,8 +198,9 @@ def with_weights(rs: RuleSet, ld: LabeledDataset, decimals: int | None = None) -
 def fold_rules(table: np.ndarray, ants: np.ndarray, is_and: np.ndarray) -> np.ndarray:
     """Each rule's rows of an (m, p + 2, n) table padded as
     `membership.degree_table` is, combined over the attributes: min for AND
-    rules, max for OR rules. Shape (r, n); a rule without antecedents gives 1.
-    On degrees this gives activations, on label indicators match masks."""
+    rules, max for OR rules. Shape (r, n), in the table's dtype; a rule without
+    antecedents gives label 0's row. On degrees this gives activations, on
+    their ranks the activations' ranks, on label indicators match masks."""
     is_and = is_and | ~ants.any(axis=1)
     ants = np.where(is_and[:, None] | (ants != 0), ants, table.shape[1] - 1)
     # AND rules first, so each connective folds a contiguous run of rows; labels

@@ -24,7 +24,7 @@ from .dataset import Dataset, attribute_stats, majority_class
 from .errors import ConfigError, check_fields
 from .fitness import FitnessBreakdown, FitnessWeights, breakdown
 from .inference import Model, evaluate_model, score_blocks
-from .membership import FuzzyPartition, LabeledDataset, build_partition, degree_table, fuzzify_dataset
+from .membership import FuzzyPartition, LabeledDataset, build_partition, fuzzify_dataset, rank_table
 from .rules import RuleSetShape, decode, decode_arrays, genotype_bounds
 from .rules import match_fractions, rule_weights, with_weights
 from .search import Evaluation, RunResult
@@ -42,10 +42,14 @@ WEIGHT_DECIMALS = 4
 class RuleObjective:
     """Objective over genotypes for one fuzzified training split.
 
-    Builds the padded attribute-major table of membership degrees once (the
-    label indicators are `ld.indicators`). `evaluate_batch` scores a whole
-    batch of candidates with one fold of all their rules per record block,
-    so the cost per batch is a fixed number of vector operations.
+    Builds the padded attribute-major table of membership degrees once,
+    coded by rank (`membership.rank_table`): a uint8, uint16 or uint32 table
+    `ranks` and the sorted distinct degrees `values`, so the accuracy term
+    folds small integers and looks the activations up per block. Match
+    fractions fold the label indicators of the distinct label rows,
+    `ld.indicators`. `evaluate_batch` scores a whole batch of candidates
+    with one fold of all their rules per record block, so the cost per batch
+    is a fixed number of vector operations.
     """
 
     def __init__(
@@ -69,14 +73,15 @@ class RuleObjective:
         self.accuracy_weight = accuracy_weight
         self.majority = majority
         self.sum_scores = sum_scores
-        self.degrees = degree_table(partitions, x, shape.p)
+        self.values, self.ranks = rank_table(partitions, x, shape.p)
 
     def _train_accuracy(self, ants, consequents, is_and, fractions) -> np.ndarray:
         """Training accuracy (Q,) of Q rule tables, counted in record blocks."""
         correct = np.zeros(len(ants), dtype=int)
         for block, preds, _ in score_blocks(
-            lambda block: self.degrees[:, :, block], self.ld.n, ants, consequents, is_and,
+            lambda block: self.ranks[:, :, block], self.ld.n, ants, consequents, is_and,
             rule_weights(ants, fractions), self.shape.p, self.shape.c, self.majority, self.sum_scores,
+            self.values,
         ):
             correct += np.count_nonzero(preds == self.ld.classes[block], axis=1)
         return correct / self.ld.n
@@ -175,7 +180,7 @@ def train_model(train: Dataset, *, optimizer: str = "bso-ewma", **settings) -> T
         section, params = "bso", replace(s.bso_params, mode="plain" if optimizer == "bso-plain" else "ewma")
         run_result = bso.run(params, objective, lower, upper)
 
-    del objective  # frees its degree table before the model is scored
+    del objective  # frees its rank table before the model is scored
     best_rules = decode(run_result.best.genotype, shape)
     weighted = with_weights(best_rules, ld, decimals=WEIGHT_DECIMALS)
 

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulestorm.bso import (
     BsoParams,
+    anneal_ramp,
     cluster_population,
     generate_candidate,
     run,
@@ -98,6 +101,33 @@ def test_step_size_matches_pinned_logistic(case, expected):
     max_iterations, slope_divisor, nc, s = case
     p = params_with(max_iterations=max_iterations, slope_divisor=slope_divisor)
     assert step_size(nc, p, s) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    max_iterations=st.integers(0, 3001),
+    slope_divisor=st.sampled_from([1e-3, 0.7, 2.4, 20.0, 1e12]),
+    nc=st.integers(0, 3001),
+    s=st.floats(0.0, 1.0),
+    plain=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_candidate_step_is_step_size_from_the_iteration_ramp(max_iterations, slope_divisor, nc, s, plain, seed):
+    """run computes the ramp once per iteration; a candidate built from it
+    moves by exactly step_size(nc, params, s), and step_size is s * ramp."""
+    p = params_with(max_iterations=max_iterations, slope_divisor=slope_divisor, mode="plain" if plain else "ewma")
+    ramp = anneal_ramp(nc, p)
+    assert step_size(nc, p, s) == s * ramp
+    z = np.random.default_rng(seed).standard_normal(4)
+    base, state = np.linspace(-1.0, 1.0, 4), np.full(4, 0.25)
+    cand, _ = generate_candidate(
+        base, None if plain else state, ramp, p, ScriptedRng(randoms=[s], normals=[z]),
+        lower=np.full(4, -50.0), upper=np.full(4, 50.0),
+    )
+    noise = p.noise_mean + p.noise_sigma * z
+    xi = step_size(nc, p, s)
+    expected = base + xi * noise if plain else p.smoothing * base + (1.0 - p.smoothing) * state + p.noise_scale * xi * noise
+    assert cand.view(np.int64).tolist() == np.clip(expected, -50.0, 50.0).view(np.int64).tolist()
 
 
 # ----------------------------------------------------------- initialization ---
@@ -265,7 +295,7 @@ def test_candidate_smoothing_one_zero_scale_returns_base():
     state = np.array([9.0, 9.0, 9.0])
     rng = ScriptedRng(randoms=[0.4], normals=[[1.0, -2.0, 0.5]])
     cand, new_state = generate_candidate(
-        base, state, nc=10, params=p, rng=rng,
+        base, state, ramp=anneal_ramp(10, p), params=p, rng=rng,
         lower=np.full(3, -10.0), upper=np.full(3, 10.0),
     )
     assert np.array_equal(cand, base)
@@ -278,7 +308,7 @@ def test_candidate_smoothing_halfway_updates_state():
     state = np.zeros(3)
     rng = ScriptedRng(randoms=[0.0], normals=[[0.0, 0.0, 0.0]])
     _, new_state = generate_candidate(
-        base, state, nc=0, params=p, rng=rng,
+        base, state, ramp=anneal_ramp(0, p), params=p, rng=rng,
         lower=np.full(3, -10.0), upper=np.full(3, 10.0),
     )
     assert np.allclose(new_state, 1.0)
@@ -289,7 +319,7 @@ def test_candidate_plain_zero_noise_returns_base():
     base = np.array([1.0, 2.0, 3.0])
     rng = ScriptedRng(randoms=[0.77], normals=[[5.0, -5.0, 5.0]])
     cand, new_state = generate_candidate(
-        base, None, nc=3, params=p, rng=rng,
+        base, None, ramp=anneal_ramp(3, p), params=p, rng=rng,
         lower=np.zeros(3), upper=np.full(3, 4.0),
     )
     assert np.array_equal(cand, base)
@@ -302,7 +332,7 @@ def test_candidate_clamped_to_bounds():
     rng = np.random.default_rng(2)
     for _ in range(50):
         cand, _ = generate_candidate(
-            np.full(4, 0.5), None, nc=0, params=p, rng=rng, lower=lower, upper=upper
+            np.full(4, 0.5), None, ramp=anneal_ramp(0, p), params=p, rng=rng, lower=lower, upper=upper
         )
         assert np.all(cand >= lower)
         assert np.all(cand <= upper)
@@ -316,11 +346,11 @@ def test_candidate_modes_share_rng_stream_when_degenerate():
     plain = params_with(mode="plain")
     averaged = params_with(mode="ewma", smoothing=1.0, noise_scale=1.0)
     c1, _ = generate_candidate(
-        base, None, nc=5, params=plain, rng=np.random.default_rng(123),
+        base, None, ramp=anneal_ramp(5, plain), params=plain, rng=np.random.default_rng(123),
         lower=lower, upper=upper,
     )
     c2, _ = generate_candidate(
-        base, base.copy(), nc=5, params=averaged, rng=np.random.default_rng(123),
+        base, base.copy(), ramp=anneal_ramp(5, averaged), params=averaged, rng=np.random.default_rng(123),
         lower=lower, upper=upper,
     )
     assert np.allclose(c1, c2, atol=1e-15)

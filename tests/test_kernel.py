@@ -1,8 +1,10 @@
 """The attribute-major rule kernel against the scalar oracles.
 
-`fold_rules` over the padded degree table of a `RuleObjective` and over
-`LabeledDataset.indicators` must give, cell for cell, what
-`inference.activation` and `rules.match_mask` give per rule and record;
+`fold_rules` over the rank table of a `RuleObjective`, looked up in its
+values, and over `LabeledDataset.indicators`, one column per distinct label
+row, must give, cell for cell, what `inference.activation` and
+`rules.match_mask` give per rule and record; the rank fold must give the
+degree fold's bits, and match fractions the counts of a per-record table;
 `predict_dataset` must give what `inference.classify` gives per
 record, in any record blocking; `decode_arrays` must repair exactly as a
 rule-by-rule decoder does; `RuleObjective.evaluate_batch` must give, in any
@@ -22,7 +24,7 @@ from rulestorm import rules
 from rulestorm.dataset import AttributeStats, Dataset, majority_class
 from rulestorm.fitness import FitnessWeights, evaluate
 from rulestorm.inference import Model, activation, classify, predict_dataset, predict_scores
-from rulestorm.membership import build_partition, fuzzify_dataset
+from rulestorm.membership import build_partition, degree_table, fuzzify_dataset, rank_table
 from rulestorm.rules import (
     AND,
     OR,
@@ -103,20 +105,85 @@ def objective_for(ds, partitions, rs):
     return ld, objective
 
 
+def distinct_rows(ld):
+    """The distinct label rows (u, m) that the columns of `ld.indicators`
+    stand for, read back from the table."""
+    return np.argmax(ld.indicators[:, 1:-1, :], axis=1).T + 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(**case)
 def test_fold_equals_activation_and_match_mask(seed, n, m, p, c, extra_rules, zero_weights):
     ds, partitions, rs = random_case(seed, n, m, p, c, c + extra_rules, zero_weights)
     ld, objective = objective_for(ds, partitions, rs)
     ants, _, is_and, _ = rule_arrays(rs)
-    activations = fold_rules(objective.degrees, ants, is_and)
+    activations = objective.values[fold_rules(objective.ranks, ants, is_and)]
     matched = fold_rules(ld.indicators, ants, is_and)
-    assert activations.shape == matched.shape == (rs.r, ds.n)
-    assert objective.degrees.flags.c_contiguous and ld.indicators.flags.c_contiguous
+    rows = distinct_rows(ld)
+    assert activations.shape == (rs.r, ds.n) and matched.shape == (rs.r, len(rows))
+    assert objective.ranks.flags.c_contiguous and ld.indicators.flags.c_contiguous
+    # the indicator columns are exactly the distinct label rows, each counted once
+    one_hot = rows.T[:, None, :] == np.arange(p + 2)[:, None]
+    one_hot[:, 0] = True
+    assert ld.indicators.tolist() == one_hot.tolist()
+    assert sorted(map(tuple, rows.tolist())) == sorted(set(map(tuple, ld.labels.tolist())))
+    row_of = [rows.tolist().index(ld.labels[k].tolist()) for k in range(ds.n)]
+    assert ld.multiplicities.tolist() == np.bincount(row_of, minlength=len(rows)).tolist()
     for i, rule in enumerate(rs.rules):
-        assert matched[i].tolist() == match_mask(rule, ld).tolist()
+        assert matched[i, row_of].tolist() == match_mask(rule, ld).tolist()
         expected = [activation(rule, partitions, ds.x[k]) for k in range(ds.n)]
         assert activations[i].tolist() == expected
+
+
+def assert_rank_fold_equals_degree_fold(partitions, x, p, ants, is_and):
+    values, ranks = rank_table(partitions, x, p)
+    degrees = degree_table(partitions, x, p)
+    assert ranks.shape == degrees.shape and ranks.dtype == np.min_scalar_type(len(values) - 1)
+    assert values[0] == 0.0 and values[-1] == 1.0 and np.all(np.diff(values) > 0.0)
+    assert np.array_equal(values[ranks].view(np.int64), degrees.view(np.int64))
+    folded = values[fold_rules(ranks, ants, is_and)]
+    assert np.array_equal(folded.view(np.int64), fold_rules(degrees, ants, is_and).view(np.int64))
+    return ranks.dtype
+
+
+@settings(max_examples=150, deadline=None)
+@given(**{**case, "n": st.integers(1, 40)})
+def test_rank_fold_equals_degree_fold_bit_for_bit(seed, n, m, p, c, extra_rules, zero_weights):
+    """Degenerate partitions, records on peaks and out of range, and
+    all-don't-care rules come from random_case."""
+    ds, partitions, rs = random_case(seed, n, m, p, c, c + extra_rules, zero_weights)
+    ants, _, is_and, _ = rule_arrays(rs)
+    assert_rank_fold_equals_degree_fold(partitions, ds.x, p, ants, is_and)
+
+
+def test_rank_fold_equals_degree_fold_past_65535_distinct_degrees():
+    """40,000 distinct values on each of two attributes give about 160,000
+    distinct degrees, so the ranks need uint32."""
+    rng = np.random.default_rng(5)
+    x = rng.uniform(LOW - 2.0, HIGH + 2.0, size=(40_000, 2))
+    partitions = (build_partition(AttributeStats(LOW, HIGH, False), 3),) * 2
+    ants = np.array([[0, 0], [0, 0], [1, 0], [2, 3], [3, 1], [0, 2]])
+    is_and = np.array([True, False, True, True, False, False])
+    assert assert_rank_fold_equals_degree_fold(partitions, x, 3, ants, is_and) == np.uint32
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    block_bytes=st.sampled_from([1, 200, 2000, rules.BLOCK_BYTES]),
+    **{**case, "n": st.integers(1, 60), "m": st.integers(1, 3)},
+)
+def test_distinct_row_match_fractions_equal_full_table_counts(seed, n, m, p, c, extra_rules, zero_weights, block_bytes):
+    """Few attributes and labels, so many records share a label row; small
+    block budgets split the distinct rows into blocks down to one row."""
+    ds, partitions, rs = random_case(seed, n, m, p, c, c + extra_rules, zero_weights)
+    ld = fuzzify_dataset(ds, partitions)
+    ants, _, is_and, _ = rule_arrays(rs)
+    full = ld.labels.T[:, None, :] == np.arange(p + 2)[:, None]  # one column per record
+    full[:, 0] = True
+    counts = np.count_nonzero(fold_rules(full, ants, is_and), axis=1)
+    assert counts.tolist() == [match_mask(rule, ld).sum() for rule in rs.rules]
+    with mock.patch.object(rules, "BLOCK_BYTES", block_bytes):
+        assert rules.match_fractions(ld, ants, is_and).tolist() == (counts / ds.n).tolist()
 
 
 @settings(max_examples=150, deadline=None)
