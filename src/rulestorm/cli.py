@@ -15,21 +15,15 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .errors import ConfigError, DataError, check_seed
-from .experiments import (
-    run_benchmark,
-    run_param_sweep,
-    run_sweep,
-    summarize_sweep,
-    write_benchmark_csv,
-    write_param_sweep_csv,
-    write_sweep_csv,
-)
+from .experiments import run_benchmark, run_param_sweep, run_sweep, summarize_sweep
+from .experiments import write_benchmark_csv, write_param_sweep_csv, write_sweep_csv
 from .fitness import FitnessWeights
 from .ga import GaParams
 from .inference import Model, evaluate_model, predict_dataset, report_from_predictions
@@ -42,163 +36,132 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number(value) -> bool:
-    return _integer(value) or isinstance(value, float)
-
-
-def _string(value) -> bool:
-    return isinstance(value, str)
+def _json(*types):
+    """Check for a JSON value of one of `types`, refusing bools."""
+    return lambda value: isinstance(value, types) and not isinstance(value, bool)
 
 
 def _list_of(check):
     return lambda value: isinstance(value, list) and all(map(check, value))
 
 
-# The JSON type of each top-level config value, unless it is null (which
-# means "not set"). Seeds are integers, as --seeds parses them.
-CONFIG_TYPES = {
-    "data": ("a string", _string),
-    "label": ("a string or an integer", lambda v: _string(v) or _integer(v)),
-    "out": ("a string", _string),
-    "seed": ("an integer", _integer),
-    "optimizer": (
-        "a string or a list of strings",
-        lambda v: _string(v) or _list_of(_string)(v),
-    ),
-    "split_fraction": ("a number", _number),
-    "ratios": ("a list of numbers", _list_of(_number)),
-    "seeds": ("a list of integers", _list_of(_integer)),
-    "e_values": ("a list of numbers", _list_of(_number)),
-    "k_values": ("a list of numbers", _list_of(_number)),
-    "threshold": ("a number", _number),
-}
-# ExperimentSettings fields that are top-level config keys; the record checks
-# their values.
-SETTINGS_KEYS = ("labels_per_attribute", "rule_count", "accuracy_weight", "sum_scores")
-# Recognized top-level config-file keys (everything else is a schema error);
-# the three sections are objects, checked where they are read.
-CONFIG_KEYS = set(CONFIG_TYPES) | set(SETTINGS_KEYS) | {"fitness_weights", "bso", "ga"}
+class Kind(NamedTuple):
+    """An option's type: as exit-2 messages name it, as the JSON check of a
+    config value tests it, and the argparse keywords that parse its flag."""
 
-DEFAULT_RATIOS = (0.7, 0.75, 0.8, 0.85)
-DEFAULT_SEEDS = (0, 1, 2, 3, 4)
-DEFAULT_FRACTIONS = (0.25, 0.5, 1.0)
-DEFAULT_E_VALUES = (0.2, 0.4, 0.6, 0.8, 1.0)
-DEFAULT_K_VALUES = (5.0, 10.0, 20.0, 40.0)
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {exc}")
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
+    text: str
+    valid: Callable
+    flag: dict
 
 
 def _name_list(text: str) -> tuple[str, ...]:
     return tuple(part for part in text.split(",") if part != "")
 
 
+def _list_kind(noun: str, valid, parse) -> Kind:
+    """A JSON list of `valid` values; a comma-separated flag."""
+
+    def parse_list(text: str) -> tuple:
+        try:
+            return tuple(map(parse, _name_list(text)))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}: {exc}")
+
+    return Kind(f"a list of {noun}", _list_of(valid), {"type": parse_list})
+
+
+STRING = Kind("a string", _json(str), {})
+NUMBER = Kind("a number", _json(int, float), {"type": float})
+INTEGER = Kind("an integer", _json(int), {"type": int})
+LABEL = Kind("a string or an integer", _json(str, int), {})
+NAMES = Kind(
+    "a string or a list of strings",
+    lambda value: _json(str)(value) or _list_of(_json(str))(value),
+    {"type": _name_list},
+)
+NUMBERS = _list_kind("numbers", _json(int, float), float)
+INTEGERS = _list_kind("integers", _json(int), int)
+TRAINING = ("train", "sweep", "param-sweep", "benchmark")
+EVERY = ("evaluate", *TRAINING)
+SEEDED = ("train", "param-sweep", "benchmark")  # each sweep cell has its own seed
+
+
+def _each(verbs: tuple[str, ...], default, text: str) -> dict:
+    return dict.fromkeys(verbs, (default, text))
+
+
+# Each top-level config key that is not a training setting, as key: (kind,
+# {verb: (default, help)}) in the order a verb lists its flags; a verb takes
+# the options that list it. A third item holds argparse keywords that replace
+# the kind's; a None help means no flag. A null config value means "not set".
+OPTIONS = {
+    "data": (STRING, _each(EVERY, None, "CSV file of attributes plus one label column")),
+    "label": (
+        LABEL, _each(EVERY, None, "label column: header name, or 0-based index for headerless files")
+    ),
+    "out": (STRING, {
+        **_each(TRAINING, ".", "output directory"),
+        "evaluate": (None, "directory to write predictions.csv to (default: none written)"),
+    }),
+    "seed": (INTEGER, {
+        **_each(SEEDED, 0, "seed for the data split and the optimizer"),
+        "evaluate": (0, "seed for the --ratios split"),
+    }),
+    "split_fraction": (NUMBER, {"train": (0.8, None)}),
+    "e_values": (NUMBERS, {
+        "param-sweep": ((0.2, 0.4, 0.6, 0.8, 1.0), "averaging weights in (0,1]")
+    }),
+    "k_values": (NUMBERS, {"param-sweep": ((5.0, 10.0, 20.0, 40.0), "anneal slope divisors > 0")}),
+    "ratios": (NUMBERS, {
+        "evaluate": (None, "single train fraction: score the held-out side of that split "
+                     "(default: score the whole file)"),
+        "sweep": ((0.7, 0.75, 0.8, 0.85), "train fractions"),
+        "param-sweep": ((0.8,), "single train fraction"),
+        "benchmark": ((0.25, 0.5, 1.0), "training-data fractions in (0,1]"),
+    }),
+    "seeds": (INTEGERS, {"sweep": ((0, 1, 2, 3, 4), "cell seeds")}),
+    "threshold": (NUMBER, {"benchmark": (0.7, "target best objective value")}),
+    "optimizer": (NAMES, {
+        "train": (OPTIMIZERS[0], "search backend", {"choices": OPTIMIZERS}),
+        **_each(("sweep", "benchmark"), OPTIMIZERS, "search backends"),
+    }),
+}
+# ExperimentSettings fields that are top-level config keys; the record checks
+# their values.
+SETTINGS_KEYS = ("labels_per_attribute", "rule_count", "accuracy_weight", "sum_scores")
+# Recognized top-level config-file keys (everything else is a schema error);
+# the three sections are objects, checked where they are read.
+CONFIG_KEYS = set(OPTIONS) | set(SETTINGS_KEYS) | {"fitness_weights", "bso", "ga"}
+
+
+def _shown(default) -> str:
+    if isinstance(default, tuple):
+        return ",".join(map(_shown, default))
+    return f"{default:g}" if isinstance(default, float) else str(default)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per verb, whose one-line help is its command's
+    docstring, with a flag for each option of the verb that has a help."""
     parser = argparse.ArgumentParser(
         prog="rulestorm",
         description="Train and study weighted fuzzy rule classifiers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--data", help="CSV file of attributes plus one label column")
-    common.add_argument(
-        "--label",
-        help="label column: header name, or 0-based index for headerless files",
-    )
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--out", help="output directory (default: current)")
-    common.add_argument(
-        "--seed", type=int, help="seed for the data split and the optimizer"
-    )
-
-    train = sub.add_parser(
-        "train", parents=[common], help="fit a model, write model.json and trace.csv"
-    )
-    train.add_argument(
-        "--optimizer", choices=OPTIMIZERS, help="search backend (default bso-ewma)"
-    )
-
-    evaluate = sub.add_parser(
-        "evaluate", parents=[common], help="score a saved model on a dataset"
-    )
-    evaluate.add_argument("model", help="model.json produced by train")
-    evaluate.add_argument(
-        "--ratios",
-        type=_float_list,
-        help="single train fraction: score the held-out side of that split "
-        "(default: score the whole file)",
-    )
-
-    sweep = sub.add_parser(
-        "sweep",
-        parents=[common],
-        help="train per (ratio, optimizer, seed) cell, write sweep.csv",
-    )
-    sweep.add_argument(
-        "--ratios", type=_float_list, help="train fractions (default 0.7,0.75,0.8,0.85)"
-    )
-    sweep.add_argument(
-        "--seeds", type=_int_list, help="cell seeds (default 0,1,2,3,4)"
-    )
-    sweep.add_argument(
-        "--optimizer",
-        type=_name_list,
-        help="comma-separated backends (default all three)",
-    )
-
-    grid = sub.add_parser(
-        "param-sweep",
-        parents=[common],
-        help="vary averaging weight and anneal slope, write param_sweep.csv",
-    )
-    grid.add_argument(
-        "--e-values",
-        type=_float_list,
-        help="averaging weights in (0,1] (default 0.2,0.4,0.6,0.8,1.0)",
-    )
-    grid.add_argument(
-        "--k-values",
-        type=_float_list,
-        help="anneal slope divisors > 0 (default 5,10,20,40)",
-    )
-    grid.add_argument(
-        "--ratios", type=_float_list, help="single train fraction (default 0.8)"
-    )
-
-    bench = sub.add_parser(
-        "benchmark",
-        parents=[common],
-        help="iterations/time to reach a target value, write benchmark.csv",
-    )
-    bench.add_argument(
-        "--ratios",
-        type=_float_list,
-        help="training-data fractions in (0,1] (default 0.25,0.5,1.0)",
-    )
-    bench.add_argument(
-        "--threshold", type=float, help="target best objective value (default 0.7)"
-    )
-    bench.add_argument(
-        "--optimizer",
-        type=_name_list,
-        help="comma-separated backends (default all three)",
-    )
+    for verb, command in COMMANDS.items():
+        # no abbreviations: sweep --seed must not pass for --seeds
+        verb_parser = sub.add_parser(verb, help=command.__doc__, allow_abbrev=False)
+        verb_parser.add_argument("--config", help="JSON config file; flags override it")
+        for key, (kind, verbs) in OPTIONS.items():
+            default, text, *override = verbs.get(verb, (None, None))
+            if text is None:
+                continue
+            if default is not None:
+                text += f" (default {_shown(default)})"
+            flag = override[0] if override else kind.flag
+            verb_parser.add_argument("--" + key.replace("_", "-"), help=text, **flag)
+        if verb == "evaluate":
+            verb_parser.add_argument("model", help="model.json produced by train")
     return parser
 
 
@@ -217,21 +180,22 @@ def load_config(path: str | None) -> dict:
     unknown = sorted(set(document) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"config: unknown key(s) {', '.join(unknown)}")
-    for key, (kind, valid) in CONFIG_TYPES.items():
+    for key, (kind, _) in OPTIONS.items():
         value = document.get(key)
-        if value is not None and not valid(value):
-            raise ConfigError(f"config: {key} must be {kind}, got {value!r}")
+        if value is not None and not kind.valid(value):
+            raise ConfigError(f"config: {key} must be {kind.text}, got {value!r}")
     return document
 
 
-def _pick(args: argparse.Namespace, config: dict, key: str, default):
-    """Flag value if given, else config-file value, else the default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
+def _pick(args: argparse.Namespace, config: dict, key: str):
+    """Flag value if given, else config-file value, else the verb's default
+    (None for a verb that does not take the option)."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = config.get(key)
+    if value is None:
+        value = OPTIONS[key][1].get(args.command, (None,))[0]
+    return value
 
 
 def _section(config: dict, name: str, cls, seed: int | None = None, seed_flag: bool = False):
@@ -258,18 +222,21 @@ def _section(config: dict, name: str, cls, seed: int | None = None, seed_flag: b
 
 
 def _load_dataset(args, config) -> Dataset:
-    data = _pick(args, config, "data", None)
+    data = _pick(args, config, "data")
     if data is None:
         raise ConfigError("a dataset is required: pass --data or set it in the config")
-    label = _pick(args, config, "label", None)
+    label = _pick(args, config, "label")
     if isinstance(label, str) and label.isdigit():
         label = int(label)
     return load_csv(data, label)
 
 
-def _out_dir(args, config) -> Path:
-    """The output directory, created if missing; commands resolve it first."""
-    out = Path(_pick(args, config, "out", "."))
+def _out_dir(args, config) -> Path | None:
+    """The output directory, created if missing (None when evaluate is given
+    none); commands resolve it first."""
+    if _pick(args, config, "out") is None:
+        return None
+    out = Path(_pick(args, config, "out"))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # FileExistsError when out names a file
@@ -293,30 +260,41 @@ def _settings(config: dict, seed: int | None = None, seed_flag: bool = False) ->
 
 
 def _setup(args):
-    """Config, output directory, seed, settings and dataset of a training
-    command, read in that order so that bad options fail before any data is
-    read and before any work starts.
+    """Config, output directory, seed and settings of a training command,
+    read in that order so that bad options fail before any data is read and
+    before any work starts.
     """
     config = load_config(args.config)
     out = _out_dir(args, config)
-    seed = _pick(args, config, "seed", 0)
-    check_seed(seed)  # before it is copied into the bso and ga sections
-    settings = _settings(config, seed, args.seed is not None)
-    return config, out, seed, settings, _load_dataset(args, config)
+    seed = _pick(args, config, "seed")
+    if seed is not None:  # sweep takes no --seed
+        check_seed(seed)  # before it is copied into the bso and ga sections
+    settings = _settings(config, seed, getattr(args, "seed", None) is not None)
+    return config, out, seed, settings
 
 
-def _metric(value: float | None, digits: int = 4) -> str:
-    return "undefined" if value is None else f"{value:.{digits}f}"
+def _single_ratio(args, config):
+    """The one split ratio that evaluate and param-sweep take, checked before
+    any file is read; None when evaluate is given no ratio."""
+    ratios = _pick(args, config, "ratios")
+    if args.command == "evaluate" and not ratios:
+        return None
+    if len(ratios) != 1:
+        raise ConfigError(f"{args.command} takes a single split ratio, got {len(ratios)}")
+    return ratios[0]
+
+
+def _metric(value: float | None) -> str:
+    return "undefined" if value is None else f"{value:.4f}"
 
 
 def cmd_train(args) -> int:
-    config, out, seed, settings, ds = _setup(args)
-    optimizer = _pick(args, config, "optimizer", "bso-ewma")
-    fraction = float(_pick(args, config, "split_fraction", 0.8))
-    if fraction == 1.0:
-        train, test = ds, None
-    else:
-        train, test = split(ds, SplitSpec(fraction=fraction, seed=seed))
+    """fit a model, write model.json and trace.csv"""
+    config, out, seed, settings = _setup(args)
+    ds = _load_dataset(args, config)
+    optimizer = _pick(args, config, "optimizer")
+    fraction = float(_pick(args, config, "split_fraction"))
+    train, test = (ds, None) if fraction == 1.0 else split(ds, SplitSpec(fraction, seed))
 
     result = train_model(train, optimizer=optimizer, **vars(settings))
 
@@ -327,10 +305,7 @@ def cmd_train(args) -> int:
 
     b = result.breakdown
     print(f"best objective value: {result.run.best.evaluation.value:.6f}")
-    print(
-        f"quality components: g1={b.g1:.6f} g2={b.g2:.6f} g3={b.g3:.6f} "
-        f"G={b.fitness:.6f}"
-    )
+    print(f"quality components: g1={b.g1:.6f} g2={b.g2:.6f} g3={b.g3:.6f} G={b.fitness:.6f}")
     print(f"train accuracy: {result.train_accuracy:.4f} ({train.n} records)")
     if test is not None:
         report = evaluate_model(result.model, test, sum_scores=settings.sum_scores)
@@ -374,19 +349,15 @@ def write_predictions(
 
 
 def cmd_evaluate(args) -> int:
+    """score a saved model on a dataset"""
     config = load_config(args.config)
-    out = _out_dir(args, config) if _pick(args, config, "out", None) is not None else None
+    out = _out_dir(args, config)
     settings = _settings(config)  # checked as the training commands check it
+    ratio = _single_ratio(args, config)
     model = load_model(args.model)
     ds = _load_dataset(args, config)
-    ratios = _pick(args, config, "ratios", None)
-    if ratios:
-        if len(ratios) != 1:
-            raise ConfigError(
-                f"evaluate takes a single split ratio, got {len(ratios)}"
-            )
-        seed = int(_pick(args, config, "seed", 0))
-        _, ds = split(ds, SplitSpec(fraction=ratios[0], seed=seed))
+    if ratio is not None:
+        _, ds = split(ds, SplitSpec(ratio, int(_pick(args, config, "seed"))))
     sum_scores = settings.sum_scores if config.get("sum_scores") is not None else model.metadata.get("sum_scores", False)
 
     internal, scores = predict_dataset(model, ds, sum_scores=sum_scores)
@@ -407,14 +378,16 @@ def cmd_evaluate(args) -> int:
 
 
 def _optimizer_list(args, config) -> tuple[str, ...]:
-    names = _pick(args, config, "optimizer", OPTIMIZERS)
+    names = _pick(args, config, "optimizer")
     return (names,) if isinstance(names, str) else tuple(names)
 
 
 def cmd_sweep(args) -> int:
-    config, out, _, settings, ds = _setup(args)
-    ratios = tuple(_pick(args, config, "ratios", DEFAULT_RATIOS))
-    seeds = tuple(_pick(args, config, "seeds", DEFAULT_SEEDS))
+    """train per (ratio, optimizer, seed) cell, write sweep.csv"""
+    config, out, _, settings = _setup(args)
+    ds = _load_dataset(args, config)
+    ratios = tuple(_pick(args, config, "ratios"))
+    seeds = tuple(_pick(args, config, "seeds"))
     optimizers = _optimizer_list(args, config)
 
     result = run_sweep(ds, settings, ratios, seeds, optimizers)
@@ -423,53 +396,42 @@ def cmd_sweep(args) -> int:
     for row in summarize_sweep(result):
         mean = row["mean_test_accuracy"]
         std = row["std_test_accuracy"]
-        detail = (
-            f"accuracy {mean:.4f} +/- {std:.4f}"
-            if mean is not None
-            else "all cells failed"
-        )
+        detail = "all cells failed" if mean is None else f"accuracy {mean:.4f} +/- {std:.4f}"
         failures = f", {row['failures']} failed" if row["failures"] else ""
         print(
-            f"ratio {row['ratio']:.2f} {row['optimizer']:>9}: {detail} "
-            f"({row['seeds']} seeds{failures})"
+            f"ratio {row['ratio']:.2f} {row['optimizer']:>9}: {detail} ({row['seeds']} seeds{failures})"
         )
     print(f"sweep: {path}")
     return EXIT_OK
 
 
 def cmd_param_sweep(args) -> int:
-    config, out, seed, settings, ds = _setup(args)
-    e_values = tuple(_pick(args, config, "e_values", DEFAULT_E_VALUES))
-    k_values = tuple(_pick(args, config, "k_values", DEFAULT_K_VALUES))
-    ratios = _pick(args, config, "ratios", (0.8,))
-    if len(ratios) != 1:
-        raise ConfigError(f"param-sweep takes a single split ratio, got {len(ratios)}")
+    """vary averaging weight and anneal slope, write param_sweep.csv"""
+    config, out, seed, settings = _setup(args)
+    ratio = float(_single_ratio(args, config))
+    ds = _load_dataset(args, config)
+    e_values = tuple(_pick(args, config, "e_values"))
+    k_values = tuple(_pick(args, config, "k_values"))
 
-    rows = run_param_sweep(
-        ds, settings, e_values, k_values, ratio=float(ratios[0]), seed=seed
-    )
+    rows = run_param_sweep(ds, settings, e_values, k_values, ratio=ratio, seed=seed)
     path = out / "param_sweep.csv"
     write_param_sweep_csv(rows, path)
     for row in rows:
-        score = (
-            f"test accuracy {row.test_accuracy:.4f}"
-            if row.error is None
-            else f"failed: {row.error}"
-        )
+        score = f"failed: {row.error}" if row.error else f"test accuracy {row.test_accuracy:.4f}"
         print(f"e={row.smoothing:g} K={row.slope_divisor:g}: {score}")
     print(f"param-sweep: {path}")
     return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:
-    config, out, seed, settings, ds = _setup(args)
-    fractions = tuple(_pick(args, config, "ratios", DEFAULT_FRACTIONS))
-    threshold = float(_pick(args, config, "threshold", 0.7))
+    """iterations/time to reach a target value, write benchmark.csv"""
+    config, out, seed, settings = _setup(args)
+    ds = _load_dataset(args, config)
+    fractions = tuple(_pick(args, config, "ratios"))
+    threshold = float(_pick(args, config, "threshold"))
     optimizers = _optimizer_list(args, config)
 
-    rows = run_benchmark(
-        ds, settings, fractions, threshold, seed=seed, optimizers=optimizers
-    )
+    rows = run_benchmark(ds, settings, fractions, threshold, seed=seed, optimizers=optimizers)
     path = out / "benchmark.csv"
     write_benchmark_csv(rows, path)
     for row in rows:
@@ -477,8 +439,7 @@ def cmd_benchmark(args) -> int:
             status = f"failed: {row.error}"
         elif row.reached:
             status = (
-                f"reached {row.threshold:g} at iteration "
-                f"{row.iterations_to_threshold} "
+                f"reached {row.threshold:g} at iteration {row.iterations_to_threshold} "
                 f"({row.elapsed_ms_to_threshold:.0f} ms)"
             )
         else:
@@ -498,8 +459,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -241,17 +241,17 @@ def run_param_sweep(
     k_values: tuple[float, ...],
     ratio: float = 0.8,
     seed: int = 0,
-    optimizer: str = "bso-ewma",
 ) -> list[ParamSweepRow]:
-    """Grid of runs varying only the averaging weight and the step-anneal
-    slope divisor; everything else (split, seed, budget) is held fixed.
+    """Grid of bso-ewma runs varying only the averaging weight and the
+    step-anneal slope divisor; everything else (split, seed, budget) is held
+    fixed.
 
     Every value is checked before the first cell runs, so a bad or repeated
     value raises ConfigError rather than fill the grid with failed rows.
     """
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"param-sweep ratio must be in (0, 1), got {ratio}")
-    _check_cells(ds, settings, (seed,), (optimizer,))
+    _check_cells(ds, settings, (seed,), ())
     _check_distinct("param-sweep", {"e (--e-values)": e_values, "K (--k-values)": k_values})
     for name, param, values in (("e (--e-values)", "smoothing", e_values), ("K (--k-values)", "slope_divisor", k_values)):
         for value in values:
@@ -262,7 +262,7 @@ def run_param_sweep(
     rows = []
     for e, k in itertools.product(e_values, k_values):
         bso_params = replace(settings.bso_params, smoothing=e, slope_divisor=k)
-        run = run_cell(ds, replace(settings, bso_params=bso_params), ratio, optimizer, seed)
+        run = run_cell(ds, replace(settings, bso_params=bso_params), ratio, OPTIMIZERS[0], seed)
         results = (getattr(run, name) for name in PARAM_SWEEP_HEADER[4:])
         rows.append(ParamSweepRow(e, k, ratio, seed, *results))
     return rows

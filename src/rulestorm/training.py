@@ -34,6 +34,7 @@ from .fitness import balance_score  # noqa: F401
 from .membership import degree_matrix  # noqa: F401
 from .rules import match_mask  # noqa: F401
 
+# The first is the default, and the only one that uses bso.smoothing.
 OPTIMIZERS = ("bso-ewma", "bso-plain", "ga")
 
 WEIGHT_DECIMALS = 4
@@ -149,7 +150,7 @@ class ExperimentSettings:
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
 
 
-def train_model(train: Dataset, *, optimizer: str = "bso-ewma", **settings) -> TrainingResult:
+def train_model(train: Dataset, *, optimizer: str = OPTIMIZERS[0], **settings) -> TrainingResult:
     """Fit partitions on the training split, search for rules, weight them.
     The keywords are the ExperimentSettings fields.
 

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, output, config merging, exit codes."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -974,3 +975,178 @@ def test_cli_runs_without_scipy(tmp_path, data_csv, fast_config):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_sweep_refuses_the_seed_flag(tmp_path, data_csv, fast_config, capsys, monkeypatch):
+    # each sweep cell takes its seed from --seeds, so a --seed would do nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell started")
+
+    monkeypatch.setattr(experiments, "train_model", refuse)
+    argv = ["sweep", "--data", str(data_csv), "--config", str(fast_config), "--seeds", "0"]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--ratios", "0.8", "--seed", "9", "--out", str(tmp_path / "run")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("verb", ["evaluate", "param-sweep"])
+def test_several_ratios_fail_before_any_file_is_read(tmp_path, capsys, monkeypatch, verb, source):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read before --ratios was checked")
+
+    monkeypatch.setattr(cli, "load_model", refuse)
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    config = tmp_path / "ratios.json"
+    config.write_text(json.dumps({"ratios": [0.7, 0.8]}))
+    ratios = ["--ratios", "0.7,0.8"] if source == "flag" else ["--config", str(config)]
+    model = [str(perfect_model(tmp_path))] if verb == "evaluate" else []
+    data = str(tmp_path / "missing.csv")
+    code = main([verb, *model, "--data", data, *ratios, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"config error: {verb} takes a single split ratio, got 2" in capsys.readouterr().err
+
+
+# argparse wraps help to the terminal width; COLUMNS=80 fixes it.
+HELP = {
+    "": """\
+usage: rulestorm [-h] {train,evaluate,sweep,param-sweep,benchmark} ...
+
+Train and study weighted fuzzy rule classifiers.
+
+positional arguments:
+  {train,evaluate,sweep,param-sweep,benchmark}
+    train               fit a model, write model.json and trace.csv
+    evaluate            score a saved model on a dataset
+    sweep               train per (ratio, optimizer, seed) cell, write
+                        sweep.csv
+    param-sweep         vary averaging weight and anneal slope, write
+                        param_sweep.csv
+    benchmark           iterations/time to reach a target value, write
+                        benchmark.csv
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "train": """\
+usage: rulestorm train [-h] [--config CONFIG] [--data DATA] [--label LABEL]
+                       [--out OUT] [--seed SEED]
+                       [--optimizer {bso-ewma,bso-plain,ga}]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file; flags override it
+  --data DATA           CSV file of attributes plus one label column
+  --label LABEL         label column: header name, or 0-based index for
+                        headerless files
+  --out OUT             output directory (default .)
+  --seed SEED           seed for the data split and the optimizer (default 0)
+  --optimizer {bso-ewma,bso-plain,ga}
+                        search backend (default bso-ewma)
+""",
+    "evaluate": """\
+usage: rulestorm evaluate [-h] [--config CONFIG] [--data DATA] [--label LABEL]
+                          [--out OUT] [--seed SEED] [--ratios RATIOS]
+                          model
+
+positional arguments:
+  model            model.json produced by train
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  JSON config file; flags override it
+  --data DATA      CSV file of attributes plus one label column
+  --label LABEL    label column: header name, or 0-based index for headerless
+                   files
+  --out OUT        directory to write predictions.csv to (default: none
+                   written)
+  --seed SEED      seed for the --ratios split (default 0)
+  --ratios RATIOS  single train fraction: score the held-out side of that
+                   split (default: score the whole file)
+""",
+    "sweep": """\
+usage: rulestorm sweep [-h] [--config CONFIG] [--data DATA] [--label LABEL]
+                       [--out OUT] [--ratios RATIOS] [--seeds SEEDS]
+                       [--optimizer OPTIMIZER]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file; flags override it
+  --data DATA           CSV file of attributes plus one label column
+  --label LABEL         label column: header name, or 0-based index for
+                        headerless files
+  --out OUT             output directory (default .)
+  --ratios RATIOS       train fractions (default 0.7,0.75,0.8,0.85)
+  --seeds SEEDS         cell seeds (default 0,1,2,3,4)
+  --optimizer OPTIMIZER
+                        search backends (default bso-ewma,bso-plain,ga)
+""",
+    "param-sweep": """\
+usage: rulestorm param-sweep [-h] [--config CONFIG] [--data DATA]
+                             [--label LABEL] [--out OUT] [--seed SEED]
+                             [--e-values E_VALUES] [--k-values K_VALUES]
+                             [--ratios RATIOS]
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      JSON config file; flags override it
+  --data DATA          CSV file of attributes plus one label column
+  --label LABEL        label column: header name, or 0-based index for
+                       headerless files
+  --out OUT            output directory (default .)
+  --seed SEED          seed for the data split and the optimizer (default 0)
+  --e-values E_VALUES  averaging weights in (0,1] (default 0.2,0.4,0.6,0.8,1)
+  --k-values K_VALUES  anneal slope divisors > 0 (default 5,10,20,40)
+  --ratios RATIOS      single train fraction (default 0.8)
+""",
+    "benchmark": """\
+usage: rulestorm benchmark [-h] [--config CONFIG] [--data DATA]
+                           [--label LABEL] [--out OUT] [--seed SEED]
+                           [--ratios RATIOS] [--threshold THRESHOLD]
+                           [--optimizer OPTIMIZER]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file; flags override it
+  --data DATA           CSV file of attributes plus one label column
+  --label LABEL         label column: header name, or 0-based index for
+                        headerless files
+  --out OUT             output directory (default .)
+  --seed SEED           seed for the data split and the optimizer (default 0)
+  --ratios RATIOS       training-data fractions in (0,1] (default 0.25,0.5,1)
+  --threshold THRESHOLD
+                        target best objective value (default 0.7)
+  --optimizer OPTIMIZER
+                        search backends (default bso-ewma,bso-plain,ga)
+""",
+}
+
+
+@pytest.mark.parametrize("verb", HELP)
+def test_help_text(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "--help"] if verb else ["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == HELP[verb]
+
+
+def test_readme_option_table_matches_the_cli_table():
+    """README lists one row per option and default: its flag (a dash for a
+    config-only key), its config key, the verbs that take it with that
+    default, the default and the config type."""
+    want = {}
+    for key, (kind, verbs) in cli.OPTIONS.items():
+        for verb, (default, text, *_) in verbs.items():
+            flag = "—" if text is None else f"`--{key.replace('_', '-')}`"
+            shown = "none" if default is None else f"`{cli._shown(default)}`"
+            want.setdefault((flag, f"`{key}`", shown, kind.text), set()).add(verb)
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| Flag | Config key | Verbs | Default | Config type |")
+    rows = itertools.takewhile(lambda line: line.startswith("| "), lines[start + 2:])
+    got = {}
+    for row in rows:
+        flag, key, names, default, kind = row[2:-2].split(" | ")
+        got[flag, key, default, kind] = set(names.split(", "))
+    assert got == want
