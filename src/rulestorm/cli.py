@@ -92,8 +92,8 @@ def _each(verbs: tuple[str, ...], default, text: str) -> dict:
 
 # Each top-level config key that is not a training setting, as key: (kind,
 # {verb: (default, help)}) in the order a verb lists its flags; a verb takes
-# the options that list it. A third item holds argparse keywords that replace
-# the kind's; a None help means no flag. A null config value means "not set".
+# the options that list it, as flags and config keys. A third item holds
+# argparse keywords that replace the kind's. A null config value is "not set".
 OPTIONS = {
     "data": (STRING, _each(EVERY, None, "CSV file of attributes plus one label column")),
     "label": (
@@ -105,18 +105,20 @@ OPTIONS = {
     }),
     "seed": (INTEGER, {
         **_each(SEEDED, 0, "seed for the data split and the optimizer"),
-        "evaluate": (0, "seed for the --ratios split"),
+        "evaluate": (0, "seed for the --split-fraction split"),
     }),
-    "split_fraction": (NUMBER, {"train": (0.8, None)}),
+    "split_fraction": (NUMBER, {
+        "train": (0.8, "train share of the held-out split; 1 trains on every record"),
+        "evaluate": (None, "score the held-out side of the split with this train share "
+                     "(default: score the whole file)"),
+        "param-sweep": (0.8, "train share of the held-out split"),
+    }),
     "e_values": (NUMBERS, {
         "param-sweep": ((0.2, 0.4, 0.6, 0.8, 1.0), "averaging weights in (0,1]")
     }),
     "k_values": (NUMBERS, {"param-sweep": ((5.0, 10.0, 20.0, 40.0), "anneal slope divisors > 0")}),
     "ratios": (NUMBERS, {
-        "evaluate": (None, "single train fraction: score the held-out side of that split "
-                     "(default: score the whole file)"),
         "sweep": ((0.7, 0.75, 0.8, 0.85), "train fractions"),
-        "param-sweep": ((0.8,), "single train fraction"),
         "benchmark": ((0.25, 0.5, 1.0), "training-data fractions in (0,1]"),
     }),
     "seeds": (INTEGERS, {"sweep": ((0, 1, 2, 3, 4), "cell seeds")}),
@@ -142,7 +144,7 @@ def _shown(default) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per verb, whose one-line help is its command's
-    docstring, with a flag for each option of the verb that has a help."""
+    docstring, with a flag for each option of the verb."""
     parser = argparse.ArgumentParser(
         prog="rulestorm",
         description="Train and study weighted fuzzy rule classifiers.",
@@ -153,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
         verb_parser = sub.add_parser(verb, help=command.__doc__, allow_abbrev=False)
         verb_parser.add_argument("--config", help="JSON config file; flags override it")
         for key, (kind, verbs) in OPTIONS.items():
-            default, text, *override = verbs.get(verb, (None, None))
-            if text is None:
+            if verb not in verbs:
                 continue
+            default, text, *override = verbs[verb]
             if default is not None:
                 text += f" (default {_shown(default)})"
             flag = override[0] if override else kind.flag
@@ -165,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(path: str | None) -> dict:
+def load_config(path: str | None, verb: str) -> dict:
+    """The config file's object, each option's value checked for its type and the verb."""
     if path is None:
         return {}
     try:
@@ -180,10 +183,12 @@ def load_config(path: str | None) -> dict:
     unknown = sorted(set(document) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"config: unknown key(s) {', '.join(unknown)}")
-    for key, (kind, _) in OPTIONS.items():
+    for key, (kind, verbs) in OPTIONS.items():
         value = document.get(key)
         if value is not None and not kind.valid(value):
             raise ConfigError(f"config: {key} must be {kind.text}, got {value!r}")
+        if value is not None and verb not in verbs:
+            raise ConfigError(f"config: {verb} does not take {key}")
     return document
 
 
@@ -232,16 +237,26 @@ def _load_dataset(args, config) -> Dataset:
 
 
 def _out_dir(args, config) -> Path | None:
-    """The output directory, created if missing (None when evaluate is given
-    none); commands resolve it first."""
+    """The output directory (None when evaluate is given none), refused when
+    it or its nearest existing parent is not a directory."""
     if _pick(args, config, "out") is None:
         return None
     out = Path(_pick(args, config, "out"))
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"cannot use {out} as the output directory: {nearest} is not a directory")
+    return out
+
+
+def _output(out: Path, name: str, write: Callable[[Path], None]) -> Path:
+    """Write file `name` into `out` with `write`, creating `out` only now, so
+    that a refused or failed run leaves no output directory behind."""
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # FileExistsError when out names a file
+    except OSError as exc:
         raise ConfigError(f"cannot use {out} as the output directory: {exc}") from exc
-    return out
+    write(out / name)
+    return out / name
 
 
 def _settings(config: dict, seed: int | None = None, seed_flag: bool = False) -> ExperimentSettings:
@@ -260,28 +275,16 @@ def _settings(config: dict, seed: int | None = None, seed_flag: bool = False) ->
 
 
 def _setup(args):
-    """Config, output directory, seed and settings of a training command,
-    read in that order so that bad options fail before any data is read and
-    before any work starts.
+    """Config, seed, settings and output directory of a command, read in that
+    order so that bad options fail before any data is read and before any
+    work starts.
     """
-    config = load_config(args.config)
-    out = _out_dir(args, config)
+    config = load_config(args.config, args.command)
     seed = _pick(args, config, "seed")
-    if seed is not None:  # sweep takes no --seed
+    if seed is not None:  # sweep takes no seed
         check_seed(seed)  # before it is copied into the bso and ga sections
     settings = _settings(config, seed, getattr(args, "seed", None) is not None)
-    return config, out, seed, settings
-
-
-def _single_ratio(args, config):
-    """The one split ratio that evaluate and param-sweep take, checked before
-    any file is read; None when evaluate is given no ratio."""
-    ratios = _pick(args, config, "ratios")
-    if args.command == "evaluate" and not ratios:
-        return None
-    if len(ratios) != 1:
-        raise ConfigError(f"{args.command} takes a single split ratio, got {len(ratios)}")
-    return ratios[0]
+    return config, _out_dir(args, config), seed, settings
 
 
 def _metric(value: float | None) -> str:
@@ -298,10 +301,8 @@ def cmd_train(args) -> int:
 
     result = train_model(train, optimizer=optimizer, **vars(settings))
 
-    model_path = out / "model.json"
-    trace_path = out / "trace.csv"
-    save_model(result.model, model_path)
-    result.run.trace.write_csv(trace_path)
+    model_path = _output(out, "model.json", lambda path: save_model(result.model, path))
+    trace_path = _output(out, "trace.csv", result.run.trace.write_csv)
 
     b = result.breakdown
     print(f"best objective value: {result.run.best.evaluation.value:.6f}")
@@ -350,14 +351,12 @@ def write_predictions(
 
 def cmd_evaluate(args) -> int:
     """score a saved model on a dataset"""
-    config = load_config(args.config)
-    out = _out_dir(args, config)
-    settings = _settings(config)  # checked as the training commands check it
-    ratio = _single_ratio(args, config)
+    config, out, seed, settings = _setup(args)
+    fraction = _pick(args, config, "split_fraction")
     model = load_model(args.model)
     ds = _load_dataset(args, config)
-    if ratio is not None:
-        _, ds = split(ds, SplitSpec(ratio, int(_pick(args, config, "seed"))))
+    if fraction is not None:
+        _, ds = split(ds, SplitSpec(fraction, seed))
     sum_scores = settings.sum_scores if config.get("sum_scores") is not None else model.metadata.get("sum_scores", False)
 
     internal, scores = predict_dataset(model, ds, sum_scores=sum_scores)
@@ -371,8 +370,9 @@ def cmd_evaluate(args) -> int:
         print(f"confusion: tp={c.tp} fp={c.fp} tn={c.tn} fn={c.fn}")
 
     if out is not None:
-        predictions_path = out / "predictions.csv"
-        write_predictions(predictions_path, ds, model, internal, scores)
+        predictions_path = _output(
+            out, "predictions.csv", lambda path: write_predictions(path, ds, model, internal, scores)
+        )
         print(f"predictions: {predictions_path}")
     return EXIT_OK
 
@@ -391,8 +391,7 @@ def cmd_sweep(args) -> int:
     optimizers = _optimizer_list(args, config)
 
     result = run_sweep(ds, settings, ratios, seeds, optimizers)
-    path = out / "sweep.csv"
-    write_sweep_csv(result, path)
+    path = _output(out, "sweep.csv", lambda path: write_sweep_csv(result, path))
     for row in summarize_sweep(result):
         mean = row["mean_test_accuracy"]
         std = row["std_test_accuracy"]
@@ -408,14 +407,13 @@ def cmd_sweep(args) -> int:
 def cmd_param_sweep(args) -> int:
     """vary averaging weight and anneal slope, write param_sweep.csv"""
     config, out, seed, settings = _setup(args)
-    ratio = float(_single_ratio(args, config))
     ds = _load_dataset(args, config)
+    ratio = float(_pick(args, config, "split_fraction"))
     e_values = tuple(_pick(args, config, "e_values"))
     k_values = tuple(_pick(args, config, "k_values"))
 
     rows = run_param_sweep(ds, settings, e_values, k_values, ratio=ratio, seed=seed)
-    path = out / "param_sweep.csv"
-    write_param_sweep_csv(rows, path)
+    path = _output(out, "param_sweep.csv", lambda path: write_param_sweep_csv(rows, path))
     for row in rows:
         score = f"failed: {row.error}" if row.error else f"test accuracy {row.test_accuracy:.4f}"
         print(f"e={row.smoothing:g} K={row.slope_divisor:g}: {score}")
@@ -432,8 +430,7 @@ def cmd_benchmark(args) -> int:
     optimizers = _optimizer_list(args, config)
 
     rows = run_benchmark(ds, settings, fractions, threshold, seed=seed, optimizers=optimizers)
-    path = out / "benchmark.csv"
-    write_benchmark_csv(rows, path)
+    path = _output(out, "benchmark.csv", lambda path: write_benchmark_csv(rows, path))
     for row in rows:
         if row.error is not None:
             status = f"failed: {row.error}"

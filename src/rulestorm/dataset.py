@@ -85,7 +85,7 @@ def load_csv(path: str | Path, label: int | str | None = None) -> Dataset:
     try:
         with open(path, newline="") as fh:
             text = fh.read()
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
     parsed = _parse_numeric(path, text, label)
     if parsed is None:

@@ -250,7 +250,7 @@ def run_param_sweep(
     value raises ConfigError rather than fill the grid with failed rows.
     """
     if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"param-sweep ratio must be in (0, 1), got {ratio}")
+        raise ConfigError(f"param-sweep split fraction (--split-fraction) must be in (0, 1), got {ratio}")
     _check_cells(ds, settings, (seed,), ())
     _check_distinct("param-sweep", {"e (--e-values)": e_values, "K (--k-values)": k_values})
     for name, param, values in (("e (--e-values)", "smoothing", e_values), ("K (--k-values)", "slope_divisor", k_values)):

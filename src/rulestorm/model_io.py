@@ -149,11 +149,13 @@ def model_from_document(document: dict) -> Model:
 
 def load_model(path: str | Path) -> Model:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"model file not found: {path}")
     try:
         with open(path) as fh:
             document = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read model file {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):

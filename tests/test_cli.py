@@ -439,7 +439,7 @@ def test_sum_scores_predictions_on_a_split_equal_csv_writer_output(tmp_path, pid
     config.write_text(json.dumps({"sum_scores": True, "bso": {"max_iterations": 6}}))
     out = tmp_path / "run"
     main(["train", "--data", str(pid_path), "--config", str(config), "--out", str(out), "--seed", "0"])
-    args = ["--data", str(pid_path), "--ratios", "0.8", "--seed", "0", "--out", str(out)]
+    args = ["--data", str(pid_path), "--split-fraction", "0.8", "--seed", "0", "--out", str(out)]
     assert main(["evaluate", str(out / "model.json"), *args]) == 0
     assert "records: 154\n" in capsys.readouterr().out
 
@@ -563,7 +563,7 @@ def test_evaluate_split_scores_held_out_side(tmp_path, data_csv, fast_config, ca
             str(out / "model.json"),
             "--data",
             str(data_csv),
-            "--ratios",
+            "--split-fraction",
             "0.8",
             "--seed",
             "0",
@@ -580,7 +580,7 @@ def test_evaluate_uses_the_models_sum_scores(tmp_path, pid_path, capsys):
     main(["train", "--data", str(pid_path), "--config", str(config), "--out", str(out), "--seed", "0"])
     printed = capsys.readouterr().out
     held_out = printed.split("held-out accuracy: ")[1].split()[0]
-    code = main(["evaluate", str(out / "model.json"), "--data", str(pid_path), "--ratios", "0.8", "--seed", "0"])
+    code = main(["evaluate", str(out / "model.json"), "--data", str(pid_path), "--split-fraction", "0.8", "--seed", "0"])
     assert code == 0
     assert f"accuracy: {held_out}\n" in capsys.readouterr().out
 
@@ -840,6 +840,7 @@ def test_experiment_csv_is_deterministic_across_runs(tmp_path, data_csv, fast_co
         (["param-sweep", "--k-values", "20,20"], "param-sweep K (--k-values) must be distinct"),
         (["benchmark", "--ratios", "0.5,0.5"], "benchmark fractions (--ratios) must be distinct"),
         (["benchmark", "--ratios", "0.5", "--optimizer", "ga,ga"], "benchmark optimizers must be distinct"),
+        (["param-sweep", "--split-fraction", "1"], "param-sweep split fraction (--split-fraction) must be in (0, 1), got 1.0"),
     ],
 )
 def test_bad_experiment_value_is_a_config_error_before_any_cell(
@@ -853,7 +854,7 @@ def test_bad_experiment_value_is_a_config_error_before_any_cell(
     code = main([*argv, "--data", str(data_csv), "--config", str(fast_config), "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -885,7 +886,7 @@ def test_bad_training_setting_stops_every_experiment_before_any_cell(
     code = main([verb, *flags, "--data", str(data_csv), "--config", str(config), "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_param_sweep_command(tmp_path, data_csv, fast_config, capsys):
@@ -993,19 +994,119 @@ def test_sweep_refuses_the_seed_flag(tmp_path, data_csv, fast_config, capsys, mo
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("verb", ["evaluate", "param-sweep"])
 def test_several_ratios_fail_before_any_file_is_read(tmp_path, capsys, monkeypatch, verb, source):
+    # the single split is one number: a list is a type error
     def refuse(*args, **kwargs):
-        raise AssertionError("a file was read before --ratios was checked")
+        raise AssertionError("a file was read before --split-fraction was checked")
 
     monkeypatch.setattr(cli, "load_model", refuse)
     monkeypatch.setattr(cli, "load_csv", refuse)
     config = tmp_path / "ratios.json"
-    config.write_text(json.dumps({"ratios": [0.7, 0.8]}))
-    ratios = ["--ratios", "0.7,0.8"] if source == "flag" else ["--config", str(config)]
+    config.write_text(json.dumps({"split_fraction": [0.7, 0.8]}))
+    ratios = ["--split-fraction", "0.7,0.8"] if source == "flag" else ["--config", str(config)]
     model = [str(perfect_model(tmp_path))] if verb == "evaluate" else []
     data = str(tmp_path / "missing.csv")
-    code = main([verb, *model, "--data", data, *ratios, "--out", str(tmp_path / "run")])
+    argv = [verb, *model, "--data", data, *ratios, "--out", str(tmp_path / "run")]
+    if source == "flag":
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        code, message = exit_info.value.code, "argument --split-fraction: invalid float value: '0.7,0.8'"
+    else:
+        code, message = main(argv), "config error: config: split_fraction must be a number, got [0.7, 0.8]"
     assert code == 2
-    assert f"config error: {verb} takes a single split ratio, got 2" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def _valid_value(key):
+    """A value of `key` that some verb takes, as a config value and as flag text."""
+    value = next(default for default, *_ in cli.OPTIONS[key][1].values() if default is not None)
+    return value, cli._shown(value)
+
+
+@pytest.mark.parametrize(
+    "verb, key",
+    [(verb, key) for verb in cli.COMMANDS for key, (_, verbs) in cli.OPTIONS.items() if verb not in verbs],
+)
+def test_config_key_is_refused_wherever_its_flag_is(tmp_path, capsys, monkeypatch, verb, key):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read before the config was checked")
+
+    monkeypatch.setattr(cli, "load_model", refuse)
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    value, text = _valid_value(key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    model = ["model.json"] if verb == "evaluate" else []
+    out = tmp_path / "run"
+    code = main([verb, *model, "--data", "x.csv", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert f"config error: config: {verb} does not take {key}\n" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, *model, "--" + key.replace("_", "-"), text])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratios", ["0.8", ""])
+@pytest.mark.parametrize("verb", ["evaluate", "param-sweep"])
+def test_ratios_flag_is_refused_where_a_single_split_is_made(tmp_path, capsys, verb, ratios):
+    # an empty list no longer means "score the whole file" on evaluate alone
+    model = [str(perfect_model(tmp_path))] if verb == "evaluate" else []
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, *model, "--data", str(tmp_path / "missing.csv"), "--ratios", ratios])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: --ratios {ratios}".strip() in capsys.readouterr().err
+
+
+def test_split_fraction_flag_sets_the_train_split(tmp_path, data_csv, fast_config, capsys):
+    argv = ["train", "--data", str(data_csv), "--config", str(fast_config), "--out", str(tmp_path)]
+    assert main([*argv, "--split-fraction", "0.5"]) == 0
+    assert capsys.readouterr().out.count("(30 records") == 2  # the train and held-out sides
+    assert main([*argv, "--split-fraction", "1"]) == 0
+    printed = capsys.readouterr().out
+    assert "(60 records)" in printed and "held-out" not in printed
+
+
+def test_evaluate_refuses_a_negative_seed_without_a_split(tmp_path, data_csv, capsys):
+    code = main(["evaluate", str(perfect_model(tmp_path)), "--data", str(data_csv), "--seed", "-1"])
+    assert code == 2
+    assert "config error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["train", "evaluate"])
+def test_a_failed_run_leaves_no_output_directory(tmp_path, capsys, verb):
+    out = tmp_path / "new" / "run"
+    model = [str(perfect_model(tmp_path))] if verb == "evaluate" else []
+    code = main([verb, *model, "--data", str(tmp_path / "missing.csv"), "--out", str(out)])
+    assert code == 3
+    assert "data file not found" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_out_below_a_file_is_a_config_error_before_any_work(tmp_path, capsys):
+    (tmp_path / "afile").write_text("keep")
+    code = main(["train", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "afile" / "run")])
+    assert code == 2
+    assert f"{tmp_path / 'afile'} is not a directory" in capsys.readouterr().err
+
+
+def test_evaluate_of_a_directory_is_a_data_error(tmp_path, data_csv, capsys):
+    code = main(["evaluate", str(tmp_path), "--data", str(data_csv)])
+    assert code == 3
+    assert f"data error: model file not found: {tmp_path}" in capsys.readouterr().err
+
+
+def test_one_config_drives_train_and_evaluate_on_the_same_split(tmp_path, pid_path, capsys):
+    config = write_fast_config(tmp_path / "split.json", split_fraction=0.7, out=str(tmp_path / "run"))
+    common = ["--data", str(pid_path), "--config", str(config), "--seed", "0"]
+    assert main(["train", *common]) == 0
+    held_out = capsys.readouterr().out.split("held-out accuracy: ")[1].split()[:2]
+    assert held_out[1] == "(230"
+    assert main(["evaluate", str(tmp_path / "run" / "model.json"), *common]) == 0
+    printed = capsys.readouterr().out
+    assert "records: 230\n" in printed
+    assert f"accuracy: {held_out[0]}\n" in printed
 
 
 # argparse wraps help to the terminal width; COLUMNS=80 fixes it.
@@ -1032,6 +1133,7 @@ options:
     "train": """\
 usage: rulestorm train [-h] [--config CONFIG] [--data DATA] [--label LABEL]
                        [--out OUT] [--seed SEED]
+                       [--split-fraction SPLIT_FRACTION]
                        [--optimizer {bso-ewma,bso-plain,ga}]
 
 options:
@@ -1042,28 +1144,33 @@ options:
                         headerless files
   --out OUT             output directory (default .)
   --seed SEED           seed for the data split and the optimizer (default 0)
+  --split-fraction SPLIT_FRACTION
+                        train share of the held-out split; 1 trains on every
+                        record (default 0.8)
   --optimizer {bso-ewma,bso-plain,ga}
                         search backend (default bso-ewma)
 """,
     "evaluate": """\
 usage: rulestorm evaluate [-h] [--config CONFIG] [--data DATA] [--label LABEL]
-                          [--out OUT] [--seed SEED] [--ratios RATIOS]
+                          [--out OUT] [--seed SEED]
+                          [--split-fraction SPLIT_FRACTION]
                           model
 
 positional arguments:
-  model            model.json produced by train
+  model                 model.json produced by train
 
 options:
-  -h, --help       show this help message and exit
-  --config CONFIG  JSON config file; flags override it
-  --data DATA      CSV file of attributes plus one label column
-  --label LABEL    label column: header name, or 0-based index for headerless
-                   files
-  --out OUT        directory to write predictions.csv to (default: none
-                   written)
-  --seed SEED      seed for the --ratios split (default 0)
-  --ratios RATIOS  single train fraction: score the held-out side of that
-                   split (default: score the whole file)
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file; flags override it
+  --data DATA           CSV file of attributes plus one label column
+  --label LABEL         label column: header name, or 0-based index for
+                        headerless files
+  --out OUT             directory to write predictions.csv to (default: none
+                        written)
+  --seed SEED           seed for the --split-fraction split (default 0)
+  --split-fraction SPLIT_FRACTION
+                        score the held-out side of the split with this train
+                        share (default: score the whole file)
 """,
     "sweep": """\
 usage: rulestorm sweep [-h] [--config CONFIG] [--data DATA] [--label LABEL]
@@ -1085,20 +1192,21 @@ options:
     "param-sweep": """\
 usage: rulestorm param-sweep [-h] [--config CONFIG] [--data DATA]
                              [--label LABEL] [--out OUT] [--seed SEED]
+                             [--split-fraction SPLIT_FRACTION]
                              [--e-values E_VALUES] [--k-values K_VALUES]
-                             [--ratios RATIOS]
 
 options:
-  -h, --help           show this help message and exit
-  --config CONFIG      JSON config file; flags override it
-  --data DATA          CSV file of attributes plus one label column
-  --label LABEL        label column: header name, or 0-based index for
-                       headerless files
-  --out OUT            output directory (default .)
-  --seed SEED          seed for the data split and the optimizer (default 0)
-  --e-values E_VALUES  averaging weights in (0,1] (default 0.2,0.4,0.6,0.8,1)
-  --k-values K_VALUES  anneal slope divisors > 0 (default 5,10,20,40)
-  --ratios RATIOS      single train fraction (default 0.8)
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON config file; flags override it
+  --data DATA           CSV file of attributes plus one label column
+  --label LABEL         label column: header name, or 0-based index for
+                        headerless files
+  --out OUT             output directory (default .)
+  --seed SEED           seed for the data split and the optimizer (default 0)
+  --split-fraction SPLIT_FRACTION
+                        train share of the held-out split (default 0.8)
+  --e-values E_VALUES   averaging weights in (0,1] (default 0.2,0.4,0.6,0.8,1)
+  --k-values K_VALUES   anneal slope divisors > 0 (default 5,10,20,40)
 """,
     "benchmark": """\
 usage: rulestorm benchmark [-h] [--config CONFIG] [--data DATA]
@@ -1133,13 +1241,13 @@ def test_help_text(capsys, monkeypatch, verb):
 
 
 def test_readme_option_table_matches_the_cli_table():
-    """README lists one row per option and default: its flag (a dash for a
-    config-only key), its config key, the verbs that take it with that
-    default, the default and the config type."""
+    """README lists one row per option and default: its flag, its config
+    key, the verbs that take it with that default, the default and the
+    config type."""
     want = {}
     for key, (kind, verbs) in cli.OPTIONS.items():
-        for verb, (default, text, *_) in verbs.items():
-            flag = "—" if text is None else f"`--{key.replace('_', '-')}`"
+        for verb, (default, *_) in verbs.items():
+            flag = f"`--{key.replace('_', '-')}`"
             shown = "none" if default is None else f"`{cli._shown(default)}`"
             want.setdefault((flag, f"`{key}`", shown, kind.text), set()).add(verb)
     lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()

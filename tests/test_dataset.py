@@ -110,6 +110,16 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(tmp_path / "nope.csv")
 
+    def test_unreadable_file_is_a_data_error(self, tmp_path, monkeypatch):
+        p = write_csv(tmp_path / "t.csv", [[1, 0], [2, 1]])
+
+        def deny(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(dataset, "open", deny, raising=False)
+        with pytest.raises(DataError, match="not a readable CSV file"):
+            load_csv(p)
+
     def test_ragged_row_reports_location(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", [[1, 0], [2, 1, 3], [3, 1]])
         with pytest.raises(DataError, match="row 2"):

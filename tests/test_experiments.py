@@ -145,7 +145,7 @@ def test_drivers_reject_bad_values_before_any_cell(monkeypatch):
         run_param_sweep(ds, fast_settings(), e_values=(0.5,), k_values=(20.0,), seed=-1)
     with pytest.raises(ConfigError, match="slope_divisor"):
         run_param_sweep(ds, fast_settings(), e_values=(0.5,), k_values=(20.0, float("nan")))
-    with pytest.raises(ConfigError, match="ratio"):
+    with pytest.raises(ConfigError, match=r"split fraction \(--split-fraction\) must be in \(0, 1\)"):
         run_param_sweep(ds, fast_settings(), e_values=(0.5,), k_values=(20.0,), ratio=1.0)
     with pytest.raises(ConfigError, match="seed"):
         run_benchmark(ds, fast_settings(), fractions=(1.0,), threshold=0.5, seed=-1)

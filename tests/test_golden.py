@@ -1,10 +1,13 @@
-"""Pinned output bytes of `rulestorm train`.
+"""Pinned output bytes of the `rulestorm` verbs.
 
-Each case runs `rulestorm train` in-process and compares sha256 digests of
-its model.json, of its trace.csv without the wall-clock elapsed_ms column and
-of its stdout (output directory replaced by OUT) with tests/golden.json. A
-change to the program that alters any result fails here. After a change that
-alters results on purpose, re-record the digests, and say why in CHANGES.md:
+Each train case runs `rulestorm train` in-process and compares sha256 digests
+of its model.json, of its trace.csv without the wall-clock elapsed_ms column
+and of its stdout (output directory replaced by OUT) with tests/golden.json.
+Each CLI case does the same for the file another verb writes (benchmark.csv
+without its elapsed_ms_to_threshold column) and its stdout without the
+"(… ms)" figures. A change to the program that alters any result fails here.
+After a change that alters results on purpose, re-record the digests, and say
+why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 import warnings
@@ -38,6 +42,32 @@ CASES = {
     "sum-scores": ({"sum_scores": True, "bso": {"max_iterations": 30}}, [], False),
     "accuracy-weight-0": ({"accuracy_weight": 0, "bso": {"max_iterations": 30}}, [], False),
     "constant-column": ({"bso": {"max_iterations": 30}}, ["--optimizer", "bso-plain"], True),
+}
+
+# the small config of the CI step "Experiment CSVs repeat byte for byte"
+SMALL = {
+    "bso": {"population_size": 10, "cluster_count": 2, "max_iterations": 15},
+    "ga": {"population_size": 10, "generations": 15},
+}
+# name: (verb and its arguments, config, file written, wall-clock column)
+CLI_CASES = {
+    "cli-sweep": (["sweep", "--ratios", "0.7,0.8", "--seeds", "0,1"], SMALL, "sweep.csv", None),
+    "cli-param-sweep": (
+        ["param-sweep", "--e-values", "0.5,1.0", "--k-values", "10,20"], SMALL, "param_sweep.csv", None
+    ),
+    "cli-benchmark": (
+        ["benchmark", "--ratios", "0.5,1.0", "--threshold", "0.68"],
+        SMALL,
+        "benchmark.csv",
+        "elapsed_ms_to_threshold",
+    ),
+    # the held-out side of the 0.8 / seed-0 split that train makes
+    "cli-evaluate": (
+        ["evaluate", str(ROOT / "perfbench" / "score_model.json"), "--split-fraction", "0.8", "--seed", "0"],
+        {},
+        "predictions.csv",
+        None,
+    ),
 }
 
 
@@ -79,6 +109,32 @@ def run_case(name: str, work: Path) -> tuple[dict, list[list[str]]]:
     return digests, rows
 
 
+def without_column(path: Path, name: str | None) -> bytes:
+    """The file's bytes, with the column headed `name` removed."""
+    if name is None:
+        return path.read_bytes()
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    drop = rows[0].index(name)
+    kept = io.StringIO()
+    csv.writer(kept).writerows(row[:drop] + row[drop + 1 :] for row in rows)
+    return kept.getvalue().encode()
+
+
+def run_cli_case(name: str, work: Path) -> dict:
+    """Digests of one CLI case's output file and stdout."""
+    argv, config, written, clock = CLI_CASES[name]
+    config_path = work / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = work / "out"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main([*argv, "--data", str(PIMA), "--config", str(config_path), "--out", str(out)])
+    assert code == 0
+    stdout = re.sub(r" \([^()]* ms\)", "", printed.getvalue().replace(str(out), "OUT"))
+    return {"file": sha256(without_column(out / written, clock)), "stdout": sha256(stdout.encode())}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_train_outputs_match_golden_digests(name, tmp_path):
     digests, rows = run_case(name, tmp_path)
@@ -87,8 +143,13 @@ def test_train_outputs_match_golden_digests(name, tmp_path):
     assert digests == json.loads(GOLDEN.read_text())[name]
 
 
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_outputs_match_golden_digests(name, tmp_path):
+    assert run_cli_case(name, tmp_path) == json.loads(GOLDEN.read_text())[name]
+
+
 def test_golden_file_has_exactly_the_cases():
-    assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted({**CASES, **CLI_CASES})
 
 
 if __name__ == "__main__":
@@ -97,4 +158,8 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as work:
             recorded[case] = run_case(case, Path(work))[0]
         print(case, recorded[case]["model"][:12], file=sys.stderr)
+    for case in sorted(CLI_CASES):
+        with tempfile.TemporaryDirectory() as work:
+            recorded[case] = run_cli_case(case, Path(work))
+        print(case, recorded[case]["file"][:12], file=sys.stderr)
     GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rulestorm import model_io
 from rulestorm.bso import BsoParams
 from rulestorm.dataset import Dataset
 from rulestorm.errors import DataError
@@ -93,6 +94,18 @@ def test_document_has_format_tag_and_rule_table(tmp_path, trained):
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_model(tmp_path / "nope.json")
+
+
+def test_load_turns_an_unreadable_file_into_a_data_error(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    path.write_text("{}")
+
+    def deny(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(model_io, "open", deny, raising=False)
+    with pytest.raises(DataError, match="cannot read model file"):
+        load_model(path)
 
 
 def test_load_rejects_bad_json(tmp_path):
