@@ -22,13 +22,16 @@ import numpy as np
 from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .errors import ConfigError, DataError, check_seed
-from .experiments import run_benchmark, run_param_sweep, run_sweep, summarize_sweep
+from .experiments import run_benchmark, run_param_sweep, run_sweep, summarize_sweep, train_cell
 from .experiments import write_benchmark_csv, write_param_sweep_csv, write_sweep_csv
 from .fitness import FitnessWeights
 from .ga import GaParams
-from .inference import Model, evaluate_model, predict_dataset, report_from_predictions
+from .inference import Model, predict_dataset, report_from_predictions
 from .model_io import load_model, save_model
-from .training import OPTIMIZERS, ExperimentSettings, train_model
+from .training import OPTIMIZERS, ExperimentSettings
+
+# perfbench/worker.py traces this name here; train scores through train_cell.
+from .inference import evaluate_model  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -203,23 +206,18 @@ def _pick(args: argparse.Namespace, config: dict, key: str):
     return value
 
 
-def _section(config: dict, name: str, cls, seed: int | None = None, seed_flag: bool = False):
+def _section(config: dict, name: str, cls, seed_option: str):
     """Build `cls` from the config sub-object `name`, with field-path errors
-    such as ``config: bso.population_size must be an integer``.
-
-    A `seed` fills in for a missing one in the sub-object; an explicit --seed
-    flag (`seed_flag`) overrides the sub-object's own.
-    """
+    such as ``config: bso.population_size must be an integer``. A key that is
+    not a field is refused, and so are the fields that another option sets:
+    the verb's `seed_option` seeds the optimizer."""
     values = {} if config.get(name) is None else config[name]
     if not isinstance(values, dict):
         raise ConfigError(f"config: {name} must be an object")
-    unknown = sorted(set(values) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"config: {name}.{unknown[0]} is not a parameter")
-    if name == "bso" and "mode" in values:
-        raise ConfigError("config: bso.mode is not a parameter; set optimizer to bso-ewma or bso-plain")
-    if seed is not None:
-        values = {**values, "seed": seed} if seed_flag else {"seed": seed, **values}
+    set_by = {"mode": "; set optimizer to bso-ewma or bso-plain", "seed": f"; set {seed_option} (--{seed_option})"}
+    settable = {f.name for f in fields(cls)} - set_by.keys()
+    for key in sorted(set(values) - settable):
+        raise ConfigError(f"config: {name}.{key} is not a parameter{set_by.get(key, '')}")
     try:
         return cls(**values)
     except ConfigError as exc:
@@ -259,13 +257,14 @@ def _output(out: Path, name: str, write: Callable[[Path], None]) -> Path:
     return out / name
 
 
-def _settings(config: dict, seed: int | None = None, seed_flag: bool = False) -> ExperimentSettings:
+def _settings(config: dict, verb: str) -> ExperimentSettings:
     """The training settings the config sets; the record's defaults fill in
     the rest."""
+    seed_option = "seeds" if verb == "sweep" else "seed"
     sections = {
-        "fitness_weights": _section(config, "fitness_weights", FitnessWeights),
-        "bso_params": _section(config, "bso", BsoParams, seed, seed_flag),
-        "ga_params": _section(config, "ga", GaParams, seed, seed_flag),
+        "fitness_weights": _section(config, "fitness_weights", FitnessWeights, seed_option),
+        "bso_params": _section(config, "bso", BsoParams, seed_option),
+        "ga_params": _section(config, "ga", GaParams, seed_option),
     }
     values = {key: config[key] for key in SETTINGS_KEYS if config.get(key) is not None}
     try:
@@ -275,16 +274,19 @@ def _settings(config: dict, seed: int | None = None, seed_flag: bool = False) ->
 
 
 def _setup(args):
-    """Config, seed, settings and output directory of a command, read in that
-    order so that bad options fail before any data is read and before any
-    work starts.
+    """Config, split, settings and output directory of a command, read in
+    that order so that bad options fail before any data is read and before
+    any work starts. The split is None for a verb that makes no single split.
     """
     config = load_config(args.config, args.command)
     seed = _pick(args, config, "seed")
-    if seed is not None:  # sweep takes no seed
-        check_seed(seed)  # before it is copied into the bso and ga sections
-    settings = _settings(config, seed, getattr(args, "seed", None) is not None)
-    return config, _out_dir(args, config), seed, settings
+    for each in (seed,) if seed is not None else _pick(args, config, "seeds"):  # sweep has a seed per cell
+        check_seed(each)
+    fraction = _pick(args, config, "split_fraction")
+    name = f"{args.command} split fraction (--split-fraction)"
+    spec = None if fraction is None else SplitSpec(fraction, seed, allow_full=args.command == "train", name=name)
+    settings = _settings(config, args.command)
+    return config, _out_dir(args, config), spec, settings
 
 
 def _metric(value: float | None) -> str:
@@ -293,13 +295,9 @@ def _metric(value: float | None) -> str:
 
 def cmd_train(args) -> int:
     """fit a model, write model.json and trace.csv"""
-    config, out, seed, settings = _setup(args)
+    config, out, spec, settings = _setup(args)
     ds = _load_dataset(args, config)
-    optimizer = _pick(args, config, "optimizer")
-    fraction = float(_pick(args, config, "split_fraction"))
-    train, test = (ds, None) if fraction == 1.0 else split(ds, SplitSpec(fraction, seed))
-
-    result = train_model(train, optimizer=optimizer, **vars(settings))
+    train, result, report = train_cell(ds, settings, spec, _pick(args, config, "optimizer"))
 
     model_path = _output(out, "model.json", lambda path: save_model(result.model, path))
     trace_path = _output(out, "trace.csv", result.run.trace.write_csv)
@@ -308,8 +306,7 @@ def cmd_train(args) -> int:
     print(f"best objective value: {result.run.best.evaluation.value:.6f}")
     print(f"quality components: g1={b.g1:.6f} g2={b.g2:.6f} g3={b.g3:.6f} G={b.fitness:.6f}")
     print(f"train accuracy: {result.train_accuracy:.4f} ({train.n} records)")
-    if test is not None:
-        report = evaluate_model(result.model, test, sum_scores=settings.sum_scores)
+    if report is not None:
         print(
             f"held-out accuracy: {report.accuracy:.4f} ({report.n} records, "
             f"sensitivity {_metric(report.sensitivity)}, "
@@ -351,12 +348,11 @@ def write_predictions(
 
 def cmd_evaluate(args) -> int:
     """score a saved model on a dataset"""
-    config, out, seed, settings = _setup(args)
-    fraction = _pick(args, config, "split_fraction")
+    config, out, spec, settings = _setup(args)
     model = load_model(args.model)
     ds = _load_dataset(args, config)
-    if fraction is not None:
-        _, ds = split(ds, SplitSpec(fraction, seed))
+    if spec is not None:
+        _, ds = split(ds, spec)
     sum_scores = settings.sum_scores if config.get("sum_scores") is not None else model.metadata.get("sum_scores", False)
 
     internal, scores = predict_dataset(model, ds, sum_scores=sum_scores)
@@ -406,13 +402,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_param_sweep(args) -> int:
     """vary averaging weight and anneal slope, write param_sweep.csv"""
-    config, out, seed, settings = _setup(args)
+    config, out, spec, settings = _setup(args)
     ds = _load_dataset(args, config)
-    ratio = float(_pick(args, config, "split_fraction"))
     e_values = tuple(_pick(args, config, "e_values"))
     k_values = tuple(_pick(args, config, "k_values"))
 
-    rows = run_param_sweep(ds, settings, e_values, k_values, ratio=ratio, seed=seed)
+    rows = run_param_sweep(ds, settings, e_values, k_values, ratio=spec.fraction, seed=spec.seed)
     path = _output(out, "param_sweep.csv", lambda path: write_param_sweep_csv(rows, path))
     for row in rows:
         score = f"failed: {row.error}" if row.error else f"test accuracy {row.test_accuracy:.4f}"
@@ -423,13 +418,13 @@ def cmd_param_sweep(args) -> int:
 
 def cmd_benchmark(args) -> int:
     """iterations/time to reach a target value, write benchmark.csv"""
-    config, out, seed, settings = _setup(args)
+    config, out, _, settings = _setup(args)
     ds = _load_dataset(args, config)
     fractions = tuple(_pick(args, config, "ratios"))
     threshold = float(_pick(args, config, "threshold"))
     optimizers = _optimizer_list(args, config)
 
-    rows = run_benchmark(ds, settings, fractions, threshold, seed=seed, optimizers=optimizers)
+    rows = run_benchmark(ds, settings, fractions, threshold, seed=_pick(args, config, "seed"), optimizers=optimizers)
     path = _output(out, "benchmark.csv", lambda path: write_benchmark_csv(rows, path))
     for row in rows:
         if row.error is not None:

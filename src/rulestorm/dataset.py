@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +48,24 @@ class AttributeStats:
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """The train share and seed of a stratified split. `fraction` must be in
+    (0, 1), so that records are held out; with `allow_full` it may also be 1,
+    which trains on every record. A refused fraction is reported as `name`."""
+
     fraction: float
     seed: int
+    allow_full: InitVar[bool] = False
+    name: InitVar[str] = "split fraction"
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, allow_full: bool, name: str) -> None:
         check_fields(self)
+        if not 0.0 < self.fraction <= 1.0 or self.full and not allow_full:
+            raise ConfigError(f"{name} must be in (0, 1{']' if allow_full else ')'}, got {self.fraction}")
+
+    @property
+    def full(self) -> bool:
+        """Whether the train side is every record, with none held out."""
+        return self.fraction == 1.0
 
 
 def _parse_cell(cell: str) -> float | None:
@@ -280,8 +293,6 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     follow the class proportions to within one record, and every class keeps
     at least one record on each side.
     """
-    if not 0.0 < spec.fraction < 1.0:
-        raise ConfigError(f"split fraction must be in (0, 1), got {spec.fraction}")
     n_train = round(spec.fraction * ds.n)
     c = ds.c
     class_counts = np.array([np.sum(ds.y == j) for j in range(1, c + 1)])

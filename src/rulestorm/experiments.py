@@ -13,11 +13,11 @@ import math
 from dataclasses import astuple, dataclass, fields, replace
 
 from .dataset import Dataset, SplitSpec, split
-from .errors import ConfigError, check_seed
-from .inference import evaluate_model
+from .errors import ConfigError
+from .inference import EvaluationReport, evaluate_model
 from .rules import RuleSetShape
 from .search import TraceRecord, write_csv
-from .training import OPTIMIZERS, ExperimentSettings, check_optimizer, train_model
+from .training import OPTIMIZERS, ExperimentSettings, TrainingResult, check_optimizer, train_model
 
 SWEEP_HEADER = (
     "ratio",
@@ -74,32 +74,32 @@ class SweepResult:
         )
 
 
+def train_cell(
+    ds: Dataset, settings: ExperimentSettings, spec: SplitSpec, optimizer: str
+) -> tuple[Dataset, TrainingResult, EvaluationReport | None]:
+    """Split `ds` by `spec`, train on the train side with both optimizers
+    seeded by the spec's seed, and score the held-out side. Returns the train
+    side, the training result and the held-out report, which is None when the
+    spec is full: the model then trains on every record and nothing is scored."""
+    train, test = (ds, None) if spec.full else split(ds, spec)
+    seeded = {name: replace(getattr(settings, name), seed=spec.seed) for name in ("bso_params", "ga_params")}
+    result = train_model(train, optimizer=optimizer, **{**vars(settings), **seeded})
+    report = None if test is None else evaluate_model(result.model, test, sum_scores=settings.sum_scores)
+    return train, result, report
+
+
 def run_cell(
     ds: Dataset, settings: ExperimentSettings, fraction: float, optimizer: str, seed: int
 ) -> SweepRun:
-    """Split off `fraction` of the records, train on them with both optimizers
-    seeded by `seed`, and score the held-out side. At fraction 1 the model
-    trains on every record and nothing is scored. A failure is recorded on
-    the run, never raised."""
+    """The :func:`train_cell` of a (fraction, seed) split, where fraction 1
+    trains on every record. A failure is recorded on the run, never raised."""
     run = SweepRun(ratio=fraction, optimizer=optimizer, seed=seed)
     try:
-        train, test = (ds, None) if fraction == 1.0 else split(ds, SplitSpec(fraction, seed))
-        seeded = replace(
-            settings,
-            bso_params=replace(settings.bso_params, seed=seed),
-            ga_params=replace(settings.ga_params, seed=seed),
-        )
-        result = train_model(train, optimizer=optimizer, **vars(seeded))
-        if test is not None:
-            report = evaluate_model(result.model, test, sum_scores=settings.sum_scores)
-            run = replace(
-                run,
-                test_accuracy=report.accuracy,
-                sensitivity=report.sensitivity,
-                specificity=report.specificity,
-            )
+        train, result, report = train_cell(ds, settings, SplitSpec(fraction, seed, allow_full=True), optimizer)
     except Exception as exc:  # cell failures are recorded, never raised
         return replace(run, error=f"{type(exc).__name__}: {exc}")
+    if report is not None:
+        run = replace(run, test_accuracy=report.accuracy, sensitivity=report.sensitivity, specificity=report.specificity)
     records = result.run.trace.records
     return replace(
         run,
@@ -112,11 +112,12 @@ def run_cell(
     )
 
 
-def _check_cells(ds: Dataset, settings: ExperimentSettings, seeds, optimizers) -> None:
-    """Checks shared by the drivers: seeds, optimizer names and the rule
+def _check_cells(ds: Dataset, settings: ExperimentSettings, name: str, fractions, seeds, optimizers, allow_full=False):
+    """Checks shared by the drivers: the split of each (fraction, seed) pair,
+    a refused fraction reported as `name`, the optimizer names and the rule
     table's shape on this dataset."""
-    for seed in seeds:
-        check_seed(seed)
+    for fraction, seed in itertools.product(fractions, seeds):
+        SplitSpec(fraction, seed, allow_full=allow_full, name=name)
     for optimizer in optimizers:
         check_optimizer(optimizer)
     RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)
@@ -141,10 +142,7 @@ def run_sweep(
     Failures inside a cell are captured on its row; the sweep always
     completes.
     """
-    for ratio in ratios:
-        if not 0.0 < ratio < 1.0:
-            raise ConfigError(f"sweep ratios must be in (0, 1), got {ratio}")
-    _check_cells(ds, settings, seeds, optimizers)
+    _check_cells(ds, settings, "sweep ratios (--ratios)", ratios, seeds, optimizers)
     _check_distinct("sweep", {"ratios": ratios, "seeds": seeds, "optimizers": optimizers})
     runs = [
         run_cell(ds, settings, ratio, optimizer, seed)
@@ -249,9 +247,7 @@ def run_param_sweep(
     Every value is checked before the first cell runs, so a bad or repeated
     value raises ConfigError rather than fill the grid with failed rows.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"param-sweep split fraction (--split-fraction) must be in (0, 1), got {ratio}")
-    _check_cells(ds, settings, (seed,), ())
+    _check_cells(ds, settings, "param-sweep split fraction (--split-fraction)", (ratio,), (seed,), ())
     _check_distinct("param-sweep", {"e (--e-values)": e_values, "K (--k-values)": k_values})
     for name, param, values in (("e (--e-values)", "smoothing", e_values), ("K (--k-values)", "slope_divisor", k_values)):
         for value in values:
@@ -304,10 +300,7 @@ def run_benchmark(
     did-not-finish rather than raised."""
     if not 0.0 < threshold <= 1.0:
         raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
-    for fraction in fractions:
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigError(f"fractions must be in (0, 1], got {fraction}")
-    _check_cells(ds, settings, (seed,), optimizers)
+    _check_cells(ds, settings, "benchmark fractions (--ratios)", fractions, (seed,), optimizers, allow_full=True)
     _check_distinct("benchmark", {"fractions (--ratios)": fractions, "optimizers": optimizers})
     rows = []
     for fraction in fractions:

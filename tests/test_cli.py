@@ -461,8 +461,7 @@ def test_out_naming_a_file_is_a_config_error_before_any_work(
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    monkeypatch.setattr(experiments, "train_model", refuse)
-    monkeypatch.setattr(cli, "train_model", refuse)
+    monkeypatch.setattr(experiments, "train_model", refuse)  # train trains through experiments.train_cell
     monkeypatch.setattr(cli, "predict_dataset", refuse)
     data_path = write_one_attribute_csv(
         tmp_path / "data.csv", [(v, int(v > 5)) for v in range(11)]
@@ -511,8 +510,6 @@ def test_out_naming_a_file_is_a_config_error_before_any_work(
         ("bso.cluster_count", True),
         ("fitness_weights.alpha", float("nan")),
         ("fitness_weights.beta", float("inf")),
-        ("bso.seed", -2),
-        ("ga.seed", -1),
     ],
 )
 def test_config_value_of_wrong_json_type_is_a_config_error(
@@ -716,23 +713,35 @@ def test_bso_mode_in_config_is_a_config_error(tmp_path, data_csv, capsys):
 
 
 def test_seed_flag_overrides_config_seed(tmp_path, data_csv):
-    config = write_fast_config(tmp_path / "seeded.json", seed=1, bso={"population_size": 10, "cluster_count": 2, "max_iterations": 6, "stagnation_window": 20, "seed": 1})
+    # the flag seeds the split and the optimizer, as the config's seed would
+    argv = ["train", "--data", str(data_csv)]
+    flagged, configured = tmp_path / "flag", tmp_path / "config"
+    one, two = write_fast_config(tmp_path / "one.json", seed=1), write_fast_config(tmp_path / "two.json", seed=2)
+    assert main([*argv, "--config", str(one), "--seed", "2", "--out", str(flagged)]) == 0
+    assert main([*argv, "--config", str(two), "--out", str(configured)]) == 0
+    assert load_model(flagged / "model.json").metadata["seed"] == 2
+    assert (flagged / "model.json").read_bytes() == (configured / "model.json").read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("bso.seed", -2), ("ga.seed", -1), ("bso.seed", 7), ("ga.seed", 3)])
+@pytest.mark.parametrize("verb", list(cli.COMMANDS))
+def test_section_seed_is_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch, verb, key, value):
+    # the verb's seed (each sweep cell's entry in --seeds) is the only seed
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read before the config was checked")
+
+    monkeypatch.setattr(cli, "load_model", refuse)
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    section, _, name = key.partition(".")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {name: value}}))
+    model = ["model.json"] if verb == "evaluate" else []
     out = tmp_path / "run"
-    main(
-        [
-            "train",
-            "--data",
-            str(data_csv),
-            "--config",
-            str(config),
-            "--out",
-            str(out),
-            "--seed",
-            "2",
-        ]
-    )
-    model = load_model(out / "model.json")
-    assert model.metadata["seed"] == 2
+    code = main([verb, *model, "--data", "x.csv", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    option = "seeds" if verb == "sweep" else "seed"
+    assert f"config error: config: {key} is not a parameter; set {option} (--{option})\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_label_flag_accepts_column_index(tmp_path, fast_config):
@@ -1017,6 +1026,27 @@ def test_several_ratios_fail_before_any_file_is_read(tmp_path, capsys, monkeypat
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "verb, fraction",
+    [("train", f) for f in ("1.5", "0", "-0.1")] + [(v, f) for v in ("evaluate", "param-sweep") for f in ("1.5", "0", "-0.1", "1")],
+)
+def test_out_of_range_split_fraction_fails_before_any_file_is_read(tmp_path, capsys, monkeypatch, verb, fraction):
+    # train alone may train on every record
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read before --split-fraction was checked")
+
+    monkeypatch.setattr(cli, "load_model", refuse)
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    model = [str(tmp_path / "model.json")] if verb == "evaluate" else []
+    out = tmp_path / "run"
+    code = main([verb, *model, "--data", str(tmp_path / "missing.csv"), "--split-fraction", fraction, "--out", str(out)])
+    assert code == 2
+    bounds = "(0, 1]" if verb == "train" else "(0, 1)"
+    message = f"config error: {verb} split fraction (--split-fraction) must be in {bounds}, got {float(fraction)}\n"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _valid_value(key):
     """A value of `key` that some verb takes, as a config value and as flag text."""
     value = next(default for default, *_ in cli.OPTIONS[key][1].values() if default is not None)
@@ -1072,6 +1102,20 @@ def test_evaluate_refuses_a_negative_seed_without_a_split(tmp_path, data_csv, ca
     code = main(["evaluate", str(perfect_model(tmp_path)), "--data", str(data_csv), "--seed", "-1"])
     assert code == 2
     assert "config error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratios", ["0.8", ""])
+def test_sweep_refuses_a_negative_seed_before_any_file_is_read(tmp_path, capsys, monkeypatch, ratios):
+    # even a sweep with no ratio, and so no cell, refuses it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read before --seeds was checked")
+
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    out = tmp_path / "run"
+    code = main(["sweep", "--data", str(tmp_path / "missing.csv"), "--ratios", ratios, "--seeds", "0,-1", "--out", str(out)])
+    assert code == 2
+    assert "config error: seed must be a non-negative integer, got -1\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["train", "evaluate"])

@@ -205,6 +205,17 @@ class TestSplit:
         with pytest.raises(ConfigError):
             SplitSpec(fraction=fraction, seed=seed)
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5, 1.0])
+    def test_spec_holds_records_out(self, fraction):
+        with pytest.raises(ConfigError, match=rf"^split fraction must be in \(0, 1\), got {fraction}$"):
+            SplitSpec(fraction=fraction, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
+    def test_full_spec_takes_one_and_names_its_option(self, fraction):
+        assert SplitSpec(1.0, 0, allow_full=True).full and not SplitSpec(0.8, 0, allow_full=True).full
+        with pytest.raises(ConfigError, match=rf"^train share must be in \(0, 1\], got {fraction}$"):
+            SplitSpec(fraction, 0, allow_full=True, name="train share")
+
     def test_seed_changes_partition(self, pid_path):
         ds = load_csv(pid_path)
         a = split(ds, SplitSpec(fraction=0.8, seed=1))

@@ -31,17 +31,23 @@ ROOT = Path(__file__).resolve().parent.parent
 PIMA = ROOT / "data" / "pima.csv"
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
-# name: (config, extra train arguments, constant first column)
+OPTIMIZERS = ("bso-ewma", "bso-plain", "ga")
+
+# name: (config, extra train arguments, seed, constant first column)
 CASES = {
-    "bso-ewma-defaults": ({}, ["--optimizer", "bso-ewma"], False),
-    "bso-plain-defaults": ({}, ["--optimizer", "bso-plain"], False),
-    "ga-defaults": ({}, ["--optimizer", "ga"], False),
+    **{f"{optimizer}-defaults": ({}, ["--optimizer", optimizer], 0, False) for optimizer in OPTIMIZERS},
     # the logistic ramp falls from about 1 to about 0 within the run
-    "bso-annealed": ({"bso": {"max_iterations": 60, "slope_divisor": 2.4}}, [], False),
-    "ga-stagnation": ({"ga": {"generations": 200, "stagnation_window": 5}}, ["--optimizer", "ga"], False),
-    "sum-scores": ({"sum_scores": True, "bso": {"max_iterations": 30}}, [], False),
-    "accuracy-weight-0": ({"accuracy_weight": 0, "bso": {"max_iterations": 30}}, [], False),
-    "constant-column": ({"bso": {"max_iterations": 30}}, ["--optimizer", "bso-plain"], True),
+    "bso-annealed": ({"bso": {"max_iterations": 60, "slope_divisor": 2.4}}, [], 0, False),
+    "ga-stagnation": ({"ga": {"generations": 200, "stagnation_window": 5}}, ["--optimizer", "ga"], 0, False),
+    "sum-scores": ({"sum_scores": True, "bso": {"max_iterations": 30}}, [], 0, False),
+    "accuracy-weight-0": ({"accuracy_weight": 0, "bso": {"max_iterations": 30}}, [], 0, False),
+    "constant-column": ({"bso": {"max_iterations": 30}}, ["--optimizer", "bso-plain"], 0, True),
+    # the default run of each optimizer on the other seeds
+    **{
+        f"{optimizer}-seed-{seed}": ({}, ["--optimizer", optimizer], seed, False)
+        for optimizer in OPTIMIZERS
+        for seed in range(1, 5)
+    },
 }
 
 # the small config of the CI step "Experiment CSVs repeat byte for byte"
@@ -85,7 +91,7 @@ def trace_rows(path: Path) -> list[list[str]]:
 
 def run_case(name: str, work: Path) -> tuple[dict, list[list[str]]]:
     """Digests of one case's train run, and its trace rows."""
-    config, extra, constant = CASES[name]
+    config, extra, seed, constant = CASES[name]
     data = PIMA
     if constant:
         header, *body = PIMA.read_text().splitlines()
@@ -98,7 +104,7 @@ def run_case(name: str, work: Path) -> tuple[dict, list[list[str]]]:
     with contextlib.redirect_stdout(printed), warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the constant column's warning
         code = main(["train", "--data", str(data), "--config", str(config_path),
-                     "--seed", "0", "--out", str(out), *extra])
+                     "--seed", str(seed), "--out", str(out), *extra])
     assert code == 0
     rows = trace_rows(out / "trace.csv")
     digests = {
