@@ -22,7 +22,7 @@ import numpy as np
 from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .errors import ConfigError, DataError, check_seed
-from .experiments import run_benchmark, run_param_sweep, run_sweep, summarize_sweep, train_cell
+from .experiments import check_splits, run_benchmark, run_param_sweep, run_sweep, summarize_sweep, train_cell
 from .experiments import write_benchmark_csv, write_param_sweep_csv, write_sweep_csv
 from .fitness import FitnessWeights
 from .ga import GaParams
@@ -280,8 +280,12 @@ def _setup(args):
     """
     config = load_config(args.config, args.command)
     seed = _pick(args, config, "seed")
-    for each in (seed,) if seed is not None else _pick(args, config, "seeds"):  # sweep has a seed per cell
+    seeds = (seed,) if seed is not None else tuple(_pick(args, config, "seeds"))  # sweep has a seed per cell
+    for each in seeds:
         check_seed(each)
+    ratios = _pick(args, config, "ratios")  # sweep and benchmark split once per entry
+    if ratios is not None:
+        check_splits(args.command, ratios, seeds)
     fraction = _pick(args, config, "split_fraction")
     name = f"{args.command} split fraction (--split-fraction)"
     spec = None if fraction is None else SplitSpec(fraction, seed, allow_full=args.command == "train", name=name)

@@ -112,12 +112,26 @@ def run_cell(
     )
 
 
-def _check_cells(ds: Dataset, settings: ExperimentSettings, name: str, fractions, seeds, optimizers, allow_full=False):
-    """Checks shared by the drivers: the split of each (fraction, seed) pair,
-    a refused fraction reported as `name`, the optimizer names and the rule
-    table's shape on this dataset."""
+# How each experiment names its train fractions in errors, and whether a
+# fraction may be 1, which trains on every record.
+SPLIT_OPTIONS = {
+    "sweep": ("sweep ratios (--ratios)", False),
+    "param-sweep": ("param-sweep split fraction (--split-fraction)", False),
+    "benchmark": ("benchmark fractions (--ratios)", True),
+}
+
+
+def check_splits(verb: str, fractions, seeds) -> None:
+    """Refuse a (fraction, seed) pair of `verb`'s cells that makes no split."""
+    name, allow_full = SPLIT_OPTIONS[verb]
     for fraction, seed in itertools.product(fractions, seeds):
         SplitSpec(fraction, seed, allow_full=allow_full, name=name)
+
+
+def _check_cells(ds: Dataset, settings: ExperimentSettings, verb: str, fractions, seeds, optimizers):
+    """Checks shared by the experiments: the split of each (fraction, seed) pair,
+    the optimizer names and the rule table's shape on this dataset."""
+    check_splits(verb, fractions, seeds)
     for optimizer in optimizers:
         check_optimizer(optimizer)
     RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)
@@ -142,7 +156,7 @@ def run_sweep(
     Failures inside a cell are captured on its row; the sweep always
     completes.
     """
-    _check_cells(ds, settings, "sweep ratios (--ratios)", ratios, seeds, optimizers)
+    _check_cells(ds, settings, "sweep", ratios, seeds, optimizers)
     _check_distinct("sweep", {"ratios": ratios, "seeds": seeds, "optimizers": optimizers})
     runs = [
         run_cell(ds, settings, ratio, optimizer, seed)
@@ -247,7 +261,7 @@ def run_param_sweep(
     Every value is checked before the first cell runs, so a bad or repeated
     value raises ConfigError rather than fill the grid with failed rows.
     """
-    _check_cells(ds, settings, "param-sweep split fraction (--split-fraction)", (ratio,), (seed,), ())
+    _check_cells(ds, settings, "param-sweep", (ratio,), (seed,), ())
     _check_distinct("param-sweep", {"e (--e-values)": e_values, "K (--k-values)": k_values})
     for name, param, values in (("e (--e-values)", "smoothing", e_values), ("K (--k-values)", "slope_divisor", k_values)):
         for value in values:
@@ -300,7 +314,7 @@ def run_benchmark(
     did-not-finish rather than raised."""
     if not 0.0 < threshold <= 1.0:
         raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
-    _check_cells(ds, settings, "benchmark fractions (--ratios)", fractions, (seed,), optimizers, allow_full=True)
+    _check_cells(ds, settings, "benchmark", fractions, (seed,), optimizers)
     _check_distinct("benchmark", {"fractions (--ratios)": fractions, "optimizers": optimizers})
     rows = []
     for fraction in fractions:

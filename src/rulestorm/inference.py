@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .membership import FuzzyPartition, degree, degree_table
-from .rules import AND, Rule, RuleSet, fold_rules, record_blocks, rule_arrays
+from .rules import AND, Rule, RuleSet, fold_rules, record_blocks, rule_arrays, workspace_array
 
 # perfbench/worker.py traces this name here; predict_dataset no longer calls it.
 from .membership import degree_matrix  # noqa: F401
@@ -130,23 +130,29 @@ def predict_scores(scores: np.ndarray, consequents: np.ndarray, c: int, majority
     return preds, best
 
 
-def score_blocks(table_of, n, ants, consequents, is_and, weights, p, c, majority, sum_scores, values=None):
+def score_blocks(table_of, n, ants, consequents, is_and, weights, p, c, majority, sum_scores, values=None, workspace=None):
     """Yield (block, classes (Q, b), winning scores (Q, b)) per record block
     for Q weighted rule tables: antecedents (Q, r, m), the rest (Q, r).
     `table_of(block)` gives the block's (m, p + 2, b) degree table or, with
     `values`, its rank table (`membership.rank_table`): the folded ranks are
     cast to np.intp and looked up in `values`, which gives the bits that
-    folding the degrees gives."""
+    folding the degrees gives. The fold, the cast and the lookup write into
+    `workspace` (`rules.workspace_array`; a fresh one when None), which a
+    caller keeps across calls so that no block allocates and page-faults its
+    temporaries anew; what is yielded is never part of it."""
+    workspace = {} if workspace is None else workspace
     q, r, m = ants.shape
     ants, is_and = ants.reshape(q * r, m), is_and.reshape(q * r)
     for block in record_blocks(n, max(q * r, m * (p + 2))):
-        scores = fold_rules(table_of(block), ants, is_and)
+        scores = fold_rules(table_of(block), ants, is_and, workspace)
         if values is not None:
-            scores = values.take(scores.astype(np.intp))  # take with intp indices is the fast path
+            # take with intp indices is the fast path; ranks index values, so "clip" never clips
+            idx = workspace_array(workspace, "idx", scores.shape, np.intp)
+            np.copyto(idx, scores)
+            scores = values.take(idx, out=workspace_array(workspace, "scores", idx.shape, values.dtype), mode="clip")
         scores = scores.reshape(q, r, scores.shape[1])  # q may be 0: a GA of one breeds no child
         scores *= weights[..., None]
         preds, best = predict_scores(scores, consequents, c, majority, sum_scores)
-        del scores  # before the next block's fold allocates its buffers
         yield block, preds, best
 
 

@@ -12,6 +12,7 @@ reference for the crisp matches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -195,20 +196,38 @@ def with_weights(rs: RuleSet, ld: LabeledDataset, decimals: int | None = None) -
     return RuleSet(rules=rules, m=rs.m, p=rs.p, c=rs.c)
 
 
-def fold_rules(table: np.ndarray, ants: np.ndarray, is_and: np.ndarray) -> np.ndarray:
+def workspace_array(workspace: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A C-contiguous `shape` array over the workspace's flat buffer `name`.
+    The buffer is replaced only when it is too small or of another dtype, so
+    an array of any block or batch size no larger than the largest served so
+    far reuses memory that is already paged in."""
+    size = math.prod(shape)
+    flat = workspace.get(name)
+    if flat is None or flat.dtype != dtype or flat.size < size:
+        flat = workspace[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
+
+
+def fold_rules(table: np.ndarray, ants: np.ndarray, is_and: np.ndarray, workspace: dict | None = None) -> np.ndarray:
     """Each rule's rows of an (m, p + 2, n) table padded as
     `membership.degree_table` is, combined over the attributes: min for AND
     rules, max for OR rules. Shape (r, n), in the table's dtype; a rule without
     antecedents gives label 0's row. On degrees this gives activations, on
-    their ranks the activations' ranks, on label indicators match masks."""
+    their ranks the activations' ranks, on label indicators match masks.
+
+    The result and the fold's other temporary are arrays of `workspace`
+    (`workspace_array`; a fresh one when None), so the result is valid only
+    until the workspace serves the next call."""
+    workspace = {} if workspace is None else workspace
     is_and = is_and | ~ants.any(axis=1)
     ants = np.where(is_and[:, None] | (ants != 0), ants, table.shape[1] - 1)
     # AND rules first, so each connective folds a contiguous run of rows; labels
     # are in 0..p + 1, so "clip" never clips, and unlike "raise" it needs no copy
     order = np.argsort(~is_and, kind="stable")
     idx, k = ants[order], np.count_nonzero(is_and)
-    acc = table[0].take(idx[:, 0], axis=0, mode="clip")
-    gathered = np.empty_like(acc)
+    shape = (len(idx), table.shape[2])
+    acc = table[0].take(idx[:, 0], axis=0, out=workspace_array(workspace, "acc", shape, table.dtype), mode="clip")
+    gathered = workspace_array(workspace, "gathered", shape, table.dtype)
     for j in range(1, len(table)):
         table[j].take(idx[:, j], axis=0, out=gathered, mode="clip")
         np.minimum(acc[:k], gathered[:k], out=acc[:k])

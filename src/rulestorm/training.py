@@ -50,7 +50,10 @@ class RuleObjective:
     fractions fold the label indicators of the distinct label rows,
     `ld.indicators`. `evaluate_batch` scores a whole batch of candidates
     with one fold of all their rules per record block, so the cost per batch
-    is a fixed number of vector operations.
+    is a fixed number of vector operations. Those operations write into one
+    `workspace` of block buffers that lives as long as the objective, so a
+    block reuses memory that is already paged in rather than faulting in
+    fresh pages for its temporaries.
     """
 
     def __init__(
@@ -75,6 +78,7 @@ class RuleObjective:
         self.majority = majority
         self.sum_scores = sum_scores
         self.values, self.ranks = rank_table(partitions, x, shape.p)
+        self.workspace = {}  # the accuracy kernel's block buffers, kept for every batch
 
     def _train_accuracy(self, ants, consequents, is_and, fractions) -> np.ndarray:
         """Training accuracy (Q,) of Q rule tables, counted in record blocks."""
@@ -82,7 +86,7 @@ class RuleObjective:
         for block, preds, _ in score_blocks(
             lambda block: self.ranks[:, :, block], self.ld.n, ants, consequents, is_and,
             rule_weights(ants, fractions), self.shape.p, self.shape.c, self.majority, self.sum_scores,
-            self.values,
+            self.values, self.workspace,
         ):
             correct += np.count_nonzero(preds == self.ld.classes[block], axis=1)
         return correct / self.ld.n

@@ -1047,6 +1047,28 @@ def test_out_of_range_split_fraction_fails_before_any_file_is_read(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "verb, ratio",
+    [("sweep", r) for r in (1.4, 1.0, 0.0, -0.1)] + [("benchmark", r) for r in (1.5, 0.0, -0.1)],
+)
+def test_out_of_range_ratio_fails_before_any_file_is_read(tmp_path, capsys, monkeypatch, verb, ratio, source):
+    # sweep and benchmark split once per entry of --ratios; benchmark alone may train on every record
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read before --ratios was checked")
+
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    config = tmp_path / "ratios.json"
+    config.write_text(json.dumps({"ratios": [0.5, ratio]}))
+    ratios = ["--ratios", f"0.5,{ratio}"] if source == "flag" else ["--config", str(config)]
+    out = tmp_path / "run"
+    code = main([verb, "--data", str(tmp_path / "missing.csv"), *ratios, "--out", str(out)])
+    assert code == 2
+    name = "sweep ratios (--ratios) must be in (0, 1)" if verb == "sweep" else "benchmark fractions (--ratios) must be in (0, 1]"
+    assert f"config error: {name}, got {ratio}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _valid_value(key):
     """A value of `key` that some verb takes, as a config value and as flag text."""
     value = next(default for default, *_ in cli.OPTIONS[key][1].values() if default is not None)

@@ -9,9 +9,11 @@ degree fold's bits, and match fractions the counts of a per-record table;
 record, in any record blocking; `decode_arrays` must repair exactly as a
 rule-by-rule decoder does; `RuleObjective.evaluate_batch` must give, in any
 record blocking, exactly what `fitness.evaluate` and `classify` give per
-genotype.
+genotype, and an objective that has scored other batches in its workspace
+what a fresh one gives.
 """
 
+import struct
 import tracemalloc
 import warnings
 from unittest import mock
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from rulestorm import rules
 from rulestorm.dataset import AttributeStats, Dataset, majority_class
 from rulestorm.fitness import FitnessWeights, evaluate
-from rulestorm.inference import Model, activation, classify, predict_dataset, predict_scores
+from rulestorm.inference import Model, activation, classify, predict_dataset, predict_scores, score_blocks
 from rulestorm.membership import build_partition, degree_table, fuzzify_dataset, rank_table
 from rulestorm.rules import (
     AND,
@@ -35,8 +37,10 @@ from rulestorm.rules import (
     decode_arrays,
     fold_rules,
     genotype_bounds,
+    match_fractions,
     match_mask,
     rule_arrays,
+    rule_weights,
     with_weights,
 )
 from rulestorm.training import RuleObjective
@@ -363,6 +367,92 @@ def test_evaluate_batch_equals_per_genotype_oracles(
             assert got.value == quality.fitness
         else:
             assert got.value == (1.0 - accuracy_weight) * quality.fitness + accuracy_weight * accuracy
+
+
+def bits(evaluations):
+    """Every float of a list of evaluations, as the bits of a float64."""
+    return [
+        struct.pack("<5d", e.value, e.breakdown.g1, e.breakdown.g2, e.breakdown.g3, e.breakdown.fitness)
+        for e in evaluations
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 40),
+    m=st.integers(1, 4),
+    c=st.integers(2, 3),
+    extra_rules=st.integers(0, 3),
+    sizes=st.lists(st.integers(0, 7), min_size=1, max_size=5),
+    sum_scores=st.booleans(),
+    block_bytes=st.sampled_from([200, 2000, rules.BLOCK_BYTES]),
+)
+def test_objective_reusing_its_workspace_equals_fresh_objectives(
+    seed, n, m, c, extra_rules, sizes, sum_scores, block_bytes
+):
+    """One objective scores a stream of batches of varying size, 0 standing
+    for one genotype through __call__, ending with a batch larger than the
+    first; small block budgets give ragged blocks of a few records. Then
+    score_blocks, run on that objective's workspace, must yield arrays that
+    stay valid while later blocks are scored."""
+    p = 3
+    ds, partitions, _ = random_case(seed, n, m, p, c, c, False)
+    ld = fuzzify_dataset(ds, partitions)
+    shape = RuleSetShape(m=m, p=p, c=c, r=c + extra_rules)
+
+    def objective():
+        return RuleObjective(
+            ld, shape, FitnessWeights(1.0, 2.0, 0.5), 1.0, partitions, ds.x, majority_class(ds), sum_scores
+        )
+
+    def scored(obj, genes, size):
+        return [obj(genes[0])] if size == 0 else obj.evaluate_batch(genes)
+
+    kept = objective()
+    rng = np.random.default_rng(seed)
+    lower, upper = genotype_bounds(shape)
+    with mock.patch.object(rules, "BLOCK_BYTES", block_bytes):
+        for size in [*sizes, max(sizes[0], 1) + 3]:
+            genes = rng.uniform(lower, upper, size=(max(size, 1), len(lower)))
+            assert bits(scored(kept, genes, size)) == bits(scored(objective(), genes, size))
+
+        ants, consequents, is_and = decode_arrays(genes, shape)
+        q, r, _ = ants.shape
+        fractions = match_fractions(ld, ants.reshape(q * r, m), is_and.reshape(q * r)).reshape(q, r)
+        args = (
+            lambda block: kept.ranks[:, :, block], ds.n, ants, consequents, is_and,
+            rule_weights(ants, fractions), p, c, majority_class(ds), sum_scores, kept.values,
+        )
+        collected = list(score_blocks(*args, kept.workspace))  # every block's arrays held to the end
+        copied = [(block, preds.copy(), best.copy()) for block, preds, best in score_blocks(*args)]
+    assert len(collected) == len(copied)
+    for (block, preds, best), (want_block, want_preds, want_best) in zip(collected, copied):
+        assert block == want_block
+        assert preds.tolist() == want_preds.tolist()
+        assert best.view(np.int64).tolist() == want_best.view(np.int64).tolist()
+
+
+def test_objective_workspace_is_reused_by_same_size_and_smaller_batches():
+    """After a full batch, batches of the same size, of a GA generation's
+    size and of one genotype allocate no new workspace buffer."""
+    ds, partitions, _ = random_case(0, 614, 8, 3, 2, 10, False)
+    ld = fuzzify_dataset(ds, partitions)
+    shape = RuleSetShape(m=8, p=3, c=2, r=10)
+    objective = RuleObjective(ld, shape, FitnessWeights(), 1.0, partitions, ds.x, majority_class(ds))
+    lower, upper = genotype_bounds(shape)
+    rng = np.random.default_rng(0)
+    objective.evaluate_batch(rng.uniform(lower, upper, size=(50, len(lower))))
+    buffers = dict(objective.workspace)
+    assert buffers and all(flat.ndim == 1 for flat in buffers.values())
+    for size in (50, 49, 1):
+        genes = rng.uniform(lower, upper, size=(size, len(lower)))
+        if size > 1:
+            objective.evaluate_batch(genes)
+        else:
+            objective(genes[0])
+        assert objective.workspace.keys() == buffers.keys()
+        assert all(objective.workspace[name] is flat for name, flat in buffers.items())
 
 
 def predict_scores_oracle(scores, consequents, c, majority, sum_scores):
