@@ -22,13 +22,13 @@ import numpy as np
 from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .errors import ConfigError, DataError, check_seed
-from .experiments import check_splits, run_benchmark, run_param_sweep, run_sweep, summarize_sweep, train_cell
-from .experiments import write_benchmark_csv, write_param_sweep_csv, write_sweep_csv
+from .experiments import check_benchmark, check_param_sweep, check_sweep, run_benchmark, run_param_sweep, run_sweep
+from .experiments import summarize_sweep, train_cell, write_benchmark_csv, write_param_sweep_csv, write_sweep_csv
 from .fitness import FitnessWeights
 from .ga import GaParams
 from .inference import Model, predict_dataset, report_from_predictions
 from .model_io import load_model, save_model
-from .training import OPTIMIZERS, ExperimentSettings
+from .training import OPTIMIZERS, ExperimentSettings, check_optimizer
 
 # perfbench/worker.py traces this name here; train scores through train_cell.
 from .inference import evaluate_model  # noqa: F401
@@ -196,13 +196,16 @@ def load_config(path: str | None, verb: str) -> dict:
 
 
 def _pick(args: argparse.Namespace, config: dict, key: str):
-    """Flag value if given, else config-file value, else the verb's default
-    (None for a verb that does not take the option)."""
-    value = getattr(args, key, None)
+    """Flag value if given, else config-file value, else the verb's default.
+    The value of a list option is a tuple; one name stands for a list of one."""
+    default = OPTIONS[key][1][args.command][0]
+    value = getattr(args, key)
     if value is None:
         value = config.get(key)
     if value is None:
-        value = OPTIONS[key][1].get(args.command, (None,))[0]
+        return default
+    if isinstance(default, tuple):
+        return (value,) if isinstance(value, str) else tuple(value)
     return value
 
 
@@ -224,22 +227,21 @@ def _section(config: dict, name: str, cls, seed_option: str):
         raise ConfigError(f"config: {name}.{exc}") from None
 
 
-def _load_dataset(args, config) -> Dataset:
-    data = _pick(args, config, "data")
-    if data is None:
+def _load_dataset(options: dict) -> Dataset:
+    if options["data"] is None:
         raise ConfigError("a dataset is required: pass --data or set it in the config")
-    label = _pick(args, config, "label")
+    label = options["label"]
     if isinstance(label, str) and label.isdigit():
         label = int(label)
-    return load_csv(data, label)
+    return load_csv(options["data"], label)
 
 
-def _out_dir(args, config) -> Path | None:
+def _out_dir(out: str | None) -> Path | None:
     """The output directory (None when evaluate is given none), refused when
     it or its nearest existing parent is not a directory."""
-    if _pick(args, config, "out") is None:
+    if out is None:
         return None
-    out = Path(_pick(args, config, "out"))
+    out = Path(out)
     nearest = next(path for path in (out, *out.parents) if path.exists())
     if not nearest.is_dir():
         raise ConfigError(f"cannot use {out} as the output directory: {nearest} is not a directory")
@@ -274,23 +276,20 @@ def _settings(config: dict, verb: str) -> ExperimentSettings:
 
 
 def _setup(args):
-    """Config, split, settings and output directory of a command, read in
+    """Options, split, settings and output directory of a command, read in
     that order so that bad options fail before any data is read and before
-    any work starts. The split is None for a verb that makes no single split.
+    any work starts. The options hold each option of the verb, picked once,
+    and the config's sum_scores (None when unset). The split is None for a
+    verb that makes no single split.
     """
     config = load_config(args.config, args.command)
-    seed = _pick(args, config, "seed")
-    seeds = (seed,) if seed is not None else tuple(_pick(args, config, "seeds"))  # sweep has a seed per cell
-    for each in seeds:
-        check_seed(each)
-    ratios = _pick(args, config, "ratios")  # sweep and benchmark split once per entry
-    if ratios is not None:
-        check_splits(args.command, ratios, seeds)
-    fraction = _pick(args, config, "split_fraction")
+    options = {key: _pick(args, config, key) for key, (_, verbs) in OPTIONS.items() if args.command in verbs}
+    fraction = options.get("split_fraction")
     name = f"{args.command} split fraction (--split-fraction)"
-    spec = None if fraction is None else SplitSpec(fraction, seed, allow_full=args.command == "train", name=name)
+    spec = None if fraction is None else SplitSpec(fraction, options["seed"], allow_full=args.command == "train", name=name)
     settings = _settings(config, args.command)
-    return config, _out_dir(args, config), spec, settings
+    options["sum_scores"] = config.get("sum_scores")
+    return options, _out_dir(options["out"]), spec, settings
 
 
 def _metric(value: float | None) -> str:
@@ -299,9 +298,10 @@ def _metric(value: float | None) -> str:
 
 def cmd_train(args) -> int:
     """fit a model, write model.json and trace.csv"""
-    config, out, spec, settings = _setup(args)
-    ds = _load_dataset(args, config)
-    train, result, report = train_cell(ds, settings, spec, _pick(args, config, "optimizer"))
+    options, out, spec, settings = _setup(args)
+    check_optimizer(options["optimizer"])
+    ds = _load_dataset(options)
+    train, result, report = train_cell(ds, settings, spec, options["optimizer"])
 
     model_path = _output(out, "model.json", lambda path: save_model(result.model, path))
     trace_path = _output(out, "trace.csv", result.run.trace.write_csv)
@@ -352,12 +352,13 @@ def write_predictions(
 
 def cmd_evaluate(args) -> int:
     """score a saved model on a dataset"""
-    config, out, spec, settings = _setup(args)
+    options, out, spec, settings = _setup(args)
+    check_seed(options["seed"])  # refused even when no split uses it
     model = load_model(args.model)
-    ds = _load_dataset(args, config)
+    ds = _load_dataset(options)
     if spec is not None:
         _, ds = split(ds, spec)
-    sum_scores = settings.sum_scores if config.get("sum_scores") is not None else model.metadata.get("sum_scores", False)
+    sum_scores = model.metadata.get("sum_scores", False) if options["sum_scores"] is None else options["sum_scores"]
 
     internal, scores = predict_dataset(model, ds, sum_scores=sum_scores)
     report = report_from_predictions(model, ds, internal)
@@ -377,20 +378,13 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _optimizer_list(args, config) -> tuple[str, ...]:
-    names = _pick(args, config, "optimizer")
-    return (names,) if isinstance(names, str) else tuple(names)
-
-
 def cmd_sweep(args) -> int:
     """train per (ratio, optimizer, seed) cell, write sweep.csv"""
-    config, out, _, settings = _setup(args)
-    ds = _load_dataset(args, config)
-    ratios = tuple(_pick(args, config, "ratios"))
-    seeds = tuple(_pick(args, config, "seeds"))
-    optimizers = _optimizer_list(args, config)
-
-    result = run_sweep(ds, settings, ratios, seeds, optimizers)
+    options, out, _, settings = _setup(args)
+    values = options["ratios"], options["seeds"], options["optimizer"]
+    check_sweep(*values)
+    ds = _load_dataset(options)
+    result = run_sweep(ds, settings, *values)
     path = _output(out, "sweep.csv", lambda path: write_sweep_csv(result, path))
     for row in summarize_sweep(result):
         mean = row["mean_test_accuracy"]
@@ -406,12 +400,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_param_sweep(args) -> int:
     """vary averaging weight and anneal slope, write param_sweep.csv"""
-    config, out, spec, settings = _setup(args)
-    ds = _load_dataset(args, config)
-    e_values = tuple(_pick(args, config, "e_values"))
-    k_values = tuple(_pick(args, config, "k_values"))
-
-    rows = run_param_sweep(ds, settings, e_values, k_values, ratio=spec.fraction, seed=spec.seed)
+    options, out, spec, settings = _setup(args)
+    values = options["e_values"], options["k_values"], spec.fraction, spec.seed
+    check_param_sweep(*values)
+    ds = _load_dataset(options)
+    rows = run_param_sweep(ds, settings, *values)
     path = _output(out, "param_sweep.csv", lambda path: write_param_sweep_csv(rows, path))
     for row in rows:
         score = f"failed: {row.error}" if row.error else f"test accuracy {row.test_accuracy:.4f}"
@@ -422,13 +415,11 @@ def cmd_param_sweep(args) -> int:
 
 def cmd_benchmark(args) -> int:
     """iterations/time to reach a target value, write benchmark.csv"""
-    config, out, _, settings = _setup(args)
-    ds = _load_dataset(args, config)
-    fractions = tuple(_pick(args, config, "ratios"))
-    threshold = float(_pick(args, config, "threshold"))
-    optimizers = _optimizer_list(args, config)
-
-    rows = run_benchmark(ds, settings, fractions, threshold, seed=_pick(args, config, "seed"), optimizers=optimizers)
+    options, out, _, settings = _setup(args)
+    values = options["ratios"], float(options["threshold"]), options["seed"], options["optimizer"]
+    check_benchmark(*values)
+    ds = _load_dataset(options)
+    rows = run_benchmark(ds, settings, *values)
     path = _output(out, "benchmark.csv", lambda path: write_benchmark_csv(rows, path))
     for row in rows:
         if row.error is not None:

@@ -12,8 +12,9 @@ import itertools
 import math
 from dataclasses import astuple, dataclass, fields, replace
 
+from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, split
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .inference import EvaluationReport, evaluate_model
 from .rules import RuleSetShape
 from .search import TraceRecord, write_csv
@@ -112,36 +113,31 @@ def run_cell(
     )
 
 
-# How each experiment names its train fractions in errors, and whether a
-# fraction may be 1, which trains on every record.
-SPLIT_OPTIONS = {
-    "sweep": ("sweep ratios (--ratios)", False),
-    "param-sweep": ("param-sweep split fraction (--split-fraction)", False),
-    "benchmark": ("benchmark fractions (--ratios)", True),
-}
-
-
-def check_splits(verb: str, fractions, seeds) -> None:
-    """Refuse a (fraction, seed) pair of `verb`'s cells that makes no split."""
-    name, allow_full = SPLIT_OPTIONS[verb]
+def _check_cells(name: str, fractions, seeds, optimizers, allow_full: bool) -> None:
+    """Refuse a seed, a (fraction, seed) pair that makes no split, whose
+    fraction is reported as `name`, and an optimizer name."""
+    for seed in seeds:
+        check_seed(seed)
     for fraction, seed in itertools.product(fractions, seeds):
         SplitSpec(fraction, seed, allow_full=allow_full, name=name)
-
-
-def _check_cells(ds: Dataset, settings: ExperimentSettings, verb: str, fractions, seeds, optimizers):
-    """Checks shared by the experiments: the split of each (fraction, seed) pair,
-    the optimizer names and the rule table's shape on this dataset."""
-    check_splits(verb, fractions, seeds)
     for optimizer in optimizers:
         check_optimizer(optimizer)
-    RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)
 
 
-def _check_distinct(verb: str, lists: dict) -> None:
-    """Refuse a repeated value, which would train the same cell twice."""
+def _check_lists(verb: str, lists: dict) -> None:
+    """Refuse an empty list, which would run no cell, and a repeated value,
+    which would train the same cell twice."""
     for name, values in lists.items():
+        if not values:
+            raise ConfigError(f"{verb} {name} must not be empty")
         if len(set(values)) < len(values):
             raise ConfigError(f"{verb} {name} must be distinct, got {list(values)}")
+
+
+def check_sweep(ratios, seeds, optimizers) -> None:
+    """Refuse the values :func:`run_sweep` refuses, before any data is read."""
+    _check_cells("sweep ratios (--ratios)", ratios, seeds, optimizers, allow_full=False)
+    _check_lists("sweep", {"ratios": ratios, "seeds": seeds, "optimizers": optimizers})
 
 
 def run_sweep(
@@ -156,8 +152,8 @@ def run_sweep(
     Failures inside a cell are captured on its row; the sweep always
     completes.
     """
-    _check_cells(ds, settings, "sweep", ratios, seeds, optimizers)
-    _check_distinct("sweep", {"ratios": ratios, "seeds": seeds, "optimizers": optimizers})
+    check_sweep(ratios, seeds, optimizers)
+    RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)  # needs the data
     runs = [
         run_cell(ds, settings, ratio, optimizer, seed)
         for ratio in ratios
@@ -246,6 +242,18 @@ class ParamSweepRow:
 PARAM_SWEEP_HEADER = tuple(f.name for f in fields(ParamSweepRow))
 
 
+def check_param_sweep(e_values, k_values, ratio: float, seed: int) -> None:
+    """Refuse the values :func:`run_param_sweep` refuses, before any data is read."""
+    _check_cells("param-sweep split fraction (--split-fraction)", (ratio,), (seed,), (), allow_full=False)
+    _check_lists("param-sweep", {"e (--e-values)": e_values, "K (--k-values)": k_values})
+    for name, param, values in (("e (--e-values)", "smoothing", e_values), ("K (--k-values)", "slope_divisor", k_values)):
+        for value in values:
+            try:
+                BsoParams(**{param: value})
+            except ConfigError as exc:
+                raise ConfigError(f"param-sweep {name}: {exc}") from None
+
+
 def run_param_sweep(
     ds: Dataset,
     settings: ExperimentSettings,
@@ -261,14 +269,8 @@ def run_param_sweep(
     Every value is checked before the first cell runs, so a bad or repeated
     value raises ConfigError rather than fill the grid with failed rows.
     """
-    _check_cells(ds, settings, "param-sweep", (ratio,), (seed,), ())
-    _check_distinct("param-sweep", {"e (--e-values)": e_values, "K (--k-values)": k_values})
-    for name, param, values in (("e (--e-values)", "smoothing", e_values), ("K (--k-values)", "slope_divisor", k_values)):
-        for value in values:
-            try:
-                replace(settings.bso_params, **{param: value})
-            except ConfigError as exc:
-                raise ConfigError(f"param-sweep {name}: {exc}") from None
+    check_param_sweep(e_values, k_values, ratio, seed)
+    RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)  # needs the data
     rows = []
     for e, k in itertools.product(e_values, k_values):
         bso_params = replace(settings.bso_params, smoothing=e, slope_divisor=k)
@@ -300,6 +302,14 @@ class BenchmarkRow:
 BENCHMARK_HEADER = tuple(f.name for f in fields(BenchmarkRow))
 
 
+def check_benchmark(fractions, threshold: float, seed: int, optimizers) -> None:
+    """Refuse the values :func:`run_benchmark` refuses, before any data is read."""
+    if not 0.0 < threshold <= 1.0:
+        raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
+    _check_cells("benchmark fractions (--ratios)", fractions, (seed,), optimizers, allow_full=True)
+    _check_lists("benchmark", {"fractions (--ratios)": fractions, "optimizers": optimizers})
+
+
 def run_benchmark(
     ds: Dataset,
     settings: ExperimentSettings,
@@ -312,10 +322,8 @@ def run_benchmark(
     iterations and how much wall clock it took for the best objective value
     to first reach the threshold; rows that never reach it are kept as
     did-not-finish rather than raised."""
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
-    _check_cells(ds, settings, "benchmark", fractions, (seed,), optimizers)
-    _check_distinct("benchmark", {"fractions (--ratios)": fractions, "optimizers": optimizers})
+    check_benchmark(fractions, threshold, seed, optimizers)
+    RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)  # needs the data
     rows = []
     for fraction in fractions:
         for optimizer in optimizers:

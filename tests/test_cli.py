@@ -850,15 +850,28 @@ def test_experiment_csv_is_deterministic_across_runs(tmp_path, data_csv, fast_co
         (["benchmark", "--ratios", "0.5,0.5"], "benchmark fractions (--ratios) must be distinct"),
         (["benchmark", "--ratios", "0.5", "--optimizer", "ga,ga"], "benchmark optimizers must be distinct"),
         (["param-sweep", "--split-fraction", "1"], "param-sweep split fraction (--split-fraction) must be in (0, 1), got 1.0"),
+        (["benchmark", "--threshold", "1.5"], "config error: threshold must be in (0, 1], got 1.5"),
+        (["sweep", "--optimizer", "sgd"], "optimizer must be one of ('bso-ewma', 'bso-plain', 'ga'), got 'sgd'"),
+        (["benchmark", "--optimizer", "sgd"], "optimizer must be one of ('bso-ewma', 'bso-plain', 'ga'), got 'sgd'"),
+        (["sweep", "--seeds", ""], "config error: sweep seeds must not be empty"),
+        (["sweep", "--ratios", ""], "config error: sweep ratios must not be empty"),
+        (["sweep", "--optimizer", ""], "config error: sweep optimizers must not be empty"),
+        (["benchmark", "--ratios", ""], "config error: benchmark fractions (--ratios) must not be empty"),
+        (["benchmark", "--optimizer", ""], "config error: benchmark optimizers must not be empty"),
+        (["param-sweep", "--e-values", ""], "config error: param-sweep e (--e-values) must not be empty"),
+        (["param-sweep", "--k-values", ""], "config error: param-sweep K (--k-values) must not be empty"),
     ],
 )
 def test_bad_experiment_value_is_a_config_error_before_any_cell(
     tmp_path, data_csv, fast_config, capsys, monkeypatch, argv, message
 ):
+    # every value is checked before the data file is read
     def refuse(*args, **kwargs):
-        raise AssertionError("a cell started before the values were checked")
+        raise AssertionError("a file was read or a cell started before the values were checked")
 
     monkeypatch.setattr(experiments, "train_model", refuse)
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    monkeypatch.setattr(cli, "load_model", refuse)
     out = tmp_path / "run"
     code = main([*argv, "--data", str(data_csv), "--config", str(fast_config), "--out", str(out)])
     assert code == 2
@@ -1137,6 +1150,22 @@ def test_sweep_refuses_a_negative_seed_before_any_file_is_read(tmp_path, capsys,
     code = main(["sweep", "--data", str(tmp_path / "missing.csv"), "--ratios", ratios, "--seeds", "0,-1", "--out", str(out)])
     assert code == 2
     assert "config error: seed must be a non-negative integer, got -1\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_a_configured_optimizer_before_any_file_is_read(tmp_path, capsys, monkeypatch):
+    # the flag's choices refuse it while parsing; a config value before the data is read
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read before the optimizer was checked")
+
+    monkeypatch.setattr(cli, "load_csv", refuse)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"optimizer": "sgd"}))
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(tmp_path / "missing.csv"), "--config", str(config), "--out", str(out)])
+    assert code == 2
+    message = "config error: optimizer must be one of ('bso-ewma', 'bso-plain', 'ga'), got 'sgd'\n"
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -13,6 +13,9 @@ from rulestorm.experiments import (
     PARAM_SWEEP_HEADER,
     SWEEP_HEADER,
     ExperimentSettings,
+    check_benchmark,
+    check_param_sweep,
+    check_sweep,
     run_benchmark,
     run_cell,
     run_param_sweep,
@@ -23,6 +26,7 @@ from rulestorm.experiments import (
     write_sweep_csv,
 )
 from rulestorm.ga import GaParams
+from rulestorm.training import OPTIMIZERS
 
 
 def fast_settings(**overrides) -> ExperimentSettings:
@@ -138,32 +142,87 @@ def test_sweep_rejects_duplicates_and_negative_seeds_before_any_cell(
         run_sweep(make_separable_dataset(), fast_settings(), ratios, seeds, optimizers)
 
 
+# Each driver, its check, and values of its keywords that some good-path
+# test runs; a bad case overrides some of them.
+CHECKS = {run_sweep: check_sweep, run_param_sweep: check_param_sweep, run_benchmark: check_benchmark}
+GOOD = {
+    run_sweep: [
+        dict(ratios=(0.8,), seeds=(3,), optimizers=("bso-ewma",)),
+        dict(ratios=(0.99, 0.8), seeds=(0,), optimizers=("bso-ewma",)),
+        dict(ratios=(0.75,), seeds=(0, 1), optimizers=("bso-ewma", "ga")),
+        dict(ratios=(0.8,), seeds=(0,), optimizers=OPTIMIZERS),
+    ],
+    run_param_sweep: [
+        dict(e_values=(1.0,), k_values=(20.0,), ratio=0.8, seed=5),
+        dict(e_values=(0.5,), k_values=(10.0, 20.0), ratio=0.8, seed=0),
+        dict(e_values=(0.5,), k_values=(20.0,), ratio=0.99, seed=0),
+    ],
+    run_benchmark: [
+        dict(fractions=(0.25, 0.5, 1.0), threshold=0.5, seed=0, optimizers=OPTIMIZERS),
+        dict(fractions=(1.0,), threshold=0.01, seed=0, optimizers=OPTIMIZERS),
+        dict(fractions=(1.0,), threshold=1.0, seed=0, optimizers=OPTIMIZERS),
+        dict(fractions=(0.99,), threshold=0.5, seed=0, optimizers=("ga",)),
+    ],
+}
+BAD = [
+    (run_sweep, dict(seeds=(0, -1)), "seed must be a non-negative integer, got -1"),
+    (run_sweep, dict(seeds=(True,)), "seed must be a non-negative integer, got True"),
+    (run_sweep, dict(ratios=(1.2,)), "sweep ratios (--ratios) must be in (0, 1), got 1.2"),
+    (run_sweep, dict(ratios=(1.0,)), "sweep ratios (--ratios) must be in (0, 1), got 1.0"),
+    (run_sweep, dict(optimizers=("sgd",)), "optimizer must be one of"),
+    (run_sweep, dict(ratios=(0.8, 0.8)), "sweep ratios must be distinct, got [0.8, 0.8]"),
+    (run_sweep, dict(seeds=(1, 1)), "sweep seeds must be distinct, got [1, 1]"),
+    (run_sweep, dict(optimizers=("ga", "ga")), "sweep optimizers must be distinct"),
+    (run_sweep, dict(ratios=()), "sweep ratios must not be empty"),
+    (run_sweep, dict(seeds=()), "sweep seeds must not be empty"),
+    (run_sweep, dict(optimizers=()), "sweep optimizers must not be empty"),
+    (run_sweep, dict(ratios=(), seeds=(0, -1)), "seed must be a non-negative integer, got -1"),
+    (run_param_sweep, dict(seed=-1), "seed must be a non-negative integer, got -1"),
+    (run_param_sweep, dict(ratio=1.0), "param-sweep split fraction (--split-fraction) must be in (0, 1), got 1.0"),
+    (run_param_sweep, dict(k_values=(20.0, float("nan"))), "K (--k-values): slope_divisor must be a finite number"),
+    (run_param_sweep, dict(k_values=(-1.0,)), "K (--k-values): slope_divisor must be > 0"),
+    (run_param_sweep, dict(e_values=(0.0,)), "e (--e-values): smoothing must be in (0, 1]"),
+    (run_param_sweep, dict(e_values=(0.5, 0.5)), "param-sweep e (--e-values) must be distinct"),
+    (run_param_sweep, dict(k_values=(20.0, 20.0)), "param-sweep K (--k-values) must be distinct"),
+    (run_param_sweep, dict(e_values=()), "param-sweep e (--e-values) must not be empty"),
+    (run_param_sweep, dict(k_values=()), "param-sweep K (--k-values) must not be empty"),
+    (run_benchmark, dict(seed=-1), "seed must be a non-negative integer, got -1"),
+    (run_benchmark, dict(threshold=0.0), "threshold must be in (0, 1], got 0.0"),
+    (run_benchmark, dict(threshold=1.5), "threshold must be in (0, 1], got 1.5"),
+    (run_benchmark, dict(fractions=(0.0,)), "benchmark fractions (--ratios) must be in (0, 1], got 0.0"),
+    (run_benchmark, dict(optimizers=("sgd",)), "optimizer must be one of"),
+    (run_benchmark, dict(fractions=(1.0, 1.0)), "benchmark fractions (--ratios) must be distinct"),
+    (run_benchmark, dict(optimizers=("ga", "ga")), "benchmark optimizers must be distinct"),
+    (run_benchmark, dict(fractions=()), "benchmark fractions (--ratios) must not be empty"),
+    (run_benchmark, dict(optimizers=()), "benchmark optimizers must not be empty"),
+]
+
+
+@pytest.mark.parametrize(
+    "driver, bad, message", BAD, ids=[f"{driver.__name__}-{message}" for driver, _, message in BAD]
+)
+def test_check_refuses_what_its_driver_refuses_before_any_cell(monkeypatch, driver, bad, message):
+    refuse_cells(monkeypatch)
+    values = {**GOOD[driver][0], **bad}
+    with pytest.raises(ConfigError) as refused:
+        driver(make_separable_dataset(), fast_settings(), **values)
+    assert message in str(refused.value)
+    with pytest.raises(ConfigError) as checked:
+        CHECKS[driver](**values)
+    assert str(checked.value) == str(refused.value)
+
+
 def test_drivers_reject_bad_values_before_any_cell(monkeypatch):
+    # each check passes the values the good-path tests run; only the rule
+    # table's shape, which needs the data, is left to the driver
     refuse_cells(monkeypatch)
     ds = make_separable_dataset()
-    with pytest.raises(ConfigError, match="seed"):
-        run_param_sweep(ds, fast_settings(), e_values=(0.5,), k_values=(20.0,), seed=-1)
-    with pytest.raises(ConfigError, match="slope_divisor"):
-        run_param_sweep(ds, fast_settings(), e_values=(0.5,), k_values=(20.0, float("nan")))
-    with pytest.raises(ConfigError, match=r"split fraction \(--split-fraction\) must be in \(0, 1\)"):
-        run_param_sweep(ds, fast_settings(), e_values=(0.5,), k_values=(20.0,), ratio=1.0)
-    with pytest.raises(ConfigError, match="seed"):
-        run_benchmark(ds, fast_settings(), fractions=(1.0,), threshold=0.5, seed=-1)
-    with pytest.raises(ConfigError, match="optimizer"):
-        run_benchmark(ds, fast_settings(), fractions=(1.0,), threshold=0.5, optimizers=("sgd",))
-    with pytest.raises(ConfigError, match="e .* must be distinct"):
-        run_param_sweep(ds, fast_settings(), e_values=(0.5, 0.5), k_values=(20.0,))
-    with pytest.raises(ConfigError, match="fractions .* must be distinct"):
-        run_benchmark(ds, fast_settings(), fractions=(1.0, 1.0), threshold=0.5)
-    with pytest.raises(ConfigError, match="optimizers must be distinct"):
-        run_benchmark(ds, fast_settings(), fractions=(1.0,), threshold=0.5, optimizers=("ga", "ga"))
-    # one rule cannot cover both classes
-    with pytest.raises(ConfigError, match="at least one rule per class"):
-        run_sweep(ds, fast_settings(rule_count=1), ratios=(0.8,), seeds=(0,))
-    with pytest.raises(ConfigError, match="at least one rule per class"):
-        run_param_sweep(ds, fast_settings(rule_count=1), e_values=(0.5,), k_values=(20.0,))
-    with pytest.raises(ConfigError, match="at least one rule per class"):
-        run_benchmark(ds, fast_settings(rule_count=1), fractions=(1.0,), threshold=0.5)
+    for driver, check in CHECKS.items():
+        for values in GOOD[driver]:
+            assert check(**values) is None
+        # one rule cannot cover both classes
+        with pytest.raises(ConfigError, match="at least one rule per class"):
+            driver(ds, fast_settings(rule_count=1), **GOOD[driver][0])
 
 
 def test_cell_at_full_fraction_trains_on_every_record_and_scores_nothing():
