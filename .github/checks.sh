@@ -41,8 +41,12 @@ check_default_train() {
 
 check_score_digest() {
   write_table 200000 "$tmp/score-0.csv"
-  rulestorm evaluate perfbench/score_model.json --data "$tmp/score-0.csv" --out "$tmp/score"
-  echo "$(reference score 0 predictions)  $tmp/score/predictions.csv" | sha256sum -c -
+  # the same table with \r\n line ends must score the same, through many chunks
+  sed 's/$/\r/' "$tmp/score-0.csv" > "$tmp/score-0-crlf.csv"
+  for table in score-0 score-0-crlf; do
+    rulestorm evaluate perfbench/score_model.json --data "$tmp/$table.csv" --out "$tmp/$table"
+    echo "$(reference score 0 predictions)  $tmp/$table/predictions.csv" | sha256sum -c -
+  done
 }
 
 check_wide_ga_digest() {

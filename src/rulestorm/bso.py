@@ -151,26 +151,25 @@ def select_base(clusters, genotypes: np.ndarray, centers, params: BsoParams, rng
     One-cluster branch (forced when only one cluster exists): a uniformly
     chosen cluster contributes its center or a random member. Two-cluster
     branch: two distinct clusters contribute either both centers or one
-    random member each, blended at a uniform random coefficient.
+    random member each, blended at a uniform random coefficient. A
+    one-cluster base is the row of `centers` or `genotypes` itself, not a
+    copy: callers build new arrays from it.
     """
     u1 = rng.random()
     if u1 < params.one_cluster_prob or len(clusters) == 1:
         cluster_idx = int(rng.integers(len(clusters)))
         if rng.random() < params.use_center_prob:
-            return np.array(centers[cluster_idx], dtype=float, copy=True)
+            return centers[cluster_idx]
         members = clusters[cluster_idx].members
-        member = members[int(rng.integers(len(members)))]
-        return np.array(genotypes[member], dtype=float, copy=True)
+        return genotypes[members[int(rng.integers(len(members)))]]
     pair = rng.choice(len(clusters), size=2, replace=False)
     first, second = int(pair[0]), int(pair[1])
     if rng.random() < params.use_center_pair_prob:
-        x1 = np.asarray(centers[first], dtype=float)
-        x2 = np.asarray(centers[second], dtype=float)
+        x1, x2 = centers[first], centers[second]
     else:
         m1 = clusters[first].members[int(rng.integers(len(clusters[first].members)))]
         m2 = clusters[second].members[int(rng.integers(len(clusters[second].members)))]
-        x1 = np.asarray(genotypes[m1], dtype=float)
-        x2 = np.asarray(genotypes[m2], dtype=float)
+        x1, x2 = genotypes[m1], genotypes[m2]
     lam = rng.random()
     return lam * x1 + (1.0 - lam) * x2
 
@@ -185,7 +184,7 @@ def generate_candidate(base: np.ndarray, ewma_state: np.ndarray | None, ramp: fl
     average and perturbs that, returning the updated average as new state.
     """
     s = rng.random()
-    z = np.asarray(rng.standard_normal(base.shape[0]), dtype=float)
+    z = rng.standard_normal(base.shape[0])
     xi = s * ramp
     noise = params.noise_mean + params.noise_sigma * z
     if params.mode == "plain":
@@ -211,20 +210,19 @@ def run(params: BsoParams, objective, lower, upper) -> RunResult:
     ewma = pop.genotypes.copy() if params.mode == "ewma" else None
     for nc in range(1, params.max_iterations + 1):
         clusters = cluster_population(pop.genotypes, pop.values, params.cluster_count, rng)
-        centers = [np.array(pop.genotypes[c.center], copy=True) for c in clusters]
+        centers = [pop.genotypes[c.center] for c in clusters]
         if rng.random() < params.replace_center_prob:
             centers[int(rng.integers(len(clusters)))] = rng.uniform(pop.lower, pop.upper)
 
         ramp = anneal_ramp(nc, params)
-        candidates = []
+        candidates = np.empty_like(pop.genotypes)
         states = []
         for slot in range(params.population_size):
             base = select_base(clusters, pop.genotypes, centers, params, rng)
             state = None if ewma is None else ewma[slot]
-            candidate, new_state = generate_candidate(
+            candidates[slot], new_state = generate_candidate(
                 base, state, ramp, params, rng, pop.lower, pop.upper
             )
-            candidates.append(candidate)
             states.append(new_state)
 
         for slot, evaluation in enumerate(pop.evaluate(candidates, nc)):

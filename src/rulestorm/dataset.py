@@ -11,6 +11,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError, check_fields
 
+# load_csv's numeric path parses the body in chunks of about this many bytes,
+# so that no full-width table of the file is alive at once.
+CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -82,11 +86,13 @@ def load_csv(path: str | Path, label: int | str | None = None) -> Dataset:
     to the last column. The first row is treated as a header when its label
     cell does not parse as a number.
 
-    The file is read once. numpy's C reader parses the body of a well-formed
-    file; any file it rejects or might read differently from ``csv`` (blank
-    lines, bare ``\\r`` line ends, quoted newlines, a header row that spans
-    lines, ragged rows, non-numeric or non-finite cells, spellings such as
-    ``1_0`` that only ``float()`` accepts) goes through the row-by-row scan,
+    The file's bytes are read once and hold UTF-8 text. numpy's C reader
+    parses the body of a well-formed ASCII file in chunks of whole lines,
+    each copied straight into the returned arrays; any file it rejects or
+    might read differently from ``csv`` (a non-ASCII body, blank lines, bare
+    ``\\r`` line ends, quoted newlines, a header row that spans lines, ragged
+    rows, non-numeric or non-finite cells, spellings such as ``1_0`` that only
+    ``float()`` accepts) is decoded and goes through the row-by-row scan,
     which returns the same arrays or names the offending row, column and cell.
 
     Raises DataError for unusable files and ConfigError for an unusable
@@ -96,13 +102,14 @@ def load_csv(path: str | Path, label: int | str | None = None) -> Dataset:
     if not path.is_file():
         raise DataError(f"data file not found: {path}")
     try:
-        with open(path, newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
         raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
-    parsed = _parse_numeric(path, text, label)
+    parsed = _parse_numeric(path, data, label)
     if parsed is None:
-        parsed = _scan_rows(path, text, label)
+        parsed = _scan_rows(path, _decode(path, data), label)
+    del data  # before np.unique adds its own temporaries
     names, x, raw_labels = parsed
 
     values, inverse = np.unique(raw_labels, return_inverse=True)
@@ -116,6 +123,13 @@ def load_csv(path: str | Path, label: int | str | None = None) -> Dataset:
     x.setflags(write=False)
     y.setflags(write=False)
     return Dataset(x=x, y=y, attribute_names=names, class_values=class_values)
+
+
+def _decode(path: Path, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
 
 
 def _columns(
@@ -146,14 +160,14 @@ def _columns(
     return int(label_idx), names, has_header
 
 
-def _has_long_line(text: str, pos: int, limit: int) -> bool:
-    """Whether a line of ``text`` from ``pos`` on is longer than ``limit``.
+def _has_long_line(data: bytes, pos: int, limit: int) -> bool:
+    """Whether a line of ``data`` from ``pos`` on is longer than ``limit``.
 
-    Each step jumps to the last newline within ``limit + 1`` characters, so a
-    file takes about ``len(text) / limit`` steps.
+    Each step jumps to the last newline within ``limit + 1`` bytes, so a file
+    takes about ``len(data) / limit`` steps.
     """
-    while len(text) - pos > limit:
-        newline = text.rfind("\n", pos, pos + limit + 1)
+    while len(data) - pos > limit:
+        newline = data.rfind(b"\n", pos, pos + limit + 1)
         if newline < 0:
             return True
         pos = newline + 1
@@ -161,51 +175,69 @@ def _has_long_line(text: str, pos: int, limit: int) -> bool:
 
 
 def _parse_numeric(
-    path: Path, text: str, label: int | str | None
+    path: Path, data: bytes, label: int | str | None
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray] | None:
     """(names, x, raw labels) parsed by np.loadtxt, or None to use the scan.
 
     None whenever the row-by-row scan might raise or return something else:
     any error in the first row, a first row that runs on past its line, a
-    csv field over ``csv.field_size_limit()``, a bare ``\\r``, a body that
-    loadtxt parses into more or fewer rows than it has lines (it skips blank
-    lines and joins quoted newlines), a ragged or unparsable cell, or a
-    non-finite value.
+    csv field over ``csv.field_size_limit()``, a bare ``\\r``, a non-ASCII
+    body, a chunk that loadtxt parses into more or fewer rows than it has
+    lines (it skips blank lines and joins quoted newlines), a ragged or
+    unparsable cell, or a non-finite value. The body is parsed in chunks of
+    about ``CHUNK_BYTES`` that end at a newline, so only one chunk's table is
+    alive besides the result.
     """
-    first_line = text[: text.find("\n") + 1 or len(text)]
+    first_line = data[: data.find(b"\n") + 1 or len(data)]
     # A header whose quoted cell runs on past its line goes to the scan: csv
     # then reads on into the empty second line.
-    header = csv.reader((first_line, ""))
     try:
+        header = csv.reader((first_line.decode("utf-8"), ""))
         label_idx, names, has_header = _columns(path, next(header), label)
-    except (csv.Error, ConfigError, DataError):
+    except (UnicodeDecodeError, csv.Error, ConfigError, DataError):
         return None
     start = len(first_line) if has_header else 0
-    newlines = text.count("\n", start)
-    returns = text.count("\r", start)
+    newlines = data.count(b"\n", start)
+    # a bare \r in the header line too: csv reads an empty row after "a,b\r\r\n"
+    returns = data.count(b"\r")
     if (
         header.line_num > 1
-        or returns and returns != text.count("\r\n", start)
-        or len(text) - start == newlines + returns
-        or _has_long_line(text, start, csv.field_size_limit())
+        or returns and returns != data.count(b"\r\n")
+        or start == len(data)
+        or _has_long_line(data, start, csv.field_size_limit())
     ):
         return None
-    # As UTF-8 bytes, ASCII text takes one byte a character, where a StringIO
-    # takes four; both yield the same lines, since no \r stands alone.
-    with io.BytesIO(text.encode("utf-8")) as lines:
-        if has_header:
-            lines.readline()
+    width = len(names) + 1
+    x = np.empty((newlines + (not data.endswith(b"\n")), width - 1))
+    raw_labels = np.empty(x.shape[0])
+    row = 0
+    while start < len(data):
+        end = len(data)
+        if end - start > CHUNK_BYTES:
+            # after the chunk's last newline, or the first one past a long line
+            end = data.rfind(b"\n", start, start + CHUNK_BYTES) + 1 or data.find(b"\n", start) + 1 or end
+        chunk = data[start:end]
+        # Only ASCII has as many characters as bytes, loadtxt warns on a chunk
+        # of blank lines, and an odd number of quotes means that a quoted
+        # field runs on past the chunk's end.
+        if not chunk.isascii() or chunk.isspace() or chunk.count(b'"') % 2:
+            return None
         try:
             table = np.loadtxt(
-                lines, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                io.BytesIO(chunk), delimiter=",", quotechar='"', comments=None, ndmin=2,
                 encoding="utf-8",
             )
         except ValueError:
             return None
-    rows = newlines + (not text.endswith("\n"))
-    if table.shape != (rows, len(names) + 1) or not np.isfinite(table).all():
-        return None
-    return names, np.delete(table, label_idx, axis=1), table[:, label_idx]
+        lines = chunk.count(b"\n") + (not chunk.endswith(b"\n"))
+        if table.shape != (lines, width) or not np.isfinite(table).all():
+            return None
+        x[row : row + lines, :label_idx] = table[:, :label_idx]
+        x[row : row + lines, label_idx:] = table[:, label_idx + 1 :]
+        raw_labels[row : row + lines] = table[:, label_idx]
+        row += lines
+        start = end
+    return names, x, raw_labels
 
 
 def _scan_rows(

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,18 +94,76 @@ class TestLoadCsv:
             None,  # data/pima.csv
             '"v","w","label"\r\n1,2,0\r\n3,4.5,1\r\n',  # R's write.csv quotes names
             "1,2,0\n3,4.5,1",
+            "\u00e2ge,label\n1,0\n2,1\n",  # only the header is decoded; the body is ASCII
         ],
     )
     def test_well_formed_files_skip_the_row_scan(self, tmp_path, pid_path, monkeypatch, content):
         def refuse(*args):
             raise AssertionError("the row-by-row scan ran on a well-formed file")
 
+        chunks = []
+
+        def count_chunks(*args, **kwargs):
+            chunks.append(args[0])
+            return loadtxt(*args, **kwargs)
+
         path = pid_path
         if content is not None:
             path = tmp_path / "t.csv"
             path.write_bytes(content.encode())
+        loadtxt = np.loadtxt
         monkeypatch.setattr(dataset, "_scan_rows", refuse)
-        assert load_csv(path).n == (768 if content is None else 2)
+        monkeypatch.setattr(dataset.np, "loadtxt", count_chunks)
+        rows = 768 if content is None else 2
+        # with 4-byte chunks each body line of these files is a chunk of its own
+        for chunk, calls in ((dataset.CHUNK_BYTES, 1), (4, rows)):
+            chunks.clear()
+            monkeypatch.setattr(dataset, "CHUNK_BYTES", chunk)
+            assert load_csv(path).n == rows
+            assert len(chunks) == calls
+
+    # float() reads both cells as 3; numpy's reader reads the second one too,
+    # but the fast path counts bytes as characters, so only ASCII bodies take it
+    @pytest.mark.parametrize("cell", ["\u0663", "\u00a03"], ids=["arabic-indic-3", "nbsp-3"])
+    def test_non_ascii_body_takes_the_row_scan(self, tmp_path, monkeypatch, cell):
+        scanned = []
+
+        def spy(*args):
+            scanned.append(args[0])
+            return scan(*args)
+
+        scan = dataset._scan_rows
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"a,label\n1,0\n{cell},1\n".encode())
+        monkeypatch.setattr(dataset, "_scan_rows", spy)
+        assert load_csv(path).x.tolist() == [[1.0], [3.0]]
+        assert scanned == [path]
+
+    def test_load_holds_the_file_and_one_chunk_beside_its_result(self, tmp_path):
+        # Beside the arrays it returns, the numeric path holds the file's
+        # bytes, one chunk and the chunk's table; a full-width table of every
+        # row would add about as much again as the result.
+        rows = 200_000
+        rng = np.random.default_rng(0)
+        table = np.column_stack([
+            rng.integers(0, 200, size=(rows, 4)),
+            rng.normal(size=(rows, 3)).round(3),
+            rng.integers(0, 2, size=rows),
+        ])
+        path = tmp_path / "big.csv"
+        np.savetxt(
+            path, table, fmt=["%d"] * 4 + ["%.3f"] * 3 + ["%d"], delimiter=",",
+            header="a,b,c,d,e,f,g,label", comments="",
+        )
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.x.tobytes() == table[:, :-1].tobytes()
+        # the file is about 7 MB; 8 MiB is eight chunks of the default size
+        assert peak - kept < path.stat().st_size + 8 * 2**20
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

@@ -7,6 +7,7 @@ parse paths a file takes.
 """
 
 import csv
+import io
 import json
 import re
 import warnings
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rulestorm import dataset
 from rulestorm.dataset import AttributeStats, Dataset, load_csv
 from rulestorm.errors import ConfigError, DataError
 from rulestorm.inference import Model
@@ -418,6 +420,7 @@ def test_load_csv_equals_row_by_row_reference(input_file, text, label):
         "#1,0\n2,1\n",
         pytest.param("0" * 131072 + "1,0\n2,1\n", id="field-over-csv-limit"),
         b"a,label\n1,0\n\x80,1\n",
+        "\u00e2ge,label\n1,0\n2,1\n",
     ],
 )
 def test_load_csv_edge_files_equal_reference(input_file, content):
@@ -431,3 +434,49 @@ def test_header_cell_spanning_lines_loads_as_reference(input_file, label):
     # parse as a numeric body; csv reads the first two lines as one row.
     input_file.write_bytes(b'a,"b\n"1",0\n5,0\n6,1\n')
     assert_loads_as_reference(input_file, label)
+
+
+def csv_rows_bytes(rows) -> bytes:
+    with io.StringIO(newline="") as handle:
+        csv.writer(handle).writerows(rows)
+        return handle.getvalue().encode()
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    content=st.one_of(
+        csv_texts().map(str.encode),
+        st.lists(st.lists(CELLS, min_size=0, max_size=4), max_size=6).map(csv_rows_bytes),
+        st.binary(max_size=80),
+    ),
+    label=st.sampled_from([None, None, 0, 1, 5, "label", "a1", "x"]),
+    chunk=st.integers(1, 24),
+)
+def test_load_csv_in_small_chunks_equals_row_by_row_reference(input_file, content, label, chunk):
+    # The files above fit in one chunk of the default size; chunks of a few
+    # bytes split each of them into several, at every kind of line.
+    input_file.write_bytes(content)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "CHUNK_BYTES", chunk)
+        assert_loads_as_reference(input_file, label)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'a,label\n1,0\n"2\n",1\n3,0\n',  # a quoted newline, which float() reads past
+        b'a,label\n0,"1\n"1",1\n2,0\n',  # cut after "1, each side parses as a row
+        b'a,label\n"1",0\n"2",1\n"3","0"\n',
+        b"a,label\r\n1,0\r\n2,1\r\n3,0\r\n",
+        b"a,label\r\r\n1,0\r\n2,1\r\n",  # csv reads an empty second row
+        b"1,0\n22,1\n3,0",  # no final newline
+        b"a,label\n1,0\n2,1\n\n",  # a blank last line
+        b"a,label\n1,0\n\n\n\n2,1\n",
+        b"a,label\n1,0\n2,1\n3,nan\n",
+    ],
+)
+def test_lines_straddling_chunk_boundaries_load_as_reference(input_file, monkeypatch, content):
+    input_file.write_bytes(content)
+    for chunk in range(1, len(content) + 1):
+        monkeypatch.setattr(dataset, "CHUNK_BYTES", chunk)
+        assert_loads_as_reference(input_file, None)
