@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Shell checks of the command line that both CI jobs run, one step each:
+# Shell checks of the command line that every leg of the CI tests job runs,
+# one step each:
 #
 #   bash .github/checks.sh <check>
 #
@@ -108,6 +109,51 @@ check_experiment_values() {
   refused 2 "benchmark optimizers must not be empty" benchmark --optimizer '' "${where[@]}"
   refused 2 "param-sweep e (--e-values) must not be empty" param-sweep --e-values '' "${where[@]}"
   refused 2 "param-sweep K (--k-values) must not be empty" param-sweep --k-values '' "${where[@]}"
+}
+
+check_experiment_csvs() {
+  local config="$tmp/small.json"
+  echo '{"bso": {"population_size": 10, "cluster_count": 2, "max_iterations": 15}, "ga": {"population_size": 10, "generations": 15}}' > "$config"
+  for run in a b; do
+    local out="$tmp/experiments-$run"
+    rulestorm sweep --data data/pima.csv --config "$config" --ratios 0.7,0.8 --seeds 0,1 --out "$out"
+    rulestorm param-sweep --data data/pima.csv --config "$config" --e-values 0.5,1.0 --k-values 10,20 --out "$out"
+    rulestorm benchmark --data data/pima.csv --config "$config" --ratios 0.5,1.0 --threshold 0.68 --out "$out"
+    # column 7, elapsed_ms_to_threshold, is wall-clock time
+    head -n 1 "$out/benchmark.csv" | cut -d, -f7 | grep -qx elapsed_ms_to_threshold
+    cut -d, -f1-6,8- "$out/benchmark.csv" > "$out/benchmark-without-ms.csv"
+  done
+  for f in sweep.csv param_sweep.csv benchmark-without-ms.csv; do
+    cmp "$tmp/experiments-a/$f" "$tmp/experiments-b/$f"
+  done
+}
+
+check_bad_settings() {
+  # a bad training setting stops a sweep before any cell
+  for setting in '"accuracy_weight": 2.0' '"rule_count": 1'; do
+    local config="$tmp/bad-setting.json" out="$tmp/bad-setting" status=0
+    echo "{$setting}" > "$config"
+    rm -rf "$out"
+    rulestorm sweep --data data/pima.csv --config "$config" --out "$out" || status=$?
+    echo "$setting: exit $status"
+    test "$status" -eq 2
+    test ! -e "$out/sweep.csv"
+  done
+}
+
+check_evaluate_decision_rule() {
+  # evaluate scores a model by the decision rule it was trained with
+  local config="$tmp/sum-scores.json" trained evaluated held_out accuracy records
+  echo '{"sum_scores": true, "bso": {"max_iterations": 6}}' > "$config"
+  trained=$(rulestorm train --data data/pima.csv --config "$config" --seed 0 --out "$tmp/sum-scores")
+  evaluated=$(rulestorm evaluate "$tmp/sum-scores/model.json" --data data/pima.csv --split-fraction 0.8 --seed 0 --out "$tmp/sum-scores-evaluated")
+  held_out=$(sed -n 's/^held-out accuracy: \([0-9.]*\) .*/\1/p' <<< "$trained")
+  accuracy=$(sed -n 's/^accuracy: //p' <<< "$evaluated")
+  echo "train: $held_out, evaluate: $accuracy"
+  test -n "$held_out" && test "$held_out" = "$accuracy"
+  # predictions.csv has one row per record, and its rows give the accuracy
+  records=$(sed -n 's/^records: //p' <<< "$evaluated")
+  python3 -c 'import csv, sys; rows = list(csv.DictReader(open(sys.argv[1], newline=""))); right = sum(r["true_label"] == r["predicted_label"] for r in rows); print(f"rows: {len(rows)}, right: {right}"); sys.exit(not (len(rows) == int(sys.argv[2]) and f"{right / len(rows):.4f}" == sys.argv[3]))' "$tmp/sum-scores-evaluated/predictions.csv" "$records" "$accuracy"
 }
 
 if ! declare -F "check_${1//-/_}" > /dev/null; then

@@ -228,8 +228,6 @@ def _section(config: dict, name: str, cls, seed_option: str):
 
 
 def _load_dataset(options: dict) -> Dataset:
-    if options["data"] is None:
-        raise ConfigError("a dataset is required: pass --data or set it in the config")
     label = options["label"]
     if isinstance(label, str) and label.isdigit():
         label = int(label)
@@ -277,13 +275,15 @@ def _settings(config: dict, verb: str) -> ExperimentSettings:
 
 def _setup(args):
     """Options, split, settings and output directory of a command, read in
-    that order so that bad options fail before any data is read and before
-    any work starts. The options hold each option of the verb, picked once,
-    and the config's sum_scores (None when unset). The split is None for a
-    verb that makes no single split.
+    that order, a missing dataset first, so that bad options fail before any
+    data is read or work starts. The options hold each option of the verb,
+    picked once, and the config's sum_scores, None when unset, to override
+    a model's decision rule. The split is None for a verb without one.
     """
     config = load_config(args.config, args.command)
     options = {key: _pick(args, config, key) for key, (_, verbs) in OPTIONS.items() if args.command in verbs}
+    if options["data"] is None:
+        raise ConfigError("a dataset is required: pass --data or set it in the config")
     fraction = options.get("split_fraction")
     name = f"{args.command} split fraction (--split-fraction)"
     spec = None if fraction is None else SplitSpec(fraction, options["seed"], allow_full=args.command == "train", name=name)
@@ -358,9 +358,8 @@ def cmd_evaluate(args) -> int:
     ds = _load_dataset(options)
     if spec is not None:
         _, ds = split(ds, spec)
-    sum_scores = model.metadata.get("sum_scores", False) if options["sum_scores"] is None else options["sum_scores"]
 
-    internal, scores = predict_dataset(model, ds, sum_scores=sum_scores)
+    internal, scores = predict_dataset(model, ds, sum_scores=options["sum_scores"])
     report = report_from_predictions(model, ds, internal)
     print(f"records: {report.n}")
     print(f"accuracy: {_metric(report.accuracy)}")

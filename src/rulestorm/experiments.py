@@ -85,7 +85,7 @@ def train_cell(
     train, test = (ds, None) if spec.full else split(ds, spec)
     seeded = {name: replace(getattr(settings, name), seed=spec.seed) for name in ("bso_params", "ga_params")}
     result = train_model(train, optimizer=optimizer, **{**vars(settings), **seeded})
-    report = None if test is None else evaluate_model(result.model, test, sum_scores=settings.sum_scores)
+    report = None if test is None else evaluate_model(result.model, test)
     return train, result, report
 
 

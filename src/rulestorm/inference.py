@@ -86,12 +86,12 @@ def activation(rule: Rule, partitions: tuple[FuzzyPartition, ...], x: np.ndarray
     return min(degrees) if rule.connective == AND else max(degrees)
 
 
-def classify(model: Model, x: np.ndarray, sum_scores: bool = False) -> tuple[int, float]:
-    """Predict one record: (internal class, winning score).
-
-    Default: winner-take-all over rule scores, ties to the lower rule index.
-    With sum_scores, per-class totals compete instead, ties to the smaller
-    class index. All-zero scores fall back to the majority class at score 0.
+def classify(model: Model, x: np.ndarray) -> tuple[int, float]:
+    """Predict one record: (internal class, winning score), by the model's
+    decision rule. The single best rule wins, ties to the lower rule index,
+    unless the model's metadata sets sum_scores: then per-class totals
+    compete, ties to the smaller class index. All-zero scores fall back to
+    the majority class at score 0.
     """
     scores = np.array(
         [
@@ -101,7 +101,7 @@ def classify(model: Model, x: np.ndarray, sum_scores: bool = False) -> tuple[int
     )
     if not np.any(scores > 0.0):
         return model.majority_class, 0.0
-    if sum_scores:
+    if model.metadata.get("sum_scores", False):
         class_totals = np.zeros(model.rules.c)
         for rule, score in zip(model.rules.rules, scores):
             class_totals[rule.consequent - 1] += score
@@ -156,8 +156,9 @@ def score_blocks(table_of, n, ants, consequents, is_and, weights, p, c, majority
         yield block, preds, best
 
 
-def predict_dataset(model: Model, ds: Dataset, sum_scores: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized classify over all records: (classes, scores)."""
+def predict_dataset(model: Model, ds: Dataset, sum_scores: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized classify over all records: (classes, scores); `sum_scores` overrides the model's rule."""
+    sum_scores = model.metadata.get("sum_scores", False) if sum_scores is None else sum_scores
     rs = model.rules
     if ds.m != rs.m:
         raise DataError(f"attribute count mismatch: model expects {rs.m} attributes, data has {ds.m}")
@@ -203,18 +204,18 @@ class EvaluationReport:
     n: int
 
 
-def binary_counts(model: Model, ds: Dataset, sum_scores: bool = False) -> ConfusionCounts:
+def binary_counts(model: Model, ds: Dataset) -> ConfusionCounts:
     """Confusion counts of a binary model, as `report_from_predictions` counts them."""
     if model.rules.c != 2:
         raise ConfigError(
             f"sensitivity/specificity need a binary model, got {model.rules.c} classes"
         )
-    return evaluate_model(model, ds, sum_scores).counts
+    return evaluate_model(model, ds).counts
 
 
-def evaluate_model(model: Model, ds: Dataset, sum_scores: bool = False) -> EvaluationReport:
+def evaluate_model(model: Model, ds: Dataset) -> EvaluationReport:
     """Accuracy for any class count; confusion-based metrics when binary."""
-    preds, _ = predict_dataset(model, ds, sum_scores)
+    preds, _ = predict_dataset(model, ds)
     return report_from_predictions(model, ds, preds)
 
 

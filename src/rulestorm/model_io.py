@@ -1,9 +1,9 @@
 """Model persistence: a versioned, human-inspectable JSON document.
 
 The file carries the label coding, each attribute's membership-function
-breakpoints, the rule table with 4-decimal weights, and the training
-metadata. Serialization is canonical (sorted keys, fixed indentation), so
-identical models produce byte-identical files.
+breakpoints, the rule table with the weights the model holds, and the
+training metadata, sum_scores included. Serialization is canonical (sorted
+keys, fixed indentation), so identical models produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def model_to_document(model: Model) -> dict:
                 "antecedents": list(rule.antecedents),
                 "class": rule.consequent,
                 "connective": rule.connective,
-                "weight": round(rule.weight, 4),
+                "weight": rule.weight,
             }
             for rule in model.rules.rules
         ],

@@ -215,5 +215,5 @@ def train_model(train: Dataset, *, optimizer: str = OPTIMIZERS[0], **settings) -
         model=model,
         run=run_result,
         breakdown=run_result.best.evaluation.breakdown,
-        train_accuracy=evaluate_model(model, train, s.sum_scores).accuracy,
+        train_accuracy=evaluate_model(model, train).accuracy,
     )

@@ -18,12 +18,14 @@ from hypothesis import strategies as st
 
 import rulestorm
 from rulestorm import cli, experiments
+from rulestorm.bso import BsoParams
 from rulestorm.cli import main
 from rulestorm.dataset import AttributeStats, Dataset, SplitSpec, load_csv, split
-from rulestorm.inference import Model, predict_dataset
+from rulestorm.inference import Model, evaluate_model, predict_dataset, report_from_predictions
 from rulestorm.membership import build_partition
 from rulestorm.model_io import load_model, save_model
 from rulestorm.rules import AND, Rule, RuleSet
+from rulestorm.training import ExperimentSettings
 
 
 def write_dataset_csv(path, ds):
@@ -449,7 +451,7 @@ def test_sum_scores_predictions_on_a_split_equal_csv_writer_output(tmp_path, pid
     classes, scores = predict_dataset(model, held_out, sum_scores=True)
     # the summed scores are not the winner-take-all ones, so the file shows
     # which decision rule evaluate used
-    assert not np.array_equal(scores, predict_dataset(model, held_out)[1])
+    assert not np.array_equal(scores, predict_dataset(model, held_out, sum_scores=False)[1])
     expected = csv_writer_predictions(tmp_path / "reference.csv", held_out, model, classes, scores)
     assert (out / "predictions.csv").read_bytes() == expected
 
@@ -582,6 +584,25 @@ def test_evaluate_uses_the_models_sum_scores(tmp_path, pid_path, capsys):
     assert f"accuracy: {held_out}\n" in capsys.readouterr().out
 
 
+def test_a_sum_scores_model_scores_the_same_in_the_library_train_cell_and_evaluate(tmp_path, pid_path, capsys):
+    """The model's own decision rule scores it, wherever it is scored."""
+    trained_with = ExperimentSettings(sum_scores=True, bso_params=BsoParams(max_iterations=30))
+    ds = load_csv(pid_path)
+    spec = SplitSpec(fraction=0.8, seed=0)
+    train, result, report = experiments.train_cell(ds, trained_with, spec, "bso-ewma")
+    _, held_out = split(ds, spec)
+    assert evaluate_model(result.model, held_out) == report
+    assert evaluate_model(result.model, train).accuracy == result.train_accuracy
+    # by the single best rule, the same model scores otherwise
+    assert report.accuracy != report_from_predictions(
+        result.model, held_out, predict_dataset(result.model, held_out, sum_scores=False)[0]
+    ).accuracy
+    save_model(result.model, tmp_path / "model.json")
+    code = main(["evaluate", str(tmp_path / "model.json"), "--data", str(pid_path), "--split-fraction", "0.8", "--seed", "0"])
+    assert code == 0
+    assert f"accuracy: {report.accuracy:.4f}\n" in capsys.readouterr().out
+
+
 def test_evaluate_model_with_non_boolean_sum_scores_is_a_data_error(tmp_path, data_csv, capsys):
     model_path = perfect_model(tmp_path)
     document = json.loads(model_path.read_text())
@@ -611,6 +632,22 @@ def test_missing_data_flag_is_a_config_error(capsys):
     code = main(["train"])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evaluate", "{tmp}/missing/model.json"],  # the model file is not looked for
+        ["sweep", "--seeds", "0,0"],  # nor the seeds checked
+        ["train", "--split-fraction", "1.5"],  # nor the split
+    ],
+)
+def test_missing_data_exits_2_before_anything_else_is_checked_or_read(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    code = main([arg.format(tmp=tmp_path) for arg in args] + ["--out", str(out)])
+    assert code == 2
+    assert "a dataset is required: pass --data or set it in the config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_is_rejected(tmp_path, data_csv, capsys):

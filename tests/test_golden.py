@@ -50,7 +50,7 @@ CASES = {
     },
 }
 
-# the small config of the CI step "Experiment CSVs repeat byte for byte"
+# the small config of `bash .github/checks.sh experiment-csvs`
 SMALL = {
     "bso": {"population_size": 10, "cluster_count": 2, "max_iterations": 15},
     "ga": {"population_size": 10, "generations": 15},

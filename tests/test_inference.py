@@ -1,5 +1,7 @@
 """Tests for classification with a trained model and the derived metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,7 +146,7 @@ def test_classify_sum_aggregation_pools_class_scores():
     winner_cls, winner_score = classify(model, np.array([5.0, 5.0]))
     assert winner_cls == 2
     assert winner_score == pytest.approx(0.5)
-    sum_cls, sum_score = classify(model, np.array([5.0, 5.0]), sum_scores=True)
+    sum_cls, sum_score = classify(replace(model, metadata={"sum_scores": True}), np.array([5.0, 5.0]))
     assert sum_cls == 1
     assert sum_score == pytest.approx(0.6)
 

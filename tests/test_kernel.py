@@ -206,12 +206,12 @@ def test_predict_dataset_equals_classify(seed, n, m, p, c, extra_rules, zero_wei
         class_values=ds.class_values,
         attribute_names=ds.attribute_names,
         majority_class=c,
-        metadata={},
+        metadata={"sum_scores": sum_scores},
     )
     with mock.patch.object(rules, "BLOCK_BYTES", block_bytes):
-        preds, scores = predict_dataset(model, ds, sum_scores=sum_scores)
+        preds, scores = predict_dataset(model, ds)
     for k in range(ds.n):
-        cls, score = classify(model, ds.x[k], sum_scores=sum_scores)
+        cls, score = classify(model, ds.x[k])
         assert (int(preds[k]), float(scores[k])) == (cls, score)
 
 
@@ -358,10 +358,10 @@ def test_evaluate_batch_equals_per_genotype_oracles(
         quality = evaluate(rule_set, ld, weights)
         model = Model(
             partitions, with_weights(rule_set, ld), ds.class_values, ds.attribute_names,
-            majority_class(ds), {},
+            majority_class(ds), {"sum_scores": sum_scores},
         )
         # counted record by record, not through the blocked scorer the objective uses
-        accuracy = sum(classify(model, ds.x[k], sum_scores)[0] == ds.y[k] for k in range(ds.n)) / ds.n
+        accuracy = sum(classify(model, ds.x[k])[0] == ds.y[k] for k in range(ds.n)) / ds.n
         assert got.breakdown == quality
         if accuracy_weight == 0.0:
             assert got.value == quality.fitness

@@ -4,13 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rulestorm import model_io
 from rulestorm.bso import BsoParams
-from rulestorm.dataset import Dataset
+from rulestorm.dataset import AttributeStats, Dataset
 from rulestorm.errors import DataError
-from rulestorm.inference import predict_dataset
+from rulestorm.inference import Model, predict_dataset
+from rulestorm.membership import build_partition
 from rulestorm.model_io import FORMAT_TAG, load_model, save_model
+from rulestorm.rules import AND, OR, Rule, RuleSet
 from rulestorm.training import train_model
 
 
@@ -66,6 +70,61 @@ def test_round_trip_preserves_predictions(tmp_path, trained):
     p2, s2 = predict_dataset(loaded, probe)
     assert np.array_equal(p1, p2)
     assert np.array_equal(s1, s2)
+
+
+def hand_built(rules, sum_scores):
+    """A two-attribute, two-class model over [0, 10] with three labels per
+    attribute; rules are (antecedents, connective, weight), of classes 1, 2,
+    1, ... in turn."""
+    part = build_partition(AttributeStats(minimum=0.0, maximum=10.0, constant=False), 3)
+    return Model(
+        partitions=(part, part),
+        rules=RuleSet(
+            rules=tuple(Rule(ants, i % 2 + 1, conn, weight) for i, (ants, conn, weight) in enumerate(rules)),
+            m=2, p=3, c=2,
+        ),
+        class_values=(0.0, 1.0),
+        attribute_names=("a1", "a2"),
+        majority_class=1,
+        metadata={"sum_scores": sum_scores},
+    )
+
+
+# every record pair over a grid that takes in the label peaks 0, 5 and 10
+GRID = np.array([(a, b) for a in np.arange(-1.0, 11.5, 0.5) for b in np.arange(-1.0, 11.5, 0.5)])
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    """One directory whose model.json every example overwrites."""
+    return tmp_path_factory.mktemp("hand-built")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rules=st.lists(
+        st.tuples(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.sampled_from([AND, OR]),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    sum_scores=st.booleans(),
+)
+# the two weights differ only past the 4th decimal, and decide the class
+@example(rules=[((0, 0), AND, 0.12343), ((0, 0), AND, 0.12344)], sum_scores=False)
+@example(rules=[((0, 0), AND, 0.12343), ((0, 0), AND, 0.12344)], sum_scores=True)
+def test_a_saved_model_scores_bit_for_bit_as_the_model(model_dir, rules, sum_scores):
+    model = hand_built(rules, sum_scores)
+    save_model(model, model_dir / "model.json")
+    loaded = load_model(model_dir / "model.json")
+    assert loaded.rules == model.rules
+    probe = Dataset(x=GRID, y=np.ones(len(GRID), dtype=int), attribute_names=("a1", "a2"), class_values=(0.0, 1.0))
+    (p1, s1), (p2, s2) = predict_dataset(model, probe), predict_dataset(loaded, probe)
+    assert p1.tolist() == p2.tolist()
+    assert s1.view(np.int64).tolist() == s2.view(np.int64).tolist()
 
 
 def test_save_is_byte_deterministic(tmp_path, trained):
