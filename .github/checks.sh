@@ -35,6 +35,12 @@ for key in sys.argv[1:]: value = value[key]
 print(value)' "$@"
 }
 
+# model_with EDIT PATH: perfbench/score_model.json, its document d edited by the
+# Python statement EDIT, written to PATH
+model_with() {
+  python3 -c 'import json, sys; d = json.load(open("perfbench/score_model.json")); exec(sys.argv[1]); json.dump(d, open(sys.argv[2], "w"))' "$1" "$2"
+}
+
 check_default_train() {
   rulestorm train --data data/pima.csv --seed 0 --out "$tmp/t"
   cmp "$tmp/t/model.json" perfbench/score_model.json
@@ -154,6 +160,19 @@ check_evaluate_decision_rule() {
   # predictions.csv has one row per record, and its rows give the accuracy
   records=$(sed -n 's/^records: //p' <<< "$evaluated")
   python3 -c 'import csv, sys; rows = list(csv.DictReader(open(sys.argv[1], newline=""))); right = sum(r["true_label"] == r["predicted_label"] for r in rows); print(f"rows: {len(rows)}, right: {right}"); sys.exit(not (len(rows) == int(sys.argv[2]) and f"{right / len(rows):.4f}" == sys.argv[3]))' "$tmp/sum-scores-evaluated/predictions.csv" "$records" "$accuracy"
+}
+
+check_model_values() {
+  # a model file holding a value that the model types refuse exits 3, and nothing is scored
+  local model="$tmp/model-values.json" where=(--data data/pima.csv --out "$tmp/refused")
+  model_with 'd["classes"]["values"] = [float("nan"), 1.0]' "$model"
+  refused 3 "class values (nan, 1.0): need distinct finite numbers" evaluate "$model" "${where[@]}"
+  model_with 'd["classes"]["values"] = [0.0, 0.0]' "$model"
+  refused 3 "class values (0.0, 0.0): need distinct finite numbers" evaluate "$model" "${where[@]}"
+  model_with 'd["rules"][0]["connective"] = "and"' "$model"
+  refused 3 "rule 1 connective must be AND or OR, got 'and'" evaluate "$model" "${where[@]}"
+  model_with 'd["metadata"]["sum_scores"] = "false"' "$model"
+  refused 3 "metadata.sum_scores must be true or false, got 'false'" evaluate "$model" "${where[@]}"
 }
 
 if ! declare -F "check_${1//-/_}" > /dev/null; then

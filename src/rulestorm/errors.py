@@ -18,17 +18,30 @@ class EvaluationError(RuntimeError):
     """An objective function failed while an optimizer was running."""
 
 
+def is_integer(value) -> bool:
+    """An integer, Python or numpy, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A finite real number, Python or numpy, and not a bool."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def check_seed(seed) -> None:
     """Raise ConfigError unless seed is a non-negative integer, as numpy's
     generators require."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def check_fields(record) -> None:
     """Raise ConfigError unless each ``int`` field of the dataclass holds an
-    integer (Python or numpy, not bool), each ``float`` field a finite number
-    (not bool), and a ``seed`` field a non-negative integer. Integers are
+    integer (`is_integer`), each ``float`` field a finite number
+    (`is_number`), and a ``seed`` field a non-negative integer. Integers are
     stored as Python ints, so that json can write them into a model.
 
     Messages start with the field name, so callers can prefix a path.
@@ -37,13 +50,9 @@ def check_fields(record) -> None:
         value, kind = getattr(record, f.name), getattr(f.type, "__name__", f.type)
         if f.name == "seed":
             check_seed(value)
-        elif kind == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        elif kind == "int" and not is_integer(value):
             raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        elif kind == "float" and (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)
-        ):
+        elif kind == "float" and not is_number(value):
             raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if kind == "int":
             object.__setattr__(record, f.name, int(value))

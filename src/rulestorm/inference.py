@@ -18,9 +18,9 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_integer, is_number
 from .membership import FuzzyPartition, degree, degree_table
-from .rules import AND, Rule, RuleSet, fold_rules, record_blocks, rule_arrays, workspace_array
+from .rules import AND, OR, Rule, RuleSet, fold_rules, record_blocks, rule_arrays, workspace_array
 
 # perfbench/worker.py traces this name here; predict_dataset no longer calls it.
 from .membership import degree_matrix  # noqa: F401
@@ -29,7 +29,12 @@ from .membership import degree_matrix  # noqa: F401
 @dataclass(frozen=True)
 class Model:
     """Everything needed to classify: fitted partitions, weighted rules, the
-    label coding, and enough metadata to reproduce training."""
+    label coding, and enough metadata to reproduce training. ConfigError
+    unless it holds m partitions and string names, an integer p
+    (`errors.is_integer`), c distinct finite class values (`errors.is_number`),
+    a majority class in 1..c, and rules with m integer antecedents in 0..p,
+    an integer class in 1..c, connective AND or OR and a finite weight in
+    [0, 1]; `metadata["sum_scores"]`, when present, is True or False."""
 
     partitions: tuple[FuzzyPartition, ...]
     rules: RuleSet
@@ -39,35 +44,39 @@ class Model:
     metadata: Mapping[str, object]
 
     def __post_init__(self) -> None:
-        if len(self.partitions) != self.rules.m:
-            raise ConfigError(
-                f"{len(self.partitions)} partitions for {self.rules.m} attributes"
-            )
+        m, p, c = self.rules.m, self.rules.p, self.rules.c
+        if len(self.partitions) != m:
+            raise ConfigError(f"{len(self.partitions)} partitions for {m} attributes")
+        if not is_integer(p):
+            raise ConfigError(f"labels_per_attribute must be an integer, got {p!r}")
         for part in self.partitions:
-            if part.p != self.rules.p:
-                raise ConfigError(
-                    f"partition has {part.p} labels but rules use {self.rules.p}"
-                )
-        if len(self.class_values) != self.rules.c:
-            raise ConfigError(
-                f"{len(self.class_values)} class values for {self.rules.c} classes"
-            )
-        if len(self.attribute_names) != self.rules.m or not all(isinstance(n, str) for n in self.attribute_names):
-            raise ConfigError(f"need {self.rules.m} attribute names, all strings, got {self.attribute_names}")
-        if not 1 <= self.majority_class <= self.rules.c:
-            raise ConfigError(
-                f"majority class {self.majority_class} outside 1..{self.rules.c}"
-            )
+            if part.p != p:
+                raise ConfigError(f"partition has {part.p} labels but rules use {p}")
+        if len(self.class_values) != c:
+            raise ConfigError(f"{len(self.class_values)} class values for {c} classes")
+        if not all(map(is_number, self.class_values)) or len(set(self.class_values)) != c:
+            raise ConfigError(f"class values {self.class_values}: need distinct finite numbers")
+        if len(self.attribute_names) != m or not all(isinstance(n, str) for n in self.attribute_names):
+            raise ConfigError(f"need {m} attribute names, all strings, got {self.attribute_names}")
+        if not is_integer(self.majority_class) or not 1 <= self.majority_class <= c:
+            raise ConfigError(f"majority class must be an integer in 1..{c}, got {self.majority_class!r}")
         if not self.rules.rules:
             raise ConfigError("a model needs at least one rule")
-        m, p, c = self.rules.m, self.rules.p, self.rules.c
         for i, rule in enumerate(self.rules.rules, start=1):
+            if not all(map(is_integer, rule.antecedents)):
+                raise ConfigError(f"rule {i} antecedents {rule.antecedents}: each antecedent must be an integer")
             if len(rule.antecedents) != m or not all(0 <= a <= p for a in rule.antecedents):
                 raise ConfigError(f"rule {i} antecedents {rule.antecedents}: need {m} labels in 0..{p}")
+            if not is_integer(rule.consequent):
+                raise ConfigError(f"rule {i} class must be an integer, got {rule.consequent!r}")
             if not 1 <= rule.consequent <= c:
                 raise ConfigError(f"rule {i} class {rule.consequent} outside 1..{c}")
-            if not 0.0 <= rule.weight <= 1.0:  # also false for nan
-                raise ConfigError(f"rule {i} weight {rule.weight} outside [0, 1]")
+            if rule.connective not in (AND, OR):
+                raise ConfigError(f"rule {i} connective must be AND or OR, got {rule.connective!r}")
+            if not (is_number(rule.weight) and 0.0 <= rule.weight <= 1.0):
+                raise ConfigError(f"rule {i} weight {rule.weight!r} outside [0, 1]")
+        if not isinstance(self.metadata.get("sum_scores", False), bool):
+            raise ConfigError(f"metadata.sum_scores must be true or false, got {self.metadata['sum_scores']!r}")
 
 
 def activation(rule: Rule, partitions: tuple[FuzzyPartition, ...], x: np.ndarray) -> float:

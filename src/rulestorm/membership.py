@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import AttributeStats, Dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_number
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,9 @@ class TriangularMF:
 
 @dataclass(frozen=True)
 class FuzzyPartition:
-    """Labels over [minimum, maximum]: finite breakpoints, a <= b <= c."""
+    """Labels over [minimum, maximum]. Each breakpoint and both ends of the
+    range are finite numbers (`errors.is_number`), a <= b <= c and minimum <=
+    maximum, and degenerate is True or False; ConfigError otherwise."""
 
     mfs: tuple[TriangularMF, ...]
     minimum: float
@@ -33,10 +35,12 @@ class FuzzyPartition:
 
     def __post_init__(self) -> None:
         for mf in self.mfs:
-            if not -np.inf < mf.a <= mf.b <= mf.c < np.inf:  # also false for nan
+            if not (is_number(mf.a) and is_number(mf.b) and is_number(mf.c) and mf.a <= mf.b <= mf.c):
                 raise ConfigError(f"membership function {[mf.a, mf.b, mf.c]}: need finite a <= b <= c")
-        if not -np.inf < self.minimum <= self.maximum < np.inf:
+        if not (is_number(self.minimum) and is_number(self.maximum) and self.minimum <= self.maximum):
             raise ConfigError(f"range [{self.minimum}, {self.maximum}]: need finite minimum <= maximum")
+        if not isinstance(self.degenerate, bool):
+            raise ConfigError(f"degenerate must be true or false, got {self.degenerate!r}")
 
     @property
     def p(self) -> int:

@@ -4,6 +4,11 @@ The file carries the label coding, each attribute's membership-function
 breakpoints, the rule table with the weights the model holds, and the
 training metadata, sum_scores included. Serialization is canonical (sorted
 keys, fixed indentation), so identical models produce byte-identical files.
+
+Loading checks only the document's shape (format tag, objects, lists, keys,
+[a, b, c] triples) and maps its values as they stand onto `Model` and
+`FuzzyPartition`, which check them; a JSON integer in a float slot loads as a
+float. Any refusal is a DataError.
 """
 
 from __future__ import annotations
@@ -11,10 +16,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, is_number
 from .inference import Model
 from .membership import FuzzyPartition, TriangularMF
-from .rules import AND, OR, Rule, RuleSet
+from .rules import Rule, RuleSet
 
 FORMAT_TAG = "rulestorm-model/1"
 
@@ -51,9 +56,8 @@ def model_to_document(model: Model) -> dict:
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    document = model_to_document(model)
     with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
+        json.dump(model_to_document(model), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -71,80 +75,59 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _integer(value, what: str) -> int:
-    # bool is an int subclass, but true/false is not a label
-    if type(value) is not int:
-        raise DataError(f"model file: {what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    if type(value) not in (int, float):
-        raise DataError(f"model file: {what} must be a number, got {value!r}")
-    return float(value)
+def _float(value):
+    # a JSON integer in a float slot loads as a float; the model checks the rest
+    return float(value) if type(value) is int and is_number(value) else value
 
 
 def _partition(entry) -> FuzzyPartition:
-    mfs = []
-    for mf in _list(_require(entry, "membership_functions", "attribute "), "membership_functions"):
+    mfs = _list(_require(entry, "membership_functions", "attribute "), "membership_functions")
+    for mf in mfs:
         if not isinstance(mf, list) or len(mf) != 3:
             raise DataError(f"model file: a membership function must be [a, b, c], got {mf!r}")
-        a, b, c = (_number(v, "a breakpoint") for v in mf)
-        mfs.append(TriangularMF(a=a, b=b, c=c))
-    degenerate = entry.get("degenerate", False)
-    if not isinstance(degenerate, bool):
-        raise DataError(f"model file: degenerate must be true or false, got {degenerate!r}")
     return FuzzyPartition(
-        mfs=tuple(mfs),
-        minimum=_number(_require(entry, "minimum", "attribute "), "minimum"),
-        maximum=_number(_require(entry, "maximum", "attribute "), "maximum"),
-        degenerate=degenerate,
+        mfs=tuple(TriangularMF(*map(_float, mf)) for mf in mfs),
+        minimum=_float(_require(entry, "minimum", "attribute ")),
+        maximum=_float(_require(entry, "maximum", "attribute ")),
+        degenerate=entry.get("degenerate", False),
     )
 
 
 def _rule(entry) -> Rule:
-    connective = _require(entry, "connective", "rule ")
-    if connective not in (AND, OR):
-        raise DataError(f"rule connective must be AND or OR, got {connective!r}")
-    antecedents = _list(_require(entry, "antecedents", "rule "), "antecedents")
     return Rule(
-        antecedents=tuple(_integer(a, "an antecedent") for a in antecedents),
-        consequent=_integer(_require(entry, "class", "rule "), "a rule class"),
-        connective=connective,
-        weight=_number(_require(entry, "weight", "rule "), "a rule weight"),
+        antecedents=tuple(_list(_require(entry, "antecedents", "rule "), "antecedents")),
+        consequent=_require(entry, "class", "rule "),
+        connective=_require(entry, "connective", "rule "),
+        weight=_float(_require(entry, "weight", "rule ")),
     )
 
 
 def model_from_document(document: dict) -> Model:
-    """The model a document describes; DataError or ConfigError if it is not
-    a well-typed, consistent model document."""
+    """The model a document describes. DataError if the document is not
+    shaped as a model document, or if `Model` refuses a value it holds."""
     tag = _require(document, "format", "")
     if tag != FORMAT_TAG:
-        raise DataError(
-            f"unsupported model format {tag!r}; this build reads {FORMAT_TAG!r}"
-        )
+        raise DataError(f"unsupported model format {tag!r}; this build reads {FORMAT_TAG!r}")
     attributes = _list(_require(document, "attributes", ""), "attributes")
-    names = tuple(_require(entry, "name", "attribute ") for entry in attributes)
-    partitions = tuple(_partition(entry) for entry in attributes)
     classes = _require(document, "classes", "")
-    class_values = tuple(
-        _number(v, "a class value") for v in _list(_require(classes, "values", "classes."), "classes.values")
-    )
-    p = _integer(_require(document, "labels_per_attribute", ""), "labels_per_attribute")
-    rules = tuple(_rule(entry) for entry in _list(_require(document, "rules", ""), "rules"))
+    class_values = tuple(map(_float, _list(_require(classes, "values", "classes."), "classes.values")))
     metadata = document.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DataError(f"model file: metadata must be an object, got {metadata!r}")
-    if not isinstance(metadata.get("sum_scores", False), bool):
-        raise DataError(f"model file: metadata.sum_scores must be true or false, got {metadata['sum_scores']!r}")
-    return Model(
-        partitions=partitions,
-        rules=RuleSet(rules=rules, m=len(partitions), p=p, c=len(class_values)),
-        class_values=class_values,
-        attribute_names=names,
-        majority_class=_integer(_require(classes, "majority", "classes."), "classes.majority"),
-        metadata=metadata,
-    )
+    try:
+        partitions = tuple(map(_partition, attributes))
+        rules = tuple(map(_rule, _list(_require(document, "rules", ""), "rules")))
+        p = _require(document, "labels_per_attribute", "")
+        return Model(
+            partitions=partitions,
+            rules=RuleSet(rules=rules, m=len(partitions), p=p, c=len(class_values)),
+            class_values=class_values,
+            attribute_names=tuple(_require(entry, "name", "attribute ") for entry in attributes),
+            majority_class=_require(classes, "majority", "classes."),
+            metadata=metadata,
+        )
+    except ConfigError as exc:
+        raise DataError(f"invalid model file: {exc}") from exc
 
 
 def load_model(path: str | Path) -> Model:
@@ -158,9 +141,4 @@ def load_model(path: str | Path) -> Model:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise DataError("model file must contain a JSON object")
-    try:
-        return model_from_document(document)
-    except ConfigError as exc:
-        raise DataError(f"invalid model file: {exc}") from exc
+    return model_from_document(document)

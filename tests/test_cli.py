@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_separable_dataset
+from conftest import REPO_ROOT, make_separable_dataset
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -512,6 +512,7 @@ def test_out_naming_a_file_is_a_config_error_before_any_work(
         ("bso.cluster_count", True),
         ("fitness_weights.alpha", float("nan")),
         ("fitness_weights.beta", float("inf")),
+        pytest.param("accuracy_weight", 10**400, id="accuracy_weight-integer-too-large-for-a-float"),
     ],
 )
 def test_config_value_of_wrong_json_type_is_a_config_error(
@@ -724,6 +725,7 @@ NAN, INF = float("nan"), float("inf")
         ("membership_functions", [[0.0, 0.0, 5.0], [6.0, 5.0, 10.0], [5.0, 10.0, 10.0]], "finite a <= b <= c"),
         ("minimum", 10.0 + 1e9, "finite minimum <= maximum"),
         ("maximum", NAN, "finite minimum <= maximum"),
+        pytest.param("minimum", 10**400, "finite minimum <= maximum", id="minimum-integer-too-large-for-a-float"),
         ("name", [1, 2], "need 1 attribute names, all strings"),
     ],
 )
@@ -735,6 +737,19 @@ def test_evaluate_invalid_model_attribute_is_a_data_error(tmp_path, data_csv, ca
     code = main(["evaluate", str(model_path), "--data", str(data_csv)])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [[NAN, 1.0], [INF, 1.0], [0.0, NAN], [0.0, 0.0]])
+def test_evaluate_model_with_bad_class_values_is_a_data_error(tmp_path, pid_path, capsys, values):
+    # scored, each list gives a wrong report: the real values are [0.0, 1.0]
+    document = json.loads((REPO_ROOT / "perfbench" / "score_model.json").read_text())
+    document["classes"]["values"] = values
+    model_path, out = tmp_path / "model.json", tmp_path / "out"
+    model_path.write_text(json.dumps(document))
+    code = main(["evaluate", str(model_path), "--data", str(pid_path), "--out", str(out)])
+    assert code == 3
+    assert "need distinct finite numbers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bso_mode_in_config_is_a_config_error(tmp_path, data_csv, capsys):

@@ -376,6 +376,73 @@ def test_model_rejects_bad_rule(spec, message):
         make_model([((0, 1), 2, AND, 0.5), spec])
 
 
+def unit_interval_model(rules, p=3, class_values=(0.0, 1.0), majority=1, metadata=None):
+    """Two 3-label partitions over [0, 1]; rules are (antecedents, class, connective, weight)."""
+    part = build_partition(AttributeStats(minimum=0.0, maximum=1.0, constant=False), 3)
+    return Model(
+        partitions=(part, part),
+        rules=RuleSet(rules=tuple(Rule(*spec) for spec in rules), m=2, p=p, c=2),
+        class_values=class_values,
+        attribute_names=("a1", "a2"),
+        majority_class=majority,
+        metadata={} if metadata is None else metadata,
+    )
+
+
+RECORD = np.array([0.1, 0.7])  # degrees 0.8 in label 1 of a1, 0.6 and 0.4 in labels 2 and 3 of a2
+TWO_RULES = [((1, 3), 2, AND, 0.5), ((1, 0), 1, AND, 0.3)]
+
+
+def test_a_model_built_in_code_refuses_a_connective_that_would_score_as_or():
+    assert classify(unit_interval_model(TWO_RULES), RECORD) == (1, pytest.approx(0.24))
+    with pytest.raises(ConfigError, match="rule 1 connective must be AND or OR, got 'and'"):
+        unit_interval_model([(ants, cls, "and", w) for ants, cls, _, w in TWO_RULES])
+
+
+def test_a_model_built_in_code_refuses_a_sum_scores_that_is_not_a_bool():
+    three = [((0, 0), 1, AND, 0.3), ((0, 0), 1, AND, 0.3), ((0, 0), 2, AND, 0.5)]
+    assert classify(unit_interval_model(three, metadata={"sum_scores": False}), RECORD) == (2, 0.5)
+    assert classify(unit_interval_model(three, metadata={"sum_scores": True}), RECORD) == (1, 0.6)
+    with pytest.raises(ConfigError, match="metadata.sum_scores must be true or false, got 'false'"):
+        unit_interval_model(three, metadata={"sum_scores": "false"})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(rules=[((1.5, 0), 1, AND, 0.5), ((0, 2), 2, AND, 0.4)]), "each antecedent must be an integer"),
+        (dict(rules=[((True, 0), 1, AND, 0.5), ((0, 2), 2, AND, 0.4)]), "each antecedent must be an integer"),
+        (dict(rules=[((1, "2"), 1, AND, 0.5), ((0, 2), 2, AND, 0.4)]), "each antecedent must be an integer"),
+        (dict(rules=[((1, 0), 1.0, AND, 0.5), ((0, 2), 2, AND, 0.4)]), "rule 1 class must be an integer, got 1.0"),
+        (dict(rules=[((1, 0), "1", AND, 0.5), ((0, 2), 2, AND, 0.4)]), "rule 1 class must be an integer"),
+        (dict(rules=[((1, 0), 1, None, 0.5), ((0, 2), 2, AND, 0.4)]), "connective must be AND or OR, got None"),
+        (dict(rules=[((1, 0), 1, AND, True), ((0, 2), 2, AND, 0.4)]), "weight True outside \\[0, 1\\]"),
+        (dict(rules=[((1, 0), 1, AND, "0.5"), ((0, 2), 2, AND, 0.4)]), "weight '0.5' outside \\[0, 1\\]"),
+        (dict(p=3.0), "labels_per_attribute must be an integer, got 3.0"),
+        (dict(majority=1.0), "majority class must be an integer in 1..2, got 1.0"),
+        (dict(majority=True), "majority class must be an integer"),
+        (dict(class_values=(float("nan"), 1.0)), "need distinct finite numbers"),
+        (dict(class_values=(float("inf"), 1.0)), "need distinct finite numbers"),
+        (dict(class_values=(0.0, 0.0)), "need distinct finite numbers"),
+        (dict(class_values=(0.0, -0.0)), "need distinct finite numbers"),
+        (dict(class_values=("0", 1.0)), "need distinct finite numbers"),
+        (dict(class_values=(False, True)), "need distinct finite numbers"),
+        (dict(metadata={"sum_scores": 1}), "metadata.sum_scores must be true or false, got 1"),
+        (dict(metadata={"sum_scores": None}), "metadata.sum_scores must be true or false"),
+    ],
+)
+def test_a_model_built_in_code_checks_every_value_it_holds(change, message):
+    with pytest.raises(ConfigError, match=message):
+        unit_interval_model(**{"rules": TWO_RULES, **change})
+
+
+def test_a_model_built_from_numpy_values_scores_as_one_built_from_python_values():
+    numpy_rules = [(tuple(np.array(ants)), np.int64(cls), conn, np.float64(w)) for ants, cls, conn, w in TWO_RULES]
+    model = unit_interval_model(numpy_rules, p=np.int64(3), class_values=tuple(np.array([0.0, 1.0])), majority=np.int64(1))
+    assert model == unit_interval_model(TWO_RULES)
+    assert classify(model, RECORD) == classify(unit_interval_model(TWO_RULES), RECORD)
+
+
 def test_evaluate_model_predicts_once(monkeypatch):
     import rulestorm.inference as inference
 

@@ -1,7 +1,9 @@
 """Fuzzing of the two input boundaries: model documents and CSV files.
 
-Whatever a file holds, loading it either succeeds or raises DataError or
-ConfigError (exit codes 3 and 2); no other exception may escape. load_csv
+Whatever a file holds, loading it either succeeds or raises an input error:
+DataError (exit code 3) for a model document, DataError or ConfigError (exit
+codes 3 and 2) for a CSV file; no other exception may escape. A model built
+in code is refused exactly where the same values in a document are. load_csv
 must also give exactly what the row-by-row loader gave, whichever of its two
 parse paths a file takes.
 """
@@ -21,7 +23,7 @@ from rulestorm import dataset
 from rulestorm.dataset import AttributeStats, Dataset, load_csv
 from rulestorm.errors import ConfigError, DataError
 from rulestorm.inference import Model
-from rulestorm.membership import build_partition
+from rulestorm.membership import FuzzyPartition, TriangularMF, build_partition
 from rulestorm.model_io import load_model, model_from_document, model_to_document
 from rulestorm.rules import AND, OR, Rule, RuleSet
 
@@ -133,7 +135,7 @@ def test_mutated_model_documents_load_or_raise_input_errors(data):
         document = mutate(document, path, value, delete=bool(path) and data.draw(st.booleans()))
     try:
         model = model_from_document(document)
-    except INPUT_ERRORS:
+    except DataError:
         return
     assert_labels_match(model, document)
     assert_partitions_valid(model)
@@ -162,7 +164,7 @@ def test_loaded_partitions_are_finite_and_ordered(edits):
         document = mutate(document, slot, value, delete=False)
     try:
         model = model_from_document(document)
-    except INPUT_ERRORS:
+    except DataError:
         return
     assert_partitions_valid(model)
 
@@ -194,9 +196,80 @@ def test_integer_fields_accept_only_json_integers(slot, value):
         return
     try:
         model = model_from_document(document)
-    except ConfigError:
+    except DataError:
         return  # an integer outside the model's range
     assert_labels_match(model, document)
+
+
+OTHER_SLOTS = (
+    ("attributes", 1, "name"),
+    ("attributes", 0, "degenerate"),
+    ("classes", "values", 0),
+    ("classes", "values", 1),
+    ("rules", 0, "connective"),
+    ("rules", 1, "weight"),
+    ("metadata", "sum_scores"),
+)
+
+
+def model_in_code(document) -> Model:
+    """The model that a well-shaped document describes, built from its
+    Python values as they stand, without model_io."""
+    attributes, classes = document["attributes"], document["classes"]
+    partitions = tuple(
+        FuzzyPartition(
+            mfs=tuple(TriangularMF(*mf) for mf in entry["membership_functions"]),
+            minimum=entry["minimum"],
+            maximum=entry["maximum"],
+            degenerate=entry["degenerate"],
+        )
+        for entry in attributes
+    )
+    rules = tuple(Rule(tuple(e["antecedents"]), e["class"], e["connective"], e["weight"]) for e in document["rules"])
+    return Model(
+        partitions=partitions,
+        rules=RuleSet(rules=rules, m=len(attributes), p=document["labels_per_attribute"], c=len(classes["values"])),
+        class_values=tuple(classes["values"]),
+        attribute_names=tuple(entry["name"] for entry in attributes),
+        majority_class=classes["majority"],
+        metadata=document["metadata"],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(NUMBER_SLOTS + INTEGER_SLOTS + OTHER_SLOTS), JSON_VALUES),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_a_model_built_in_code_is_refused_exactly_where_a_loaded_one_is(edits):
+    document = base_document()
+    for slot, value in edits:
+        document = mutate(document, slot, value, delete=False)
+    try:
+        loaded = model_from_document(document)
+    except DataError:
+        with pytest.raises(ConfigError):
+            model_in_code(document)
+        return
+    assert model_in_code(document) == loaded
+
+
+def test_json_integers_in_float_slots_load_as_floats():
+    document = base_document()
+    for entry in document["attributes"]:
+        entry["membership_functions"] = [[int(v) for v in mf] for mf in entry["membership_functions"]]
+        entry["minimum"], entry["maximum"] = int(entry["minimum"]), int(entry["maximum"])
+    document["classes"]["values"] = [0, 1]
+    document["rules"][2]["weight"] = 1
+    model = model_from_document(document)
+    values = [v for part in model.partitions for mf in part.mfs for v in (mf.a, mf.b, mf.c)]
+    values += [v for part in model.partitions for v in (part.minimum, part.maximum)]
+    values += [*model.class_values, *(rule.weight for rule in model.rules.rules)]
+    assert all(type(v) is float for v in values)
+    assert model == model_from_document(base_document())
 
 
 @settings(max_examples=100, deadline=None)

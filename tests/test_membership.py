@@ -44,6 +44,28 @@ class TestBuildPartition:
         assert pt.p == 3
 
 
+UNIT_MFS = (TriangularMF(0.0, 0.0, 0.5), TriangularMF(0.0, 0.5, 1.0), TriangularMF(0.5, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(degenerate="no"), "degenerate must be true or false, got 'no'"),
+        (dict(degenerate=1), "degenerate must be true or false, got 1"),
+        (dict(degenerate=np.True_), "degenerate must be true or false"),
+        (dict(mfs=(TriangularMF("0", 0.0, 0.5),) + UNIT_MFS[1:]), "finite a <= b <= c"),
+        (dict(mfs=(TriangularMF(False, 0.0, 0.5),) + UNIT_MFS[1:]), "finite a <= b <= c"),
+        (dict(mfs=UNIT_MFS[:2] + (TriangularMF(0.5, 1.0, None),)), "finite a <= b <= c"),
+        (dict(minimum="0"), "finite minimum <= maximum"),
+        (dict(maximum=True), "finite minimum <= maximum"),
+        (dict(maximum=10**400), "finite minimum <= maximum"),
+    ],
+)
+def test_a_partition_checks_every_value_it_holds(change, message):
+    with pytest.raises(ConfigError, match=message):
+        FuzzyPartition(**{"mfs": UNIT_MFS, "minimum": 0.0, "maximum": 1.0, **change})
+
+
 class TestDegree:
     def test_two_label_shoulder_value(self):
         # first label of a 2-label partition on [0, 10] at x = 2.5
