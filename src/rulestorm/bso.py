@@ -4,12 +4,14 @@ Each iteration groups the population with a small k-means, designates each
 group's best member as its center, then builds one candidate per population
 slot: a base point drawn from one group (center or random member) or blended
 across two groups, perturbed by gaussian noise whose magnitude is annealed
-through a logistic schedule. A slot is replaced only by a strictly better
-candidate, so the best objective value never decreases.
+through a logistic schedule. The slots take their draws one by one; the
+candidates are then built in one (Q, L) array step. A slot is replaced only
+by a strictly better candidate, so the best objective value never decreases.
 
-Two candidate modes exist: "plain" perturbs the base directly; "ewma" keeps a
-per-slot exponential moving average of selected bases and perturbs that
-average instead, trading raw exploration for smoothed global information.
+Two candidate modes share one perturbation: "plain" moves the base itself;
+"ewma" keeps a per-slot exponential moving average of selected bases and
+moves that average instead, trading raw exploration for smoothed global
+information.
 """
 
 from __future__ import annotations
@@ -139,12 +141,6 @@ def anneal_ramp(nc: int, params: BsoParams) -> float:
         return 0.0
 
 
-def step_size(nc: int, params: BsoParams, s: float) -> float:
-    """Annealed step magnitude: s scaled by the ramp of iteration nc, as
-    generate_candidate scales it."""
-    return s * anneal_ramp(nc, params)
-
-
 def select_base(clusters, genotypes: np.ndarray, centers, params: BsoParams, rng) -> np.ndarray:
     """Pick the starting point for one candidate.
 
@@ -153,7 +149,7 @@ def select_base(clusters, genotypes: np.ndarray, centers, params: BsoParams, rng
     branch: two distinct clusters contribute either both centers or one
     random member each, blended at a uniform random coefficient. A
     one-cluster base is the row of `centers` or `genotypes` itself, not a
-    copy: callers build new arrays from it.
+    copy: `run` copies it into its batch of bases.
     """
     u1 = rng.random()
     if u1 < params.one_cluster_prob or len(clusters) == 1:
@@ -174,63 +170,56 @@ def select_base(clusters, genotypes: np.ndarray, centers, params: BsoParams, rng
     return lam * x1 + (1.0 - lam) * x2
 
 
-def generate_candidate(base: np.ndarray, ewma_state: np.ndarray | None, ramp: float, params: BsoParams, rng, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Perturb a base point into a bound-clamped candidate; `ramp` is the
-    iteration's `anneal_ramp`.
-
-    Both modes consume the same two draws (step scalar, noise vector) so
-    their RNG streams stay aligned under a shared seed. Plain mode perturbs
-    the base; averaged mode first folds the base into the slot's running
-    average and perturbs that, returning the updated average as new state.
-    """
-    s = rng.random()
-    z = rng.standard_normal(base.shape[0])
-    xi = s * ramp
-    noise = params.noise_mean + params.noise_sigma * z
+def generate_candidate(bases: np.ndarray, ewma: np.ndarray, steps: np.ndarray, z: np.ndarray, params: BsoParams, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perturb a (Q, L) batch of bases into bound-clamped candidates; draws
+    nothing. Row i moves by steps[i] (its draw times the iteration's
+    `anneal_ramp`) along noise_mean + noise_sigma * z[i]. Plain mode moves
+    the base itself; averaged mode moves the base folded into the slot's
+    running average in `ewma`, scaled by noise_scale. Returns the
+    candidates and the points they moved from."""
     if params.mode == "plain":
-        candidate = base + xi * noise
-        new_state = None
+        points, scale = bases, 1.0
     else:
-        new_state = params.smoothing * base + (1.0 - params.smoothing) * ewma_state
-        candidate = new_state + params.noise_scale * xi * noise
-    return np.minimum(np.maximum(candidate, lower), upper), new_state
+        points, scale = params.smoothing * bases + (1.0 - params.smoothing) * ewma, params.noise_scale
+    candidates = points + (scale * steps)[:, None] * (params.noise_mean + params.noise_sigma * z)
+    return np.minimum(np.maximum(candidates, lower), upper), points
 
 
 def run(params: BsoParams, objective, lower, upper) -> RunResult:
     """Maximize the objective; deterministic given params (one RNG stream).
 
-    Stops at max_iterations, or once stagnation_window consecutive
-    iterations pass without the best value improving by more than
-    search.IMPROVEMENT_EPS.
+    Each iteration takes every slot's draws in turn (its base, then its
+    step, then its noise row), then builds all the candidates in one
+    `generate_candidate` step. Stops at max_iterations, or once
+    stagnation_window consecutive iterations pass without the best value
+    improving by more than search.IMPROVEMENT_EPS.
     """
     pop = Population(
         objective, lower, upper, params.population_size, params.seed, params.stagnation_window
     )
     rng = pop.rng
-    ewma = pop.genotypes.copy() if params.mode == "ewma" else None
+    ewma = pop.genotypes.copy()  # the slots' running averages; plain mode never reads them
+    bases, z = np.empty_like(ewma), np.empty_like(ewma)
+    steps = np.empty(params.population_size)
     for nc in range(1, params.max_iterations + 1):
         clusters = cluster_population(pop.genotypes, pop.values, params.cluster_count, rng)
         centers = [pop.genotypes[c.center] for c in clusters]
         if rng.random() < params.replace_center_prob:
             centers[int(rng.integers(len(clusters)))] = rng.uniform(pop.lower, pop.upper)
 
-        ramp = anneal_ramp(nc, params)
-        candidates = np.empty_like(pop.genotypes)
-        states = []
         for slot in range(params.population_size):
-            base = select_base(clusters, pop.genotypes, centers, params, rng)
-            state = None if ewma is None else ewma[slot]
-            candidates[slot], new_state = generate_candidate(
-                base, state, ramp, params, rng, pop.lower, pop.upper
-            )
-            states.append(new_state)
+            bases[slot] = select_base(clusters, pop.genotypes, centers, params, rng)
+            steps[slot] = rng.random()
+            rng.standard_normal(out=z[slot])
+        candidates, points = generate_candidate(
+            bases, ewma, steps * anneal_ramp(nc, params), z, params, pop.lower, pop.upper
+        )
 
         for slot, evaluation in enumerate(pop.evaluate(candidates, nc)):
             if evaluation.value > pop.values[slot]:
                 pop.genotypes[slot] = candidates[slot]
                 pop.evaluations[slot] = evaluation
-                if ewma is not None:
-                    ewma[slot] = states[slot]
+                ewma[slot] = points[slot]
         if pop.end_iteration(nc):
             break
     return pop.result()

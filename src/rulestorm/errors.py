@@ -5,6 +5,8 @@ import math
 import numbers
 from dataclasses import fields
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Bad configuration: unknown fields, invalid values, unusable flags."""
@@ -31,6 +33,12 @@ def is_number(value) -> bool:
         return False
 
 
+def as_python(value):
+    """A numpy scalar as the Python number it holds; any other value as given.
+    json writes Python numbers only."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def check_seed(seed) -> None:
     """Raise ConfigError unless seed is a non-negative integer, as numpy's
     generators require."""
@@ -41,8 +49,9 @@ def check_seed(seed) -> None:
 def check_fields(record) -> None:
     """Raise ConfigError unless each ``int`` field of the dataclass holds an
     integer (`is_integer`), each ``float`` field a finite number
-    (`is_number`), and a ``seed`` field a non-negative integer. Integers are
-    stored as Python ints, so that json can write them into a model.
+    (`is_number`), and a ``seed`` field a non-negative integer. A numpy
+    scalar in such a field is stored as its Python number (`as_python`), so
+    that json can write it into a model; a Python int or float stays as given.
 
     Messages start with the field name, so callers can prefix a path.
     """
@@ -54,5 +63,5 @@ def check_fields(record) -> None:
             raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         elif kind == "float" and not is_number(value):
             raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
-        if kind == "int":
-            object.__setattr__(record, f.name, int(value))
+        if kind in ("int", "float"):
+            object.__setattr__(record, f.name, as_python(value))

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError, is_integer, is_number
+from .errors import ConfigError, DataError, as_python, is_integer, is_number
 from .membership import FuzzyPartition, degree, degree_table
 from .rules import AND, OR, Rule, RuleSet, fold_rules, record_blocks, rule_arrays, workspace_array
 
@@ -34,7 +34,9 @@ class Model:
     (`errors.is_integer`), c distinct finite class values (`errors.is_number`),
     a majority class in 1..c, and rules with m integer antecedents in 0..p,
     an integer class in 1..c, connective AND or OR and a finite weight in
-    [0, 1]; `metadata["sum_scores"]`, when present, is True or False."""
+    [0, 1]; `metadata["sum_scores"]`, when present, is True or False. A numpy
+    scalar among those numbers is stored as its Python number
+    (`errors.as_python`), so that `model_io.save_model` can write it."""
 
     partitions: tuple[FuzzyPartition, ...]
     rules: RuleSet
@@ -77,6 +79,13 @@ class Model:
                 raise ConfigError(f"rule {i} weight {rule.weight!r} outside [0, 1]")
         if not isinstance(self.metadata.get("sum_scores", False), bool):
             raise ConfigError(f"metadata.sum_scores must be true or false, got {self.metadata['sum_scores']!r}")
+        rules = tuple(
+            Rule(tuple(map(as_python, rule.antecedents)), as_python(rule.consequent), rule.connective, as_python(rule.weight))
+            for rule in self.rules.rules
+        )
+        object.__setattr__(self, "rules", RuleSet(rules, as_python(m), as_python(p), as_python(c)))
+        object.__setattr__(self, "class_values", tuple(map(as_python, self.class_values)))
+        object.__setattr__(self, "majority_class", as_python(self.majority_class))
 
 
 def activation(rule: Rule, partitions: tuple[FuzzyPartition, ...], x: np.ndarray) -> float:

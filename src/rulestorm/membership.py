@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import AttributeStats, Dataset
-from .errors import ConfigError, DataError, is_number
+from .errors import ConfigError, DataError, as_python, is_number
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,9 @@ class TriangularMF:
 class FuzzyPartition:
     """Labels over [minimum, maximum]. Each breakpoint and both ends of the
     range are finite numbers (`errors.is_number`), a <= b <= c and minimum <=
-    maximum, and degenerate is True or False; ConfigError otherwise."""
+    maximum, and degenerate is True or False; ConfigError otherwise. A numpy
+    scalar among those numbers is stored as its Python number
+    (`errors.as_python`)."""
 
     mfs: tuple[TriangularMF, ...]
     minimum: float
@@ -41,6 +43,10 @@ class FuzzyPartition:
             raise ConfigError(f"range [{self.minimum}, {self.maximum}]: need finite minimum <= maximum")
         if not isinstance(self.degenerate, bool):
             raise ConfigError(f"degenerate must be true or false, got {self.degenerate!r}")
+        mfs = tuple(TriangularMF(*map(as_python, (mf.a, mf.b, mf.c))) for mf in self.mfs)
+        object.__setattr__(self, "mfs", mfs)
+        object.__setattr__(self, "minimum", as_python(self.minimum))
+        object.__setattr__(self, "maximum", as_python(self.maximum))
 
     @property
     def p(self) -> int:

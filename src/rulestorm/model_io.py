@@ -56,9 +56,11 @@ def model_to_document(model: Model) -> dict:
 
 
 def save_model(model: Model, path: str | Path) -> None:
+    """Write the model's document. The text is built before the file is
+    opened, so a model that json cannot write leaves the file as it was."""
+    text = json.dumps(model_to_document(model), indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(model_to_document(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _require(document, key: str, context: str):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from rulestorm import bso
 from rulestorm.bso import (
     BsoParams,
     anneal_ramp,
@@ -14,7 +16,6 @@ from rulestorm.bso import (
     generate_candidate,
     run,
     select_base,
-    step_size,
 )
 from rulestorm.errors import ConfigError, EvaluationError
 from rulestorm.search import Evaluation, sample_population
@@ -23,12 +24,10 @@ from rulestorm.search import Evaluation, sample_population
 class ScriptedRng:
     """Test double replaying queued draws for each generator method."""
 
-    def __init__(self, randoms=(), ints=(), choices=(), normals=(), uniforms=()):
+    def __init__(self, randoms=(), ints=(), choices=()):
         self.randoms = list(randoms)
         self.ints = list(ints)
         self.choices = list(choices)
-        self.normals = list(normals)
-        self.uniforms = list(uniforms)
 
     def random(self):
         return self.randoms.pop(0)
@@ -38,12 +37,6 @@ class ScriptedRng:
 
     def choice(self, n, size=None, replace=True):
         return np.asarray(self.choices.pop(0))
-
-    def standard_normal(self, size=None):
-        return np.asarray(self.normals.pop(0))
-
-    def uniform(self, low, high, size=None):
-        return np.asarray(self.uniforms.pop(0))
 
 
 def sphere_objective(x):
@@ -56,34 +49,40 @@ def params_with(**kw):
     return BsoParams(**base)
 
 
-# -------------------------------------------------------------- step size ---
+# ------------------------------------------------------------ annealed step ---
 
-def test_step_size_midpoint_halves_s():
+def annealed_step(nc, p, s):
+    """A slot's step as run hands it to generate_candidate: its draw s times
+    the iteration's anneal_ramp, taken over the array of steps."""
+    return float((np.array([s]) * anneal_ramp(nc, p))[0])
+
+
+def test_annealed_step_midpoint_halves_s():
     p = params_with(max_iterations=100, slope_divisor=20.0)
-    assert step_size(50, p, s=0.8) == pytest.approx(0.4, abs=1e-12)
+    assert annealed_step(50, p, s=0.8) == pytest.approx(0.4, abs=1e-12)
 
 
-def test_step_size_zero_s_is_zero():
+def test_annealed_step_zero_s_is_zero():
     p = params_with(max_iterations=100)
     for nc in (0, 10, 100):
-        assert step_size(nc, p, s=0.0) == 0.0
+        assert annealed_step(nc, p, s=0.0) == 0.0
 
 
-def test_step_size_flat_slope_limit():
+def test_annealed_step_flat_slope_limit():
     p = params_with(max_iterations=100, slope_divisor=1e12)
-    assert step_size(0, p, s=0.6) == pytest.approx(0.3, rel=1e-6)
+    assert annealed_step(0, p, s=0.6) == pytest.approx(0.3, rel=1e-6)
 
 
-def test_step_size_decays_over_iterations():
+def test_annealed_step_decays_over_iterations():
     p = params_with(max_iterations=200, slope_divisor=20.0)
-    values = [step_size(nc, p, s=1.0) for nc in range(0, 201, 25)]
+    values = [annealed_step(nc, p, s=1.0) for nc in range(0, 201, 25)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[0] > 0.9
     assert values[-1] < 0.01
 
 
 # (max_iterations, slope_divisor, nc, s) and s * scipy.special.expit(z),
-# recorded when step_size still called scipy; z = (T / 2 - nc) / divisor.
+# recorded when the ramp still called scipy; z = (T / 2 - nc) / divisor.
 PINNED_STEPS = [
     ((500, 20.0, 250, 0.7), 0.35),  # the midpoint, z = 0
     ((500, 1.0, 1, 0.3), 0.3),  # z = 249: the ramp is exactly 1.0
@@ -97,10 +96,10 @@ PINNED_STEPS = [
 
 
 @pytest.mark.parametrize(("case", "expected"), PINNED_STEPS)
-def test_step_size_matches_pinned_logistic(case, expected):
+def test_annealed_step_matches_pinned_logistic(case, expected):
     max_iterations, slope_divisor, nc, s = case
     p = params_with(max_iterations=max_iterations, slope_divisor=slope_divisor)
-    assert step_size(nc, p, s) == expected
+    assert annealed_step(nc, p, s) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,22 +111,21 @@ def test_step_size_matches_pinned_logistic(case, expected):
     plain=st.booleans(),
     seed=st.integers(0, 2**31),
 )
-def test_candidate_step_is_step_size_from_the_iteration_ramp(max_iterations, slope_divisor, nc, s, plain, seed):
+def test_candidate_moves_by_s_times_the_iteration_ramp(max_iterations, slope_divisor, nc, s, plain, seed):
     """run computes the ramp once per iteration; a candidate built from it
-    moves by exactly step_size(nc, params, s), and step_size is s * ramp."""
+    moves by exactly s * anneal_ramp(nc, params)."""
     p = params_with(max_iterations=max_iterations, slope_divisor=slope_divisor, mode="plain" if plain else "ewma")
-    ramp = anneal_ramp(nc, p)
-    assert step_size(nc, p, s) == s * ramp
     z = np.random.default_rng(seed).standard_normal(4)
     base, state = np.linspace(-1.0, 1.0, 4), np.full(4, 0.25)
     cand, _ = generate_candidate(
-        base, None if plain else state, ramp, p, ScriptedRng(randoms=[s], normals=[z]),
+        base[None], state[None], np.array([annealed_step(nc, p, s)]), z[None], p,
         lower=np.full(4, -50.0), upper=np.full(4, 50.0),
     )
     noise = p.noise_mean + p.noise_sigma * z
-    xi = step_size(nc, p, s)
+    xi = s * anneal_ramp(nc, p)
+    assert annealed_step(nc, p, s) == xi
     expected = base + xi * noise if plain else p.smoothing * base + (1.0 - p.smoothing) * state + p.noise_scale * xi * noise
-    assert cand.view(np.int64).tolist() == np.clip(expected, -50.0, 50.0).view(np.int64).tolist()
+    assert cand[0].view(np.int64).tolist() == np.clip(expected, -50.0, 50.0).view(np.int64).tolist()
 
 
 # ----------------------------------------------------------- initialization ---
@@ -289,71 +287,160 @@ def test_select_base_always_center_under_forcing_probs():
 
 # ----------------------------------------------------- candidate generation ---
 
+def reference_candidate(base, ewma_state, ramp, params, s, z, lower, upper):
+    """One slot's candidate, built on its own from the slot's two draws (step
+    s, noise row z): the oracle of the batched step. Returns the candidate
+    and the point it moved from (the base in plain mode, the updated running
+    average otherwise)."""
+    xi = s * ramp
+    noise = params.noise_mean + params.noise_sigma * z
+    if params.mode == "plain":
+        point = base
+        candidate = base + xi * noise
+    else:
+        point = params.smoothing * base + (1.0 - params.smoothing) * ewma_state
+        candidate = point + params.noise_scale * xi * noise
+    return np.minimum(np.maximum(candidate, lower), upper), point
+
+
+def one_slot(p, base, state, s, z, nc, lower, upper):
+    """generate_candidate on a one-slot batch: that slot's candidate and point."""
+    cands, points = generate_candidate(
+        np.array([base], dtype=float), np.array([state], dtype=float), np.array([annealed_step(nc, p, s)]),
+        np.array([z], dtype=float), p, lower, upper,
+    )
+    return cands[0], points[0]
+
+
+GENES = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def candidate_batches(draw):
+    """A (Q, L) batch of bases, averages and noise rows with Q steps, bounds
+    that hold 0, one iteration's ramp and params of either mode."""
+    q, n = draw(st.integers(1, 7)), draw(st.integers(1, 11))
+    rows = arrays(np.float64, (q, n), elements=GENES)
+    params = params_with(
+        mode=draw(st.sampled_from(["plain", "ewma"])),
+        smoothing=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        noise_scale=draw(st.floats(0.0, 3.0)),
+        noise_mean=draw(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0])),
+        noise_sigma=draw(st.floats(0.0, 3.0)),
+    )
+    return dict(
+        bases=draw(rows),
+        ewma=draw(rows),
+        s=draw(arrays(np.float64, q, elements=st.floats(0.0, 1.0) | st.just(0.0))),
+        z=draw(rows),
+        ramp=draw(st.sampled_from([0.0, 1e-300, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+        params=params,
+        lower=draw(arrays(np.float64, n, elements=st.floats(-3.0, 0.0) | st.just(-0.0))),
+        upper=draw(arrays(np.float64, n, elements=st.floats(0.0, 3.0) | st.just(-0.0))),
+    )
+
+
+def signed_zero_batch(mode, ramp):
+    """Bases, averages and noise with -0.0 and +0.0 genes, and a zero step."""
+    return dict(
+        bases=np.array([[-0.0, 0.0, 1.5], [2.0, -0.0, -1.0]]),
+        ewma=np.array([[0.5, -0.0, 0.0], [-0.0, -0.0, 3.0]]),
+        s=np.array([0.0, 0.7]),
+        z=np.array([[1.0, -0.0, 0.3], [0.0, -2.0, 1.0]]),
+        ramp=ramp,
+        params=params_with(mode=mode, smoothing=0.6, noise_scale=1.5),
+        lower=np.full(3, -3.0),
+        upper=np.full(3, 3.0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=candidate_batches())
+@example(batch=signed_zero_batch("plain", 0.0))
+@example(batch=signed_zero_batch("ewma", 0.0))
+@example(batch=signed_zero_batch("plain", 1e-300))
+@example(batch=signed_zero_batch("ewma", 1e-300))
+def test_batched_candidates_equal_the_per_slot_oracle_bit_for_bit(batch):
+    b = batch
+    cands, points = generate_candidate(
+        b["bases"], b["ewma"], b["s"] * b["ramp"], b["z"], b["params"], b["lower"], b["upper"]
+    )
+    for i in range(len(b["bases"])):
+        cand, point = reference_candidate(
+            b["bases"][i], b["ewma"][i], b["ramp"], b["params"], b["s"][i], b["z"][i], b["lower"], b["upper"]
+        )
+        assert cands[i].tobytes() == cand.tobytes()
+        assert points[i].tobytes() == point.tobytes()
+
+
 def test_candidate_smoothing_one_zero_scale_returns_base():
     p = params_with(mode="ewma", smoothing=1.0, noise_scale=0.0, noise_sigma=1.0)
     base = np.array([0.5, -1.5, 2.0])
-    state = np.array([9.0, 9.0, 9.0])
-    rng = ScriptedRng(randoms=[0.4], normals=[[1.0, -2.0, 0.5]])
-    cand, new_state = generate_candidate(
-        base, state, ramp=anneal_ramp(10, p), params=p, rng=rng,
+    cand, point = one_slot(
+        p, base, state=[9.0, 9.0, 9.0], s=0.4, z=[1.0, -2.0, 0.5], nc=10,
         lower=np.full(3, -10.0), upper=np.full(3, 10.0),
     )
     assert np.array_equal(cand, base)
-    assert np.array_equal(new_state, base)
+    assert np.array_equal(point, base)
 
 
 def test_candidate_smoothing_halfway_updates_state():
     p = params_with(mode="ewma", smoothing=0.5)
-    base = np.full(3, 2.0)
-    state = np.zeros(3)
-    rng = ScriptedRng(randoms=[0.0], normals=[[0.0, 0.0, 0.0]])
-    _, new_state = generate_candidate(
-        base, state, ramp=anneal_ramp(0, p), params=p, rng=rng,
+    _, point = one_slot(
+        p, base=np.full(3, 2.0), state=np.zeros(3), s=0.0, z=np.zeros(3), nc=0,
         lower=np.full(3, -10.0), upper=np.full(3, 10.0),
     )
-    assert np.allclose(new_state, 1.0)
+    assert np.allclose(point, 1.0)
 
 
 def test_candidate_plain_zero_noise_returns_base():
     p = params_with(mode="plain", noise_sigma=0.0, noise_mean=0.0)
     base = np.array([1.0, 2.0, 3.0])
-    rng = ScriptedRng(randoms=[0.77], normals=[[5.0, -5.0, 5.0]])
-    cand, new_state = generate_candidate(
-        base, None, ramp=anneal_ramp(3, p), params=p, rng=rng,
+    cand, point = one_slot(
+        p, base, state=[9.0, 9.0, 9.0], s=0.77, z=[5.0, -5.0, 5.0], nc=3,
         lower=np.zeros(3), upper=np.full(3, 4.0),
     )
     assert np.array_equal(cand, base)
-    assert new_state is None
+    assert np.array_equal(point, base)  # plain mode moves the base itself
 
 
 def test_candidate_clamped_to_bounds():
     p = params_with(mode="plain", noise_sigma=100.0, max_iterations=10)
     lower, upper = np.zeros(4), np.ones(4)
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        cand, _ = generate_candidate(
-            np.full(4, 0.5), None, ramp=anneal_ramp(0, p), params=p, rng=rng, lower=lower, upper=upper
-        )
-        assert np.all(cand >= lower)
-        assert np.all(cand <= upper)
+    s, z = np.empty(50), np.empty((50, 4))
+    for slot in range(50):  # each slot's draws in turn, as run takes them
+        s[slot] = rng.random()
+        rng.standard_normal(out=z[slot])
+    bases = np.full((50, 4), 0.5)
+    cands, _ = generate_candidate(bases, bases, s * anneal_ramp(0, p), z, p, lower, upper)
+    assert np.all(cands >= lower)
+    assert np.all(cands <= upper)
 
 
-def test_candidate_modes_share_rng_stream_when_degenerate():
+def test_candidate_modes_agree_when_degenerate():
     # smoothing 1 + unit noise scale makes the averaged mode reproduce the
-    # plain update draw-for-draw under one seed
+    # plain update on the same draws
     base = np.array([0.3, -0.2, 1.1])
     lower, upper = np.full(3, -5.0), np.full(3, 5.0)
+    rng = np.random.default_rng(123)
+    s, z = rng.random(), rng.standard_normal(3)
     plain = params_with(mode="plain")
     averaged = params_with(mode="ewma", smoothing=1.0, noise_scale=1.0)
-    c1, _ = generate_candidate(
-        base, None, ramp=anneal_ramp(5, plain), params=plain, rng=np.random.default_rng(123),
-        lower=lower, upper=upper,
-    )
-    c2, _ = generate_candidate(
-        base, base.copy(), ramp=anneal_ramp(5, averaged), params=averaged, rng=np.random.default_rng(123),
-        lower=lower, upper=upper,
-    )
+    c1, _ = one_slot(plain, base, base, s, z, nc=5, lower=lower, upper=upper)
+    c2, _ = one_slot(averaged, base, base, s, z, nc=5, lower=lower, upper=upper)
     assert np.allclose(c1, c2, atol=1e-15)
+
+
+def test_noise_rows_drawn_into_a_batch_are_the_per_slot_stream():
+    # run draws each slot's noise row in place; the stream is the one that
+    # per-slot standard_normal(L) calls give
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    z = np.empty((5, 7))
+    for slot in range(5):
+        assert a.random() == b.random()
+        a.standard_normal(out=z[slot])
+        assert z[slot].tobytes() == b.standard_normal(7).tobytes()
 
 
 # ------------------------------------------------------------------- run ---
@@ -365,6 +452,21 @@ def test_run_zero_iterations_returns_initial_best():
     assert result.evaluations == 10
     values = [ind.evaluation.value for ind in result.population]
     assert result.best.evaluation.value == max(values)
+
+
+def test_run_builds_each_iteration_candidates_in_one_call(monkeypatch):
+    shapes = []
+    original = bso.generate_candidate
+
+    def counting(bases, *args):
+        shapes.append(bases.shape)
+        return original(bases, *args)
+
+    monkeypatch.setattr(bso, "generate_candidate", counting)
+    p = params_with(population_size=6, cluster_count=2, max_iterations=9)
+    result = run(p, sphere_objective, np.full(3, -2.0), np.full(3, 2.0))
+    assert len(result.trace.records) == 1 + 9
+    assert shapes == [(6, 3)] * 9
 
 
 def test_run_deterministic_given_seed():

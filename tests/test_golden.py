@@ -42,6 +42,14 @@ CASES = {
     "sum-scores": ({"sum_scores": True, "bso": {"max_iterations": 30}}, [], 0, False),
     "accuracy-weight-0": ({"accuracy_weight": 0, "bso": {"max_iterations": 30}}, [], 0, False),
     "constant-column": ({"bso": {"max_iterations": 30}}, ["--optimizer", "bso-plain"], 0, True),
+    # plain mode with smoothing and noise_scale off their defaults: only the
+    # averaged mode may read them (noise_mean moves both modes' noise)
+    "bso-plain-averaging": (
+        {"bso": {"max_iterations": 30, "smoothing": 0.3, "noise_scale": 2.5, "noise_mean": 0.1}},
+        ["--optimizer", "bso-plain"],
+        2,
+        False,
+    ),
     # the default run of each optimizer on the other seeds
     **{
         f"{optimizer}-seed-{seed}": ({}, ["--optimizer", optimizer], seed, False)

@@ -12,7 +12,7 @@ from rulestorm.bso import BsoParams
 from rulestorm.dataset import AttributeStats, Dataset
 from rulestorm.errors import DataError
 from rulestorm.inference import Model, predict_dataset
-from rulestorm.membership import build_partition
+from rulestorm.membership import FuzzyPartition, TriangularMF, build_partition
 from rulestorm.model_io import FORMAT_TAG, load_model, save_model
 from rulestorm.rules import AND, OR, Rule, RuleSet
 from rulestorm.training import train_model
@@ -133,6 +133,36 @@ def test_save_is_byte_deterministic(tmp_path, trained):
     save_model(model, a)
     save_model(model, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_save_that_fails_leaves_the_file_as_it_was(tmp_path, trained):
+    _, model = trained
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    before = path.read_bytes()
+    unwritable = Model(**{**model.__dict__, "metadata": {**model.metadata, "tags": {"a"}}})
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        save_model(unwritable, path)
+    assert path.read_bytes() == before
+
+
+def test_a_model_built_from_numpy_scalars_saves_and_loads_back_equal(tmp_path):
+    part = build_partition(AttributeStats(minimum=np.float64(0.0), maximum=np.float32(10.0), constant=False), 3)
+    model = Model(
+        partitions=(part, FuzzyPartition(mfs=tuple(TriangularMF(*np.array([mf.a, mf.b, mf.c])) for mf in part.mfs),
+                                         minimum=np.float64(0.0), maximum=np.float64(10.0))),
+        rules=RuleSet(
+            rules=(Rule((np.int64(1), np.int32(0)), np.int64(1), AND, np.float32(0.5)),
+                   Rule((0, np.uint8(3)), 2, OR, np.float64(0.25))),
+            m=np.int64(2), p=np.int64(3), c=2,
+        ),
+        class_values=tuple(np.array([0.0, 1.0], dtype=np.float32)),
+        attribute_names=("a1", "a2"),
+        majority_class=np.int64(1),
+        metadata={"sum_scores": False},
+    )
+    save_model(model, tmp_path / "model.json")
+    assert load_model(tmp_path / "model.json") == model
 
 
 def test_document_has_format_tag_and_rule_table(tmp_path, trained):

@@ -282,6 +282,16 @@ def test_settings_store_python_numbers():
     assert settings == ExperimentSettings(rule_count=4, accuracy_weight=1.0)
 
 
+def test_numpy_floats_in_the_params_are_stored_as_python_floats():
+    ds = separable_dataset()
+    numpy_run = train_model(ds, bso_params=BsoParams(max_iterations=3, smoothing=np.float32(0.8)))
+    python_run = train_model(ds, bso_params=BsoParams(max_iterations=3, smoothing=float(np.float32(0.8))))
+    assert numpy_run.model.metadata["params_digest"] == python_run.model.metadata["params_digest"]
+    weights = FitnessWeights(np.float32(1.0), 1.0, 1.0)
+    assert type(weights.alpha) is float and weights == FitnessWeights()
+    assert type(BsoParams(slope_divisor=np.float64(20.0)).slope_divisor) is float
+
+
 def test_trained_model_weights_are_quantized():
     ds = separable_dataset()
     result = train_model(
