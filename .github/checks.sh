@@ -145,6 +145,11 @@ check_bad_settings() {
     test "$status" -eq 2
     test ! -e "$out/sweep.csv"
   done
+  # so does an out-of-range bso or ga value, named by its section and bounds
+  echo '{"bso": {"smoothing": 0}}' > "$tmp/bad-bso.json"
+  refused 2 "config: bso.smoothing must be in (0, 1], got 0" sweep --data data/pima.csv --config "$tmp/bad-bso.json" --out "$tmp/refused"
+  echo '{"ga": {"tournament_size": 0}}' > "$tmp/bad-ga.json"
+  refused 2 "config: ga.tournament_size must be at least 1, got 0" sweep --data data/pima.csv --config "$tmp/bad-ga.json" --out "$tmp/refused"
 }
 
 check_evaluate_decision_rule() {

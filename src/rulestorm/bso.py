@@ -53,36 +53,19 @@ class BsoParams:
     mode: str = "ewma"
     seed: int = 0
 
+    BOUNDS = {
+        "population_size": "at least 1", "cluster_count": "at least 1", "max_iterations": "at least 0",
+        "slope_divisor": "> 0", "smoothing": "(0, 1]", "noise_scale": "at least 0", "noise_sigma": "at least 0",
+        "replace_center_prob": "[0, 1]", "one_cluster_prob": "[0, 1]", "use_center_prob": "[0, 1]",
+        "use_center_pair_prob": "[0, 1]", "stagnation_window": "at least 1",
+    }
+
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.population_size < 1:
-            raise ConfigError("population_size must be >= 1")
-        if not 1 <= self.cluster_count <= self.population_size:
+        if self.cluster_count > self.population_size:
             raise ConfigError(
-                f"cluster_count must be in [1, population_size], got "
-                f"{self.cluster_count} with population_size={self.population_size}"
+                f"cluster_count must be at most population_size, got {self.cluster_count} > {self.population_size}"
             )
-        if self.max_iterations < 0:
-            raise ConfigError("max_iterations must be >= 0")
-        if self.slope_divisor <= 0:
-            raise ConfigError("slope_divisor must be > 0")
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ConfigError("smoothing must be in (0, 1]")
-        if self.noise_scale < 0:
-            raise ConfigError("noise_scale must be >= 0")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
-        for name in (
-            "replace_center_prob",
-            "one_cluster_prob",
-            "use_center_prob",
-            "use_center_pair_prob",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.stagnation_window < 1:
-            raise ConfigError("stagnation_window must be >= 1")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 

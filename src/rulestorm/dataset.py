@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_fields
+from .errors import ConfigError, DataError, check_bound, check_fields
 
 # load_csv's numeric path parses the body in chunks of about this many bytes,
 # so that no full-width table of the file is alive at once.
@@ -63,8 +63,7 @@ class SplitSpec:
 
     def __post_init__(self, allow_full: bool, name: str) -> None:
         check_fields(self)
-        if not 0.0 < self.fraction <= 1.0 or self.full and not allow_full:
-            raise ConfigError(f"{name} must be in (0, 1{']' if allow_full else ')'}, got {self.fraction}")
+        check_bound(name, self.fraction, "(0, 1]" if allow_full else "(0, 1)")
 
     @property
     def full(self) -> bool:

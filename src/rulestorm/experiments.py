@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, split
-from .errors import ConfigError, check_seed
+from .errors import ConfigError, check_bound, check_seed
 from .inference import EvaluationReport, evaluate_model
 from .rules import RuleSetShape
 from .search import TraceRecord, write_csv
@@ -304,8 +304,7 @@ BENCHMARK_HEADER = tuple(f.name for f in fields(BenchmarkRow))
 
 def check_benchmark(fractions, threshold: float, seed: int, optimizers) -> None:
     """Refuse the values :func:`run_benchmark` refuses, before any data is read."""
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
+    check_bound("threshold", threshold, "(0, 1]")
     _check_cells("benchmark fractions (--ratios)", fractions, (seed,), optimizers, allow_full=True)
     _check_lists("benchmark", {"fractions (--ratios)": fractions, "optimizers": optimizers})
 

@@ -32,11 +32,10 @@ class FitnessWeights:
     beta: float = 1.0
     gamma: float = 1.0
 
+    BOUNDS = {"alpha": "at least 0", "beta": "at least 0", "gamma": "at least 0"}
+
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         total = self.alpha + self.beta + self.gamma
         if total <= 0:
             raise ConfigError("alpha, beta and gamma must not all be zero")

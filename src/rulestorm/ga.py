@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_fields
+from .errors import check_fields
 from .search import Population, RunResult
 
 # perfbench/worker.py traces these names here; Population calls them now.
@@ -29,22 +29,14 @@ class GaParams:
     stagnation_window: int = 50
     seed: int = 0
 
+    BOUNDS = {
+        "population_size": "at least 1", "generations": "at least 0", "tournament_size": "at least 1",
+        "crossover_prob": "[0, 1]", "mutation_prob": "[0, 1]", "mutation_sigma": "at least 0",
+        "stagnation_window": "at least 1",
+    }
+
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.population_size < 1:
-            raise ConfigError("population_size must be >= 1")
-        if self.generations < 0:
-            raise ConfigError("generations must be >= 0")
-        if self.tournament_size < 1:
-            raise ConfigError("tournament_size must be >= 1")
-        for name in ("crossover_prob", "mutation_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.mutation_sigma < 0:
-            raise ConfigError("mutation_sigma must be >= 0")
-        if self.stagnation_window < 1:
-            raise ConfigError("stagnation_window must be >= 1")
 
 
 def tournament_pick(values: np.ndarray, size: int, rng) -> int:

@@ -12,6 +12,7 @@ table and its (Q·r, records) fold both stay within `rules.BLOCK_BYTES`.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -34,8 +35,9 @@ class Model:
     (`errors.is_integer`), c distinct finite class values (`errors.is_number`),
     a majority class in 1..c, and rules with m integer antecedents in 0..p,
     an integer class in 1..c, connective AND or OR and a finite weight in
-    [0, 1]; `metadata["sum_scores"]`, when present, is True or False. A numpy
-    scalar among those numbers is stored as its Python number
+    [0, 1]; `metadata["sum_scores"]`, when present, is True or False, and
+    json can write the metadata. A numpy scalar among those numbers or among
+    the metadata's values is stored as its Python number
     (`errors.as_python`), so that `model_io.save_model` can write it."""
 
     partitions: tuple[FuzzyPartition, ...]
@@ -79,6 +81,12 @@ class Model:
                 raise ConfigError(f"rule {i} weight {rule.weight!r} outside [0, 1]")
         if not isinstance(self.metadata.get("sum_scores", False), bool):
             raise ConfigError(f"metadata.sum_scores must be true or false, got {self.metadata['sum_scores']!r}")
+        metadata = {key: as_python(value) for key, value in self.metadata.items()}
+        try:
+            json.dumps(metadata, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"metadata must hold only what json can write: {exc}") from None
+        object.__setattr__(self, "metadata", metadata)
         rules = tuple(
             Rule(tuple(map(as_python, rule.antecedents)), as_python(rule.consequent), rule.connective, as_python(rule.weight))
             for rule in self.rules.rules

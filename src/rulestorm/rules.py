@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .membership import LabeledDataset
 
 AND = "AND"
@@ -60,11 +60,10 @@ class RuleSetShape:
     c: int
     r: int
 
+    BOUNDS = {"m": "at least 1", "p": "at least 2", "c": "at least 2"}
+
     def __post_init__(self) -> None:
-        if self.m < 1 or self.p < 2 or self.c < 2:
-            raise ConfigError(
-                f"need m >= 1, p >= 2, c >= 2, got m={self.m} p={self.p} c={self.c}"
-            )
+        check_fields(self)
         if self.r < self.c:
             raise ConfigError(
                 f"need at least one rule per class: r={self.r} < c={self.c}"

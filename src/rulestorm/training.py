@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bso, ga
 from .dataset import Dataset, attribute_stats, majority_class
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_bound, check_fields
 from .fitness import FitnessBreakdown, FitnessWeights, breakdown
 from .inference import Model, evaluate_model, score_blocks
 from .membership import FuzzyPartition, LabeledDataset, build_partition, fuzzify_dataset, rank_table
@@ -67,10 +67,7 @@ class RuleObjective:
         majority: int,
         sum_scores: bool = False,
     ) -> None:
-        if not 0.0 <= accuracy_weight <= 1.0:
-            raise ConfigError(
-                f"accuracy_weight must be in [0, 1], got {accuracy_weight}"
-            )
+        check_bound("accuracy_weight", accuracy_weight, ExperimentSettings.BOUNDS["accuracy_weight"])
         self.ld = ld
         self.shape = shape
         self.weights = weights
@@ -138,17 +135,11 @@ class ExperimentSettings:
     ga_params: ga.GaParams = field(default_factory=ga.GaParams)
     sum_scores: bool = False
 
+    BOUNDS = {"labels_per_attribute": "at least 2", "rule_count": "at least 1", "accuracy_weight": "[0, 1]"}
+
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.labels_per_attribute < 2:
-            raise ConfigError(f"labels_per_attribute must be at least 2, got {self.labels_per_attribute}")
-        if self.rule_count < 1:
-            raise ConfigError(f"rule_count must be at least 1, got {self.rule_count}")
-        if not 0.0 <= self.accuracy_weight <= 1.0:
-            raise ConfigError(f"accuracy_weight must be in [0, 1], got {self.accuracy_weight}")
         object.__setattr__(self, "accuracy_weight", float(self.accuracy_weight))
-        if not isinstance(self.sum_scores, bool):
-            raise ConfigError(f"sum_scores must be true or false, got {self.sum_scores!r}")
         for name, kind in (("fitness_weights", FitnessWeights), ("bso_params", bso.BsoParams), ("ga_params", ga.GaParams)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, output, config merging, exit codes."""
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -21,6 +22,8 @@ from rulestorm import cli, experiments
 from rulestorm.bso import BsoParams
 from rulestorm.cli import main
 from rulestorm.dataset import AttributeStats, Dataset, SplitSpec, load_csv, split
+from rulestorm.fitness import FitnessWeights
+from rulestorm.ga import GaParams
 from rulestorm.inference import Model, evaluate_model, predict_dataset, report_from_predictions
 from rulestorm.membership import build_partition
 from rulestorm.model_io import load_model, save_model
@@ -1405,3 +1408,20 @@ def test_readme_option_table_matches_the_cli_table():
         flag, key, names, default, kind = row[2:-2].split(" | ")
         got[flag, key, default, kind] = set(names.split(", "))
     assert got == want
+
+
+def test_readme_settings_table_matches_the_records():
+    """README lists one row per settable key of the training settings and of
+    the fitness_weights, bso and ga sections: its default, type and the
+    bounds its record declares."""
+    kinds = {"int": "an integer", "float": "a number", "bool": "true or false"}
+    want = []
+    for prefix, record in (("", ExperimentSettings), ("fitness_weights.", FitnessWeights), ("bso.", BsoParams), ("ga.", GaParams)):
+        for f in dataclasses.fields(record):
+            if f.type in kinds and f.name != "seed":
+                bounds = record.BOUNDS.get(f.name, "none")
+                want.append(f"| `{prefix}{f.name}` | `{json.dumps(f.default)}` | {kinds[f.type]} | {bounds} |")
+    assert len(want) == 27 and [f.name for f in dataclasses.fields(ExperimentSettings) if f.type in kinds] == list(cli.SETTINGS_KEYS)
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| Config key | Default | Type | Bounds |")
+    assert list(itertools.takewhile(lambda line: line.startswith("| "), lines[start + 2:])) == want

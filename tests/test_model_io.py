@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rulestorm import model_io
 from rulestorm.bso import BsoParams
 from rulestorm.dataset import AttributeStats, Dataset
-from rulestorm.errors import DataError
+from rulestorm.errors import ConfigError, DataError
 from rulestorm.inference import Model, predict_dataset
 from rulestorm.membership import FuzzyPartition, TriangularMF, build_partition
 from rulestorm.model_io import FORMAT_TAG, load_model, save_model
@@ -135,15 +135,35 @@ def test_save_is_byte_deterministic(tmp_path, trained):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_a_save_that_fails_leaves_the_file_as_it_was(tmp_path, trained):
+def test_a_save_that_fails_leaves_the_file_as_it_was(tmp_path, trained, monkeypatch):
     _, model = trained
     path = tmp_path / "model.json"
     save_model(model, path)
     before = path.read_bytes()
-    unwritable = Model(**{**model.__dict__, "metadata": {**model.metadata, "tags": {"a"}}})
+    monkeypatch.setattr(model_io, "model_to_document", lambda model: {"tags": {"a"}})
     with pytest.raises(TypeError, match="set is not JSON serializable"):
-        save_model(unwritable, path)
+        save_model(model, path)
     assert path.read_bytes() == before
+
+
+def test_numpy_scalars_in_the_metadata_are_stored_as_python_values(tmp_path, trained):
+    _, model = trained
+    metadata = {**model.metadata, "train_records": np.int64(5), "accuracy_weight": np.float32(0.5), "tag": np.str_("x")}
+    built = Model(**{**model.__dict__, "metadata": metadata})
+    assert built.metadata == {**model.metadata, "train_records": 5, "accuracy_weight": 0.5, "tag": "x"}
+    assert [type(built.metadata[key]) for key in ("train_records", "accuracy_weight", "tag")] == [int, float, str]
+    save_model(built, tmp_path / "model.json")
+    assert load_model(tmp_path / "model.json") == built
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"tags": {"a"}}, {"digest": b"ab"}, {"train_records": np.arange(2)}, {"nested": {"n": np.int64(5)}}, {1: "a"}],
+)
+def test_a_model_refuses_metadata_json_cannot_write(trained, extra):
+    _, model = trained
+    with pytest.raises(ConfigError, match="^metadata must hold only what json can write: "):
+        Model(**{**model.__dict__, "metadata": {**model.metadata, **extra}})
 
 
 def test_a_model_built_from_numpy_scalars_saves_and_loads_back_equal(tmp_path):

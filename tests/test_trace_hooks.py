@@ -1,0 +1,54 @@
+"""The benchmark's tracing hooks still fit the program.
+
+`perfbench/worker.py` names each function it traces by its owner and key,
+and `perfbench/tracer.py` swaps those entries for timed wrappers. A renamed
+or deleted name would otherwise surface only in a traced benchmark run.
+Both files are loaded as they stand and left unchanged.
+"""
+
+import importlib.util
+import sys
+
+import numpy as np
+from conftest import REPO_ROOT
+
+from rulestorm import ga
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the file runs
+    spec.loader.exec_module(module)
+    return module
+
+
+worker, tracer = load("worker"), load("tracer")
+
+
+def lookup(owner, key):
+    """The entry as tracer.installed reads it: a dict's item, or an
+    attribute defined on the module or class itself."""
+    return owner[key] if isinstance(owner, dict) else vars(owner)[key]
+
+
+def test_every_trace_target_resolves():
+    missing = []
+    for owner, key, _ in worker.trace_targets():
+        try:
+            if not callable(lookup(owner, key)):
+                missing.append(f"{getattr(owner, '__name__', owner)}.{key} is not callable")
+        except KeyError:
+            missing.append(f"{getattr(owner, '__name__', 'dict')}.{key}")
+    assert missing == []
+
+
+def test_installing_the_tracer_wraps_every_target_and_restores_it():
+    targets = worker.trace_targets()
+    originals = [lookup(owner, key) for owner, key, _ in targets]
+    with tracer.installed(targets) as rec:
+        for (owner, key, _), original in zip(targets, originals):
+            assert lookup(owner, key).__wrapped__ is original
+        assert ga.tournament_pick(np.array([1.0, 3.0]), 2, np.random.default_rng(0)) in (0, 1)
+    assert rec.names == ["ga.tournament_pick"]
+    assert all(lookup(owner, key) is original for (owner, key, _), original in zip(targets, originals))
