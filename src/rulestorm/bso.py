@@ -1,9 +1,10 @@
 """Clustering-guided stochastic search over box-bounded real genotypes.
 
-Each iteration groups the population with a small k-means, designates each
-group's best member as its center, then builds one candidate per population
-slot: a base point drawn from one group (center or random member) or blended
-across two groups, perturbed by gaussian noise whose magnitude is annealed
+Each iteration groups the population with a small k-means into arrays of
+member indices, takes each group's best member as its center (one (k, L)
+array of rows), then builds one candidate per population slot: a base point
+from one group or blended across two, each group giving its center or a
+random member, perturbed by gaussian noise whose magnitude is annealed
 through a logistic schedule. The slots take their draws one by one; the
 candidates are then built in one (Q, L) array step. A slot is replaced only
 by a strictly better candidate, so the best objective value never decreases.
@@ -70,14 +71,10 @@ class BsoParams:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class Cluster:
-    members: tuple[int, ...]  # population indices, ascending
-    center: int               # index of the best-valued member
-
-
-def cluster_population(genotypes: np.ndarray, values: np.ndarray, k: int, rng) -> list[Cluster]:
-    """Seeded k-means over genotypes; centers are best-valued members.
+def cluster_population(genotypes: np.ndarray, values: np.ndarray, k: int, rng) -> tuple[list[np.ndarray], np.ndarray]:
+    """Seeded k-means over genotypes. Returns each cluster's members, the
+    ascending index arrays its last pass averaged into the means, and one
+    array of each cluster's best-valued member, its center.
 
     Means start at k distinct members. A cluster emptied by reassignment is
     refilled with the worst-valued member of any cluster that still has two
@@ -92,26 +89,18 @@ def cluster_population(genotypes: np.ndarray, values: np.ndarray, k: int, rng) -
         distances = ((genotypes[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(distances, axis=1)
         counts = np.bincount(new_assign, minlength=k)
-        for cluster_idx in range(k):
-            if counts[cluster_idx] > 0:
-                continue
+        for cluster_idx in np.flatnonzero(counts == 0):  # a refill never empties a cluster
             eligible = np.flatnonzero(counts[new_assign] >= 2)
-            victim = int(eligible[np.argmin(values[eligible])])
+            victim = eligible[np.argmin(values[eligible])]
             counts[new_assign[victim]] -= 1
             new_assign[victim] = cluster_idx
             counts[cluster_idx] += 1
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for cluster_idx in range(k):
-            members = np.flatnonzero(assign == cluster_idx)
-            means[cluster_idx] = genotypes[members].mean(axis=0)
-    clusters = []
-    for cluster_idx in range(k):
-        members = tuple(int(i) for i in np.flatnonzero(assign == cluster_idx))
-        center = members[int(np.argmax(values[list(members)]))]
-        clusters.append(Cluster(members=members, center=center))
-    return clusters
+        members = [np.flatnonzero(assign == cluster_idx) for cluster_idx in range(k)]
+        means = np.array([genotypes[rows].mean(axis=0) for rows in members])
+    return members, np.array([rows[np.argmax(values[rows])] for rows in members])
 
 
 def anneal_ramp(nc: int, params: BsoParams) -> float:
@@ -124,33 +113,28 @@ def anneal_ramp(nc: int, params: BsoParams) -> float:
         return 0.0
 
 
-def select_base(clusters, genotypes: np.ndarray, centers, params: BsoParams, rng) -> np.ndarray:
+def select_base(members: list[np.ndarray], genotypes: np.ndarray, centers: np.ndarray, params: BsoParams, rng) -> np.ndarray:
     """Pick the starting point for one candidate.
 
-    One-cluster branch (forced when only one cluster exists): a uniformly
-    chosen cluster contributes its center or a random member. Two-cluster
-    branch: two distinct clusters contribute either both centers or one
-    random member each, blended at a uniform random coefficient. A
-    one-cluster base is the row of `centers` or `genotypes` itself, not a
-    copy: `run` copies it into its batch of bases.
+    Picks one uniformly chosen cluster (always, when only one exists) or two
+    distinct ones, then takes each picked cluster's row of `centers` or a
+    random member of it, and blends two at a uniform random coefficient.
+    The draws come in that order: the branch, the clusters, the center
+    coin, the members in cluster order, the coefficient. A one-cluster base
+    is the row of `centers` or `genotypes` itself, not a copy: `run` copies
+    it into its batch of bases.
     """
-    u1 = rng.random()
-    if u1 < params.one_cluster_prob or len(clusters) == 1:
-        cluster_idx = int(rng.integers(len(clusters)))
-        if rng.random() < params.use_center_prob:
-            return centers[cluster_idx]
-        members = clusters[cluster_idx].members
-        return genotypes[members[int(rng.integers(len(members)))]]
-    pair = rng.choice(len(clusters), size=2, replace=False)
-    first, second = int(pair[0]), int(pair[1])
-    if rng.random() < params.use_center_pair_prob:
-        x1, x2 = centers[first], centers[second]
+    k = len(members)
+    if rng.random() < params.one_cluster_prob or k == 1:
+        picked, center_prob = [rng.integers(k)], params.use_center_prob
     else:
-        m1 = clusters[first].members[int(rng.integers(len(clusters[first].members)))]
-        m2 = clusters[second].members[int(rng.integers(len(clusters[second].members)))]
-        x1, x2 = genotypes[m1], genotypes[m2]
+        picked, center_prob = rng.choice(k, size=2, replace=False), params.use_center_pair_prob
+    use_center = rng.random() < center_prob
+    points = [centers[c] if use_center else genotypes[members[c][rng.integers(len(members[c]))]] for c in picked]
+    if len(points) == 1:
+        return points[0]
     lam = rng.random()
-    return lam * x1 + (1.0 - lam) * x2
+    return lam * points[0] + (1.0 - lam) * points[1]
 
 
 def generate_candidate(bases: np.ndarray, ewma: np.ndarray, steps: np.ndarray, z: np.ndarray, params: BsoParams, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,13 +169,13 @@ def run(params: BsoParams, objective, lower, upper) -> RunResult:
     bases, z = np.empty_like(ewma), np.empty_like(ewma)
     steps = np.empty(params.population_size)
     for nc in range(1, params.max_iterations + 1):
-        clusters = cluster_population(pop.genotypes, pop.values, params.cluster_count, rng)
-        centers = [pop.genotypes[c.center] for c in clusters]
+        members, best = cluster_population(pop.genotypes, pop.values, params.cluster_count, rng)
+        centers = pop.genotypes[best]
         if rng.random() < params.replace_center_prob:
-            centers[int(rng.integers(len(clusters)))] = rng.uniform(pop.lower, pop.upper)
+            centers[rng.integers(len(best))] = rng.uniform(pop.lower, pop.upper)
 
         for slot in range(params.population_size):
-            bases[slot] = select_base(clusters, pop.genotypes, centers, params, rng)
+            bases[slot] = select_base(members, pop.genotypes, centers, params, rng)
             steps[slot] = rng.random()
             rng.standard_normal(out=z[slot])
         candidates, points = generate_candidate(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -117,9 +117,9 @@ OPTIONS = {
         "param-sweep": (0.8, "train share of the held-out split"),
     }),
     "e_values": (NUMBERS, {
-        "param-sweep": ((0.2, 0.4, 0.6, 0.8, 1.0), "averaging weights in (0,1]")
+        "param-sweep": ((0.2, 0.4, 0.6, 0.8, 1.0), f"averaging weights in {BsoParams.BOUNDS['smoothing']}")
     }),
-    "k_values": (NUMBERS, {"param-sweep": ((5.0, 10.0, 20.0, 40.0), "anneal slope divisors > 0")}),
+    "k_values": (NUMBERS, {"param-sweep": ((5.0, 10.0, 20.0, 40.0), f"anneal slope divisors {BsoParams.BOUNDS['slope_divisor']}")}),
     "ratios": (NUMBERS, {
         "sweep": ((0.7, 0.75, 0.8, 0.85), "train fractions"),
         "benchmark": ((0.25, 0.5, 1.0), "training-data fractions in (0,1]"),
@@ -131,9 +131,9 @@ OPTIONS = {
         **_each(("sweep", "benchmark"), OPTIMIZERS, "search backends"),
     }),
 }
-# ExperimentSettings fields that are top-level config keys; the record checks
-# their values.
-SETTINGS_KEYS = ("labels_per_attribute", "rule_count", "accuracy_weight", "sum_scores")
+# ExperimentSettings fields that are top-level config keys, those that are not
+# records; the record checks their values.
+SETTINGS_KEYS = tuple(f.name for f in fields(ExperimentSettings) if not is_dataclass(f.default_factory))
 # Recognized top-level config-file keys (everything else is a schema error);
 # the three sections are objects, checked where they are read.
 CONFIG_KEYS = set(OPTIONS) | set(SETTINGS_KEYS) | {"fitness_weights", "bso", "ga"}

@@ -36,9 +36,10 @@ class Model:
     a majority class in 1..c, and rules with m integer antecedents in 0..p,
     an integer class in 1..c, connective AND or OR and a finite weight in
     [0, 1]; `metadata["sum_scores"]`, when present, is True or False, and
-    json can write the metadata. A numpy scalar among those numbers or among
-    the metadata's values is stored as its Python number
-    (`errors.as_python`), so that `model_io.save_model` can write it."""
+    json can write the metadata, whose keys at every depth are strings. A
+    numpy scalar among those numbers or among the metadata's values is
+    stored as its Python number (`errors.as_python`), so that
+    `model_io.save_model` can write it."""
 
     partitions: tuple[FuzzyPartition, ...]
     rules: RuleSet
@@ -86,6 +87,8 @@ class Model:
             json.dumps(metadata, sort_keys=True)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"metadata must hold only what json can write: {exc}") from None
+        if not _string_keys(metadata):  # json would write a key as a string: the model would load back unequal
+            raise ConfigError("metadata keys must be strings, at every depth")
         object.__setattr__(self, "metadata", metadata)
         rules = tuple(
             Rule(tuple(map(as_python, rule.antecedents)), as_python(rule.consequent), rule.connective, as_python(rule.weight))
@@ -94,6 +97,13 @@ class Model:
         object.__setattr__(self, "rules", RuleSet(rules, as_python(m), as_python(p), as_python(c)))
         object.__setattr__(self, "class_values", tuple(map(as_python, self.class_values)))
         object.__setattr__(self, "majority_class", as_python(self.majority_class))
+
+
+def _string_keys(value) -> bool:
+    """Whether every dict in a json-writable value, at any depth, has only string keys."""
+    if isinstance(value, dict):
+        return all(isinstance(key, str) and _string_keys(item) for key, item in value.items())
+    return not isinstance(value, (list, tuple)) or all(map(_string_keys, value))
 
 
 def activation(rule: Rule, partitions: tuple[FuzzyPartition, ...], x: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -180,13 +180,9 @@ def train_model(train: Dataset, *, optimizer: str = OPTIMIZERS[0], **settings) -
     best_rules = decode(run_result.best.genotype, shape)
     weighted = with_weights(best_rules, ld, decimals=WEIGHT_DECIMALS)
 
-    recorded = {
-        "labels_per_attribute": s.labels_per_attribute,
-        "rule_count": s.rule_count,
-        "fitness_weights": list(astuple(s.fitness_weights)),
-        "accuracy_weight": s.accuracy_weight,
-        "sum_scores": s.sum_scores,
-    }
+    # every setting but the optimizer records, which stay sections of the digest
+    recorded = {f.name: getattr(s, f.name) for f in fields(s) if f.name not in ("bso_params", "ga_params")}
+    recorded["fitness_weights"] = list(astuple(s.fitness_weights))
     metadata = {
         "optimizer": optimizer,
         "seed": params.seed,

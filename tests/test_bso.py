@@ -1,6 +1,7 @@
 """Tests for the clustering-based stochastic optimizer."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -155,23 +156,88 @@ def test_sample_population_deterministic():
 
 # -------------------------------------------------------------- clustering ---
 
+@dataclass(frozen=True)
+class Cluster:
+    members: tuple[int, ...]  # population indices, ascending
+    center: int               # index of the best-valued member
+
+
+def reference_clusters(genotypes, values, k, rng):
+    """k-means as a list of Cluster records, rebuilt from the final
+    assignment with one refill check per cluster: the oracle of
+    cluster_population."""
+    q = genotypes.shape[0]
+    means = np.array(genotypes[rng.choice(q, size=k, replace=False)], dtype=float)
+    assign = None
+    for _ in range(bso.KMEANS_PASSES):
+        distances = ((genotypes[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        new_assign = np.argmin(distances, axis=1)
+        counts = np.bincount(new_assign, minlength=k)
+        for cluster_idx in range(k):
+            if counts[cluster_idx] > 0:
+                continue
+            eligible = np.flatnonzero(counts[new_assign] >= 2)
+            victim = int(eligible[np.argmin(values[eligible])])
+            counts[new_assign[victim]] -= 1
+            new_assign[victim] = cluster_idx
+            counts[cluster_idx] += 1
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for cluster_idx in range(k):
+            members = np.flatnonzero(assign == cluster_idx)
+            means[cluster_idx] = genotypes[members].mean(axis=0)
+    clusters = []
+    for cluster_idx in range(k):
+        members = tuple(int(i) for i in np.flatnonzero(assign == cluster_idx))
+        center = members[int(np.argmax(values[list(members)]))]
+        clusters.append(Cluster(members=members, center=center))
+    return clusters
+
+
+@st.composite
+def clustering_cases(draw):
+    """A population whose rows come from a small pool, so that rows repeat,
+    with values that often tie, and a cluster count from 1 to q."""
+    q, n = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    genes = st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-3.0, 3.0)
+    pool = draw(arrays(np.float64, (draw(st.integers(1, q)), n), elements=genes))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=q, max_size=q))
+    values = draw(arrays(np.float64, q, elements=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0)))
+    return pool[rows], values, draw(st.integers(1, q)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=clustering_cases())
+@example(case=(np.ones((6, 3)), np.array([0.5, 0.1, 0.9, 0.3, 0.7, 0.2]), 3, 0))
+@example(case=(np.ones((5, 2)), np.zeros(5), 5, 1))
+def test_clusters_equal_the_record_oracle(case):
+    genotypes, values, k, seed = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    members, best = cluster_population(genotypes, values, k, rng)
+    clusters = reference_clusters(genotypes, values, k, oracle_rng)
+    assert [tuple(rows.tolist()) for rows in members] == [c.members for c in clusters]
+    assert best.tolist() == [c.center for c in clusters]
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_cluster_each_point_alone_when_k_equals_q():
     genos = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
     values = np.array([1.0, 2.0, 3.0, 4.0])
-    clusters = cluster_population(genos, values, k=4, rng=np.random.default_rng(1))
-    assert sorted(tuple(c.members) for c in clusters) == [(0,), (1,), (2,), (3,)]
-    for c in clusters:
-        assert c.center == c.members[0]
+    members, best = cluster_population(genos, values, k=4, rng=np.random.default_rng(1))
+    assert sorted(tuple(rows) for rows in members) == [(0,), (1,), (2,), (3,)]
+    for rows, center in zip(members, best):
+        assert center == rows[0]
 
 
 def test_cluster_single_cluster_center_is_best():
     rng = np.random.default_rng(5)
     genos = rng.normal(size=(12, 3))
     values = rng.uniform(size=12)
-    clusters = cluster_population(genos, values, k=1, rng=np.random.default_rng(2))
-    assert len(clusters) == 1
-    assert sorted(clusters[0].members) == list(range(12))
-    assert clusters[0].center == int(np.argmax(values))
+    members, best = cluster_population(genos, values, k=1, rng=np.random.default_rng(2))
+    assert len(members) == 1
+    assert sorted(members[0]) == list(range(12))
+    assert best[0] == int(np.argmax(values))
 
 
 def test_cluster_separated_blobs_recovered():
@@ -180,23 +246,23 @@ def test_cluster_separated_blobs_recovered():
     blob_b = rng.normal(loc=10.0, scale=0.3, size=(30, 4))
     genos = np.vstack([blob_a, blob_b])
     values = rng.uniform(size=60)
-    clusters = cluster_population(genos, values, k=2, rng=np.random.default_rng(9))
-    groups = sorted([sorted(c.members) for c in clusters])
+    members, best = cluster_population(genos, values, k=2, rng=np.random.default_rng(9))
+    groups = sorted([sorted(rows) for rows in members])
     assert groups == [list(range(30)), list(range(30, 60))]
     # center = best-value member of each blob, verified by an independent argmax
-    for c in clusters:
-        members = list(c.members)
-        assert c.center == members[int(np.argmax(values[members]))]
+    for rows, center in zip(members, best):
+        rows = list(rows)
+        assert center == rows[int(np.argmax(values[rows]))]
 
 
 def test_cluster_identical_genotypes_fills_empty_clusters():
     genos = np.ones((6, 3))
     values = np.array([0.5, 0.1, 0.9, 0.3, 0.7, 0.2])
-    clusters = cluster_population(genos, values, k=3, rng=np.random.default_rng(0))
-    assert len(clusters) == 3
-    all_members = sorted(i for c in clusters for i in c.members)
+    members, best = cluster_population(genos, values, k=3, rng=np.random.default_rng(0))
+    assert len(members) == 3 and len(best) == 3
+    all_members = sorted(i for rows in members for i in rows)
     assert all_members == list(range(6))
-    assert all(len(c.members) >= 1 for c in clusters)
+    assert all(len(rows) >= 1 for rows in members)
 
 
 def test_cluster_deterministic():
@@ -205,58 +271,117 @@ def test_cluster_deterministic():
     values = rng.uniform(size=20)
     a = cluster_population(genos, values, k=4, rng=np.random.default_rng(77))
     b = cluster_population(genos, values, k=4, rng=np.random.default_rng(77))
-    assert [(tuple(c.members), c.center) for c in a] == [
-        (tuple(c.members), c.center) for c in b
-    ]
+    assert [tuple(rows) for rows in a[0]] == [tuple(rows) for rows in b[0]]
+    assert a[1].tolist() == b[1].tolist()
 
 
 # ---------------------------------------------------------- base selection ---
 
+def reference_base(clusters, genotypes, centers, params, rng):
+    """A base from a list of Cluster records and a list of center rows, with
+    the one- and two-cluster branches written out apart: the oracle of
+    select_base."""
+    u1 = rng.random()
+    if u1 < params.one_cluster_prob or len(clusters) == 1:
+        cluster_idx = int(rng.integers(len(clusters)))
+        if rng.random() < params.use_center_prob:
+            return centers[cluster_idx]
+        members = clusters[cluster_idx].members
+        return genotypes[members[int(rng.integers(len(members)))]]
+    pair = rng.choice(len(clusters), size=2, replace=False)
+    first, second = int(pair[0]), int(pair[1])
+    if rng.random() < params.use_center_pair_prob:
+        x1, x2 = centers[first], centers[second]
+    else:
+        m1 = clusters[first].members[int(rng.integers(len(clusters[first].members)))]
+        m2 = clusters[second].members[int(rng.integers(len(clusters[second].members)))]
+        x1, x2 = genotypes[m1], genotypes[m2]
+    lam = rng.random()
+    return lam * x1 + (1.0 - lam) * x2
+
+
+PROBS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def base_cases(draw):
+    """A clustered population (k from 1 to 6), params whose probabilities
+    include 0 and 1, and perhaps one center row replaced."""
+    k = draw(st.integers(1, 6))
+    q, n = draw(st.integers(k, 10)), draw(st.integers(1, 4))
+    genotypes = draw(arrays(np.float64, (q, n), elements=st.floats(-3.0, 3.0)))
+    values = draw(arrays(np.float64, q, elements=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0)))
+    params = params_with(
+        one_cluster_prob=draw(PROBS), use_center_prob=draw(PROBS), use_center_pair_prob=draw(PROBS)
+    )
+    replaced = draw(st.none() | st.tuples(st.integers(0, k - 1), arrays(np.float64, n, elements=st.floats(-3.0, 3.0))))
+    return genotypes, values, k, params, replaced, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=base_cases())
+def test_select_base_equals_the_two_branch_oracle(case):
+    genotypes, values, k, params, replaced, seed = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    members, best = cluster_population(genotypes, values, k, rng)
+    clusters = reference_clusters(genotypes, values, k, oracle_rng)
+    centers = genotypes[best]
+    oracle_centers = [genotypes[c.center] for c in clusters]
+    if replaced is not None:
+        centers[replaced[0]] = oracle_centers[replaced[0]] = replaced[1]
+    for _ in range(8):
+        base = select_base(members, genotypes, centers, params, rng)
+        assert base.tobytes() == reference_base(clusters, genotypes, oracle_centers, params, oracle_rng).tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def clustered(genos, values, k, seed):
+    """Members and center rows of genos, the two-cluster ones ordered by
+    their first member."""
+    members, best = cluster_population(genos, values, k=k, rng=np.random.default_rng(seed))
+    order = sorted(range(k), key=lambda c: members[c][0])
+    return [members[c] for c in order], genos[best[order]]
+
+
 def test_select_base_one_cluster_center_branch():
     genos = np.array([[0.0, 0.0], [2.0, 4.0], [6.0, 8.0]])
     values = np.array([0.1, 0.9, 0.5])
-    clusters = cluster_population(genos, values, k=1, rng=np.random.default_rng(0))
-    centers = [genos[c.center] for c in clusters]
+    members, centers = clustered(genos, values, k=1, seed=0)
     p = params_with(one_cluster_prob=1.0, use_center_prob=1.0)
     rng = ScriptedRng(randoms=[0.3, 0.2], ints=[0])
-    base = select_base(clusters, genos, centers, p, rng)
+    base = select_base(members, genos, centers, p, rng)
     assert np.array_equal(base, genos[1])  # best member of the only cluster
 
 
 def test_select_base_one_cluster_member_branch():
     genos = np.array([[0.0, 0.0], [2.0, 4.0], [6.0, 8.0]])
     values = np.array([0.1, 0.9, 0.5])
-    clusters = cluster_population(genos, values, k=1, rng=np.random.default_rng(0))
-    centers = [genos[c.center] for c in clusters]
+    members, centers = clustered(genos, values, k=1, seed=0)
     p = params_with(one_cluster_prob=1.0, use_center_prob=0.0)
-    members = sorted(clusters[0].members)
+    rows = sorted(members[0])
     rng = ScriptedRng(randoms=[0.3, 0.7], ints=[0, 2])
-    base = select_base(clusters, genos, centers, p, rng)
-    assert np.array_equal(base, genos[members[2]])
+    base = select_base(members, genos, centers, p, rng)
+    assert np.array_equal(base, genos[rows[2]])
 
 
 def test_select_base_two_cluster_center_blend():
     genos = np.array([[0.0, 0.0], [2.0, 4.0]])
     values = np.array([0.4, 0.6])
-    clusters = cluster_population(genos, values, k=2, rng=np.random.default_rng(1))
-    clusters = sorted(clusters, key=lambda c: c.members[0])
-    centers = [genos[c.center] for c in clusters]
+    members, centers = clustered(genos, values, k=2, seed=1)
     p = params_with(one_cluster_prob=0.0, use_center_pair_prob=1.0)
     rng = ScriptedRng(randoms=[0.9, 0.2, 0.5], choices=[(0, 1)])
-    base = select_base(clusters, genos, centers, p, rng)
+    base = select_base(members, genos, centers, p, rng)
     assert np.allclose(base, [1.0, 2.0])  # midpoint of (0,0) and (2,4)
 
 
 def test_select_base_two_cluster_member_blend():
     genos = np.array([[0.0, 0.0], [2.0, 4.0]])
     values = np.array([0.4, 0.6])
-    clusters = cluster_population(genos, values, k=2, rng=np.random.default_rng(1))
-    clusters = sorted(clusters, key=lambda c: c.members[0])
-    centers = [genos[c.center] for c in clusters]
+    members, centers = clustered(genos, values, k=2, seed=1)
     p = params_with(one_cluster_prob=0.0, use_center_pair_prob=0.0)
     # u1, u3, member picks within each cluster, lambda
     rng = ScriptedRng(randoms=[0.9, 0.7, 0.25], choices=[(0, 1)], ints=[0, 0])
-    base = select_base(clusters, genos, centers, p, rng)
+    base = select_base(members, genos, centers, p, rng)
     expected = 0.25 * genos[0] + 0.75 * genos[1]
     assert np.allclose(base, expected)
 
@@ -264,11 +389,10 @@ def test_select_base_two_cluster_member_blend():
 def test_select_base_single_cluster_forces_one_cluster_branch():
     genos = np.array([[1.0, 1.0], [3.0, 3.0]])
     values = np.array([0.2, 0.8])
-    clusters = cluster_population(genos, values, k=1, rng=np.random.default_rng(0))
-    centers = [genos[c.center] for c in clusters]
+    members, centers = clustered(genos, values, k=1, seed=0)
     p = params_with(one_cluster_prob=0.0, use_center_prob=1.0)
     rng = ScriptedRng(randoms=[0.99, 0.1], ints=[0])
-    base = select_base(clusters, genos, centers, p, rng)
+    base = select_base(members, genos, centers, p, rng)
     assert np.array_equal(base, genos[1])
 
 
@@ -276,12 +400,11 @@ def test_select_base_always_center_under_forcing_probs():
     rng = np.random.default_rng(21)
     genos = rng.normal(size=(15, 4))
     values = rng.uniform(size=15)
-    clusters = cluster_population(genos, values, k=3, rng=np.random.default_rng(3))
-    centers = [genos[c.center] for c in clusters]
+    members, centers = clustered(genos, values, k=3, seed=3)
     p = params_with(one_cluster_prob=1.0, use_center_prob=1.0)
     center_rows = {tuple(c) for c in centers}
     for _ in range(25):
-        base = select_base(clusters, genos, centers, p, rng)
+        base = select_base(members, genos, centers, p, rng)
         assert tuple(base) in center_rows
 
 

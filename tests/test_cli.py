@@ -1355,7 +1355,8 @@ options:
   --seed SEED           seed for the data split and the optimizer (default 0)
   --split-fraction SPLIT_FRACTION
                         train share of the held-out split (default 0.8)
-  --e-values E_VALUES   averaging weights in (0,1] (default 0.2,0.4,0.6,0.8,1)
+  --e-values E_VALUES   averaging weights in (0, 1] (default
+                        0.2,0.4,0.6,0.8,1)
   --k-values K_VALUES   anneal slope divisors > 0 (default 5,10,20,40)
 """,
     "benchmark": """\

@@ -11,11 +11,12 @@ from rulestorm import model_io
 from rulestorm.bso import BsoParams
 from rulestorm.dataset import AttributeStats, Dataset
 from rulestorm.errors import ConfigError, DataError
+from rulestorm.ga import GaParams
 from rulestorm.inference import Model, predict_dataset
 from rulestorm.membership import FuzzyPartition, TriangularMF, build_partition
 from rulestorm.model_io import FORMAT_TAG, load_model, save_model
 from rulestorm.rules import AND, OR, Rule, RuleSet
-from rulestorm.training import train_model
+from rulestorm.training import OPTIMIZERS, train_model
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +165,26 @@ def test_a_model_refuses_metadata_json_cannot_write(trained, extra):
     _, model = trained
     with pytest.raises(ConfigError, match="^metadata must hold only what json can write: "):
         Model(**{**model.__dict__, "metadata": {**model.metadata, **extra}})
+
+
+@pytest.mark.parametrize("metadata", [{1: "x"}, {"a": {1: "x"}}, {"a": [{"b": 1}, {None: 2}]}, {True: 1}])
+def test_a_model_refuses_metadata_keys_that_are_not_strings(trained, metadata):
+    _, model = trained
+    with pytest.raises(ConfigError, match="^metadata keys must be strings, at every depth$"):
+        Model(**{**model.__dict__, "metadata": metadata})
+
+
+@pytest.mark.parametrize("sum_scores", [False, True])
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_every_trained_model_loads_back_equal(tmp_path, trained, optimizer, sum_scores):
+    ds, _ = trained
+    model = train_model(
+        ds, rule_count=3, optimizer=optimizer, sum_scores=sum_scores,
+        bso_params=BsoParams(population_size=6, cluster_count=2, max_iterations=3, seed=1),
+        ga_params=GaParams(population_size=6, generations=3, seed=1),
+    ).model
+    save_model(model, tmp_path / "model.json")
+    assert load_model(tmp_path / "model.json") == model
 
 
 def test_a_model_built_from_numpy_scalars_saves_and_loads_back_equal(tmp_path):
