@@ -7,6 +7,8 @@
 # Each check needs `rulestorm` on PATH and a scratch directory in RUNNER_TEMP,
 # and runs from the root of the repository.
 set -eo pipefail
+# a numpy divide, overflow or invalid-value warning fails a check, as it fails tier-1
+export PYTHONWARNINGS=error::RuntimeWarning
 tmp=${RUNNER_TEMP:?set RUNNER_TEMP to a scratch directory}
 missing="$tmp/missing.csv"
 

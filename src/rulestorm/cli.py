@@ -23,7 +23,7 @@ from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, load_csv, split
 from .errors import ConfigError, DataError, check_seed
 from .experiments import check_benchmark, check_param_sweep, check_sweep, run_benchmark, run_param_sweep, run_sweep
-from .experiments import summarize_sweep, train_cell, write_benchmark_csv, write_param_sweep_csv, write_sweep_csv
+from .experiments import summarize_sweep, train_cell, write_rows
 from .fitness import FitnessWeights
 from .ga import GaParams
 from .inference import Model, predict_dataset, report_from_predictions
@@ -121,8 +121,8 @@ OPTIONS = {
     }),
     "k_values": (NUMBERS, {"param-sweep": ((5.0, 10.0, 20.0, 40.0), f"anneal slope divisors {BsoParams.BOUNDS['slope_divisor']}")}),
     "ratios": (NUMBERS, {
-        "sweep": ((0.7, 0.75, 0.8, 0.85), "train fractions"),
-        "benchmark": ((0.25, 0.5, 1.0), "training-data fractions in (0,1]"),
+        "sweep": ((0.7, 0.75, 0.8, 0.85), f"train fractions in {SplitSpec.HELD_OUT}"),
+        "benchmark": ((0.25, 0.5, 1.0), f"training-data fractions in {SplitSpec.FULL}"),
     }),
     "seeds": (INTEGERS, {"sweep": ((0, 1, 2, 3, 4), "cell seeds")}),
     "threshold": (NUMBER, {"benchmark": (0.7, "target best objective value")}),
@@ -377,62 +377,38 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _experiment(args, check: Callable, run: Callable, keys: tuple[str, ...], name: str) -> int:
+    """The body of sweep, param-sweep and benchmark: check the values of the
+    options `keys` names with the driver's `check` before any data is read,
+    `run` the driver on the data, write the rows it returns to file `name`,
+    then print each row's line and the file's path."""
+    options, out, _, settings = _setup(args)
+    values = [options[key] for key in keys]
+    check(*values)
+    rows = run(_load_dataset(options), settings, *values)
+    path = _output(out, name, lambda path: write_rows(rows, path))
+    for row in rows:
+        print(row.line())
+    print(f"{args.command}: {path}")
+    return EXIT_OK
+
+
 def cmd_sweep(args) -> int:
     """train per (ratio, optimizer, seed) cell, write sweep.csv"""
-    options, out, _, settings = _setup(args)
-    values = options["ratios"], options["seeds"], options["optimizer"]
-    check_sweep(*values)
-    ds = _load_dataset(options)
-    result = run_sweep(ds, settings, *values)
-    path = _output(out, "sweep.csv", lambda path: write_sweep_csv(result, path))
-    for row in summarize_sweep(result):
-        mean = row["mean_test_accuracy"]
-        std = row["std_test_accuracy"]
-        detail = "all cells failed" if mean is None else f"accuracy {mean:.4f} +/- {std:.4f}"
-        failures = f", {row['failures']} failed" if row["failures"] else ""
-        print(
-            f"ratio {row['ratio']:.2f} {row['optimizer']:>9}: {detail} ({row['seeds']} seeds{failures})"
-        )
-    print(f"sweep: {path}")
-    return EXIT_OK
+    keys = ("ratios", "seeds", "optimizer")
+    return _experiment(args, check_sweep, lambda *values: summarize_sweep(run_sweep(*values)), keys, "sweep.csv")
 
 
 def cmd_param_sweep(args) -> int:
     """vary averaging weight and anneal slope, write param_sweep.csv"""
-    options, out, spec, settings = _setup(args)
-    values = options["e_values"], options["k_values"], spec.fraction, spec.seed
-    check_param_sweep(*values)
-    ds = _load_dataset(options)
-    rows = run_param_sweep(ds, settings, *values)
-    path = _output(out, "param_sweep.csv", lambda path: write_param_sweep_csv(rows, path))
-    for row in rows:
-        score = f"failed: {row.error}" if row.error else f"test accuracy {row.test_accuracy:.4f}"
-        print(f"e={row.smoothing:g} K={row.slope_divisor:g}: {score}")
-    print(f"param-sweep: {path}")
-    return EXIT_OK
+    keys = ("e_values", "k_values", "split_fraction", "seed")
+    return _experiment(args, check_param_sweep, run_param_sweep, keys, "param_sweep.csv")
 
 
 def cmd_benchmark(args) -> int:
     """iterations/time to reach a target value, write benchmark.csv"""
-    options, out, _, settings = _setup(args)
-    values = options["ratios"], float(options["threshold"]), options["seed"], options["optimizer"]
-    check_benchmark(*values)
-    ds = _load_dataset(options)
-    rows = run_benchmark(ds, settings, *values)
-    path = _output(out, "benchmark.csv", lambda path: write_benchmark_csv(rows, path))
-    for row in rows:
-        if row.error is not None:
-            status = f"failed: {row.error}"
-        elif row.reached:
-            status = (
-                f"reached {row.threshold:g} at iteration {row.iterations_to_threshold} "
-                f"({row.elapsed_ms_to_threshold:.0f} ms)"
-            )
-        else:
-            status = f"DNF after {row.iterations_run} iterations"
-        print(f"fraction {row.fraction:g} {row.optimizer:>9}: {status}")
-    print(f"benchmark: {path}")
-    return EXIT_OK
+    keys = ("ratios", "threshold", "seed", "optimizer")
+    return _experiment(args, check_benchmark, run_benchmark, keys, "benchmark.csv")
 
 
 COMMANDS = {

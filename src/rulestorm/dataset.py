@@ -53,8 +53,12 @@ class AttributeStats:
 @dataclass(frozen=True)
 class SplitSpec:
     """The train share and seed of a stratified split. `fraction` must be in
-    (0, 1), so that records are held out; with `allow_full` it may also be 1,
-    which trains on every record. A refused fraction is reported as `name`."""
+    HELD_OUT, so that records are held out; with `allow_full` it may be in
+    FULL, where 1 trains on every record. A refused fraction is reported as
+    `name`."""
+
+    HELD_OUT = "(0, 1)"
+    FULL = "(0, 1]"
 
     fraction: float
     seed: int
@@ -63,7 +67,7 @@ class SplitSpec:
 
     def __post_init__(self, allow_full: bool, name: str) -> None:
         check_fields(self)
-        check_bound(name, self.fraction, "(0, 1]" if allow_full else "(0, 1)")
+        check_bound(name, self.fraction, self.FULL if allow_full else self.HELD_OUT)
 
     @property
     def full(self) -> bool:

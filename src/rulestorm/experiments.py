@@ -2,8 +2,10 @@
 benchmarks.
 
 Every driver runs its cells through :func:`run_cell` and reduces the results
-to flat CSV rows for external plotting. Cells are independent: each one
-derives its split and optimizer streams from its own (fraction, seed) pair.
+to row records, one per CSV row for external plotting: :func:`write_rows`
+writes any of the three tables, and a row's ``line()`` is what the CLI prints
+for it. Cells are independent: each one derives its split and optimizer
+streams from its own (fraction, seed) pair.
 """
 
 from __future__ import annotations
@@ -19,23 +21,6 @@ from .inference import EvaluationReport, evaluate_model
 from .rules import RuleSetShape
 from .search import TraceRecord, write_csv
 from .training import OPTIMIZERS, ExperimentSettings, TrainingResult, check_optimizer, train_model
-
-SWEEP_HEADER = (
-    "ratio",
-    "optimizer",
-    "seeds",
-    "failures",
-    "mean_test_accuracy",
-    "std_test_accuracy",
-    "min_test_accuracy",
-    "max_test_accuracy",
-    "mean_train_accuracy",
-    "mean_sensitivity",
-    "mean_specificity",
-    "mean_iterations",
-    "mean_evaluations",
-    "errors",
-)
 
 
 @dataclass(frozen=True)
@@ -94,22 +79,23 @@ def run_cell(
 ) -> SweepRun:
     """The :func:`train_cell` of a (fraction, seed) split, where fraction 1
     trains on every record. A failure is recorded on the run, never raised."""
-    run = SweepRun(ratio=fraction, optimizer=optimizer, seed=seed)
     try:
         train, result, report = train_cell(ds, settings, SplitSpec(fraction, seed, allow_full=True), optimizer)
     except Exception as exc:  # cell failures are recorded, never raised
-        return replace(run, error=f"{type(exc).__name__}: {exc}")
-    if report is not None:
-        run = replace(run, test_accuracy=report.accuracy, sensitivity=report.sensitivity, specificity=report.specificity)
+        return SweepRun(fraction, optimizer, seed, error=f"{type(exc).__name__}: {exc}")
+    scored = {} if report is None else dict(
+        test_accuracy=report.accuracy, sensitivity=report.sensitivity, specificity=report.specificity
+    )
     records = result.run.trace.records
-    return replace(
-        run,
+    return SweepRun(
+        fraction, optimizer, seed,
         train_records=train.n,
         train_accuracy=result.train_accuracy,
         best_value=result.run.best.evaluation.value,
         iterations=records[-1].iteration,
         evaluations=result.run.evaluations,
         records=records,
+        **scored,
     )
 
 
@@ -154,18 +140,8 @@ def run_sweep(
     """
     check_sweep(ratios, seeds, optimizers)
     RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)  # needs the data
-    runs = [
-        run_cell(ds, settings, ratio, optimizer, seed)
-        for ratio in ratios
-        for optimizer in optimizers
-        for seed in seeds
-    ]
-    return SweepResult(
-        runs=tuple(runs),
-        ratios=tuple(ratios),
-        optimizers=tuple(optimizers),
-        seeds=tuple(seeds),
-    )
+    runs = tuple(run_cell(ds, settings, *cell) for cell in itertools.product(ratios, optimizers, seeds))
+    return SweepResult(runs, tuple(ratios), tuple(optimizers), tuple(seeds))
 
 
 def _mean(values: list[float]) -> float | None:
@@ -179,9 +155,38 @@ def _std(values: list[float]) -> float | None:
     return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
 
 
-def summarize_sweep(result: SweepResult) -> list[dict]:
-    """One summary row per (ratio, optimizer): seed count, failures, and
-    mean/std/min/max statistics over the successful runs."""
+@dataclass(frozen=True)
+class SweepRow:
+    """One sweep.csv row: a (ratio, optimizer) pair's seed count, failures,
+    the statistics over its successful runs, and its distinct errors."""
+
+    ratio: float
+    optimizer: str
+    seeds: int
+    failures: int
+    mean_test_accuracy: float | None
+    std_test_accuracy: float | None
+    min_test_accuracy: float | None
+    max_test_accuracy: float | None
+    mean_train_accuracy: float | None
+    mean_sensitivity: float | None
+    mean_specificity: float | None
+    mean_iterations: float | None
+    mean_evaluations: float | None
+    errors: str
+
+    def line(self) -> str:
+        mean, std = self.mean_test_accuracy, self.std_test_accuracy
+        detail = "all cells failed" if mean is None else f"accuracy {mean:.4f} +/- {std:.4f}"
+        failures = f", {self.failures} failed" if self.failures else ""
+        return f"ratio {self.ratio:.2f} {self.optimizer:>9}: {detail} ({self.seeds} seeds{failures})"
+
+
+SWEEP_HEADER = tuple(f.name for f in fields(SweepRow))
+
+
+def summarize_sweep(result: SweepResult) -> list[SweepRow]:
+    """One row per (ratio, optimizer), in the sweep's order."""
     rows = []
     for ratio in result.ratios:
         for optimizer in result.optimizers:
@@ -192,35 +197,30 @@ def summarize_sweep(result: SweepResult) -> list[dict]:
             spec = [r.specificity for r in ok if r.specificity is not None]
             errors = sorted({r.error for r in runs if r.error is not None})
             rows.append(
-                {
-                    "ratio": ratio,
-                    "optimizer": optimizer,
-                    "seeds": len(runs),
-                    "failures": len(runs) - len(ok),
-                    "mean_test_accuracy": _mean(accs),
-                    "std_test_accuracy": _std(accs),
-                    "min_test_accuracy": min(accs) if accs else None,
-                    "max_test_accuracy": max(accs) if accs else None,
-                    "mean_train_accuracy": _mean(
-                        [r.train_accuracy for r in ok]
-                    ),
-                    "mean_sensitivity": _mean(sens),
-                    "mean_specificity": _mean(spec),
-                    "mean_iterations": _mean(
-                        [float(r.iterations) for r in ok]
-                    ),
-                    "mean_evaluations": _mean(
-                        [float(r.evaluations) for r in ok]
-                    ),
-                    "errors": "; ".join(errors),
-                }
+                SweepRow(
+                    ratio=ratio,
+                    optimizer=optimizer,
+                    seeds=len(runs),
+                    failures=len(runs) - len(ok),
+                    mean_test_accuracy=_mean(accs),
+                    std_test_accuracy=_std(accs),
+                    min_test_accuracy=min(accs) if accs else None,
+                    max_test_accuracy=max(accs) if accs else None,
+                    mean_train_accuracy=_mean([r.train_accuracy for r in ok]),
+                    mean_sensitivity=_mean(sens),
+                    mean_specificity=_mean(spec),
+                    mean_iterations=_mean([float(r.iterations) for r in ok]),
+                    mean_evaluations=_mean([float(r.evaluations) for r in ok]),
+                    errors="; ".join(errors),
+                )
             )
     return rows
 
 
-def write_sweep_csv(result: SweepResult, path) -> None:
-    rows = summarize_sweep(result)
-    write_csv(path, SWEEP_HEADER, ([row[c] for c in SWEEP_HEADER] for row in rows))
+def write_rows(rows: list, path) -> None:
+    """Write a non-empty table of row records of one type, whose fields are
+    the header."""
+    write_csv(path, [f.name for f in fields(rows[0])], map(astuple, rows))
 
 
 @dataclass(frozen=True)
@@ -237,6 +237,10 @@ class ParamSweepRow:
     best_value: float | None = None
     iterations: int | None = None
     error: str | None = None
+
+    def line(self) -> str:
+        score = f"failed: {self.error}" if self.error else f"test accuracy {self.test_accuracy:.4f}"
+        return f"e={self.smoothing:g} K={self.slope_divisor:g}: {score}"
 
 
 PARAM_SWEEP_HEADER = tuple(f.name for f in fields(ParamSweepRow))
@@ -280,10 +284,6 @@ def run_param_sweep(
     return rows
 
 
-def write_param_sweep_csv(rows: list[ParamSweepRow], path) -> None:
-    write_csv(path, PARAM_SWEEP_HEADER, map(astuple, rows))
-
-
 @dataclass(frozen=True)
 class BenchmarkRow:
     fraction: float
@@ -291,12 +291,25 @@ class BenchmarkRow:
     train_records: int | None
     threshold: float
     reached: bool = False
-    iterations_to_threshold: int | None = None
+    # "DNF" when the run ended without reaching the threshold
+    iterations_to_threshold: int | str | None = None
     elapsed_ms_to_threshold: float | None = None
     best_value: float | None = None
     iterations_run: int | None = None
     evaluations: int | None = None
     error: str | None = None
+
+    def line(self) -> str:
+        if self.error is not None:
+            status = f"failed: {self.error}"
+        elif self.reached:
+            status = (
+                f"reached {self.threshold:g} at iteration {self.iterations_to_threshold} "
+                f"({self.elapsed_ms_to_threshold:.0f} ms)"
+            )
+        else:
+            status = f"DNF after {self.iterations_run} iterations"
+        return f"fraction {self.fraction:g} {self.optimizer:>9}: {status}"
 
 
 BENCHMARK_HEADER = tuple(f.name for f in fields(BenchmarkRow))
@@ -319,37 +332,29 @@ def run_benchmark(
 ) -> list[BenchmarkRow]:
     """For each training-data fraction and optimizer, record how many
     iterations and how much wall clock it took for the best objective value
-    to first reach the threshold; rows that never reach it are kept as
-    did-not-finish rather than raised."""
+    to first reach the threshold; a run that ends without reaching it is
+    kept, with ``DNF`` as its iterations_to_threshold, rather than raised."""
     check_benchmark(fractions, threshold, seed, optimizers)
+    threshold = float(threshold)  # a config may give 1, and the table reads 1.0
     RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)  # needs the data
     rows = []
-    for fraction in fractions:
-        for optimizer in optimizers:
-            run = run_cell(ds, settings, fraction, optimizer, seed)
-            hit = next((r for r in run.records if r.best_value >= threshold), None)
-            rows.append(
-                BenchmarkRow(
-                    fraction=fraction,
-                    optimizer=optimizer,
-                    train_records=run.train_records,
-                    threshold=threshold,
-                    reached=hit is not None,
-                    iterations_to_threshold=None if hit is None else hit.iteration,
-                    elapsed_ms_to_threshold=None if hit is None else hit.elapsed_ms,
-                    best_value=run.best_value,
-                    iterations_run=run.iterations,
-                    evaluations=run.evaluations,
-                    error=run.error,
-                )
+    for fraction, optimizer in itertools.product(fractions, optimizers):
+        run = run_cell(ds, settings, fraction, optimizer, seed)
+        hit = next((r for r in run.records if r.best_value >= threshold), None)
+        unreached = None if run.error else "DNF"  # a failed run ran no iteration
+        rows.append(
+            BenchmarkRow(
+                fraction=fraction,
+                optimizer=optimizer,
+                train_records=run.train_records,
+                threshold=threshold,
+                reached=hit is not None,
+                iterations_to_threshold=unreached if hit is None else hit.iteration,
+                elapsed_ms_to_threshold=None if hit is None else hit.elapsed_ms,
+                best_value=run.best_value,
+                iterations_run=run.iterations,
+                evaluations=run.evaluations,
+                error=run.error,
             )
+        )
     return rows
-
-
-def write_benchmark_csv(rows: list[BenchmarkRow], path) -> None:
-    """A row that ran to the end without reaching the threshold reads DNF."""
-    ended = [
-        row if row.reached or row.error else replace(row, iterations_to_threshold="DNF")
-        for row in rows
-    ]
-    write_csv(path, BENCHMARK_HEADER, map(astuple, ended))

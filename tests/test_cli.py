@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import REPO_ROOT, make_separable_dataset
+from conftest import REPO_ROOT, make_noise_dataset, make_separable_dataset
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1016,6 +1017,79 @@ def test_benchmark_command(tmp_path, data_csv, fast_config, capsys):
     assert "reached" in stdout
 
 
+# 0.99 of the 60 separable records leaves one test record, so that split fails
+SPLIT_REFUSED = "DataError: split fraction 0.99 cannot keep every class non-empty on both sides (n=60, class counts=[28, 32])"
+
+
+def _stdout_of(tmp_path, capsys, verb, data, flags, artifact):
+    """The whole stdout of one experiment verb, the path of its table in
+    place of `{path}`."""
+    out = tmp_path / "run"
+    code = main([verb, "--data", str(data), "--config", str(write_fast_config(tmp_path / "fast.json")), *flags, "--out", str(out)])
+    assert code == 0
+    return capsys.readouterr().out.replace(str(out / artifact), "{path}")
+
+
+def test_sweep_prints_a_row_whose_cells_all_failed(tmp_path, data_csv, capsys):
+    flags = ["--ratios", "0.99", "--seeds", "0,1", "--optimizer", "bso-ewma"]
+    assert _stdout_of(tmp_path, capsys, "sweep", data_csv, flags, "sweep.csv") == (
+        "ratio 0.99  bso-ewma: all cells failed (2 seeds, 2 failed)\nsweep: {path}\n"
+    )
+
+
+def test_sweep_summarizes_its_runs_once(tmp_path, data_csv, capsys, monkeypatch):
+    calls, summarize = [], experiments.summarize_sweep
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "summarize_sweep", lambda result: calls.append(result) or summarize(result))
+    flags = ["--ratios", "0.99", "--seeds", "0", "--optimizer", "ga"]
+    assert _stdout_of(tmp_path, capsys, "sweep", data_csv, flags, "sweep.csv") == (
+        "ratio 0.99        ga: all cells failed (1 seeds, 1 failed)\nsweep: {path}\n"
+    )
+    assert len(calls) == 1
+
+
+def test_sweep_prints_the_count_of_failed_cells(tmp_path, data_csv, capsys, monkeypatch):
+    train_cell = experiments.train_cell
+
+    def refuse_seed_1(ds, settings, spec, optimizer):
+        if spec.seed == 1:
+            raise RuntimeError("cell refused")
+        return train_cell(ds, settings, spec, optimizer)
+
+    monkeypatch.setattr(experiments, "train_cell", refuse_seed_1)
+    flags = ["--ratios", "0.8", "--seeds", "0,1", "--optimizer", "bso-ewma"]
+    assert _stdout_of(tmp_path, capsys, "sweep", data_csv, flags, "sweep.csv") == (
+        "ratio 0.80  bso-ewma: accuracy 0.6667 +/- 0.0000 (2 seeds, 1 failed)\nsweep: {path}\n"
+    )
+    with open(tmp_path / "run" / "sweep.csv", newline="") as handle:
+        [row] = csv.DictReader(handle)
+    assert row["errors"] == "RuntimeError: cell refused"
+
+
+def test_param_sweep_prints_failed_rows(tmp_path, data_csv, capsys):
+    flags = ["--split-fraction", "0.99", "--e-values", "0.5,1", "--k-values", "20"]
+    assert _stdout_of(tmp_path, capsys, "param-sweep", data_csv, flags, "param_sweep.csv") == (
+        f"e=0.5 K=20: failed: {SPLIT_REFUSED}\ne=1 K=20: failed: {SPLIT_REFUSED}\nparam-sweep: {{path}}\n"
+    )
+
+
+def test_benchmark_prints_a_failed_row(tmp_path, data_csv, capsys):
+    flags = ["--ratios", "0.99", "--optimizer", "ga"]
+    assert _stdout_of(tmp_path, capsys, "benchmark", data_csv, flags, "benchmark.csv") == (
+        f"fraction 0.99        ga: failed: {SPLIT_REFUSED}\nbenchmark: {{path}}\n"
+    )
+
+
+def test_benchmark_prints_dnf_rows(tmp_path, capsys):
+    # no attribute of the noise table carries signal, so no run reaches 1
+    data = tmp_path / "noise.csv"
+    write_dataset_csv(data, make_noise_dataset())
+    flags = ["--ratios", "1", "--threshold", "1", "--optimizer", "bso-plain,ga"]
+    assert _stdout_of(tmp_path, capsys, "benchmark", data, flags, "benchmark.csv") == (
+        "fraction 1 bso-plain: DNF after 6 iterations\nfraction 1        ga: DNF after 6 iterations\nbenchmark: {path}\n"
+    )
+
+
 def test_sweep_config_with_workers_is_a_config_error(tmp_path, data_csv, capsys):
     config = write_fast_config(tmp_path / "workers.json", workers=2)
     code = main(
@@ -1334,7 +1408,7 @@ options:
   --label LABEL         label column: header name, or 0-based index for
                         headerless files
   --out OUT             output directory (default .)
-  --ratios RATIOS       train fractions (default 0.7,0.75,0.8,0.85)
+  --ratios RATIOS       train fractions in (0, 1) (default 0.7,0.75,0.8,0.85)
   --seeds SEEDS         cell seeds (default 0,1,2,3,4)
   --optimizer OPTIMIZER
                         search backends (default bso-ewma,bso-plain,ga)
@@ -1373,7 +1447,7 @@ options:
                         headerless files
   --out OUT             output directory (default .)
   --seed SEED           seed for the data split and the optimizer (default 0)
-  --ratios RATIOS       training-data fractions in (0,1] (default 0.25,0.5,1)
+  --ratios RATIOS       training-data fractions in (0, 1] (default 0.25,0.5,1)
   --threshold THRESHOLD
                         target best objective value (default 0.7)
   --optimizer OPTIMIZER
@@ -1389,6 +1463,17 @@ def test_help_text(capsys, monkeypatch, verb):
         main([verb, "--help"] if verb else ["--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == HELP[verb]
+
+
+@pytest.mark.parametrize("verb", ["sweep", "benchmark"])
+def test_ratios_help_gives_the_range_a_refused_ratio_is_told(tmp_path, capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    [help_range] = re.findall(r"--ratios RATIOS .* in (\(0, 1.)", capsys.readouterr().out)
+    assert main([verb, "--data", str(tmp_path / "missing.csv"), "--ratios", "1.5"]) == 2
+    [refused_range] = re.findall(r"must be in (\(0, 1.), got 1.5$", capsys.readouterr().err.strip())
+    assert help_range == refused_range
 
 
 def test_readme_option_table_matches_the_cli_table():

@@ -21,9 +21,7 @@ from rulestorm.experiments import (
     run_param_sweep,
     run_sweep,
     summarize_sweep,
-    write_benchmark_csv,
-    write_param_sweep_csv,
-    write_sweep_csv,
+    write_rows,
 )
 from rulestorm.ga import GaParams
 from rulestorm.training import OPTIMIZERS
@@ -61,9 +59,9 @@ def test_sweep_cardinality_and_summary_shape():
     assert len(result.runs) == 8
     rows = summarize_sweep(result)
     assert len(rows) == 4
-    assert all(row["seeds"] == 2 for row in rows)
-    assert all(row["failures"] == 0 for row in rows)
-    assert all(0.0 <= row["mean_test_accuracy"] <= 1.0 for row in rows)
+    assert all(row.seeds == 2 for row in rows)
+    assert all(row.failures == 0 for row in rows)
+    assert all(0.0 <= row.mean_test_accuracy <= 1.0 for row in rows)
 
 
 def test_sweep_single_cell_has_zero_std():
@@ -73,8 +71,8 @@ def test_sweep_single_cell_has_zero_std():
     )
     rows = summarize_sweep(result)
     assert len(rows) == 1
-    assert rows[0]["std_test_accuracy"] == 0.0
-    assert rows[0]["min_test_accuracy"] == rows[0]["max_test_accuracy"]
+    assert rows[0].std_test_accuracy == 0.0
+    assert rows[0].min_test_accuracy == rows[0].max_test_accuracy
 
 
 def test_sweep_records_cell_failure_and_continues():
@@ -89,11 +87,11 @@ def test_sweep_records_cell_failure_and_continues():
     assert failed.error is not None and "DataError" in failed.error
     assert good.error is None
     rows = summarize_sweep(result)
-    by_ratio = {row["ratio"]: row for row in rows}
-    assert by_ratio[0.99]["failures"] == 1
-    assert by_ratio[0.99]["mean_test_accuracy"] is None
-    assert by_ratio[0.99]["errors"] != ""
-    assert by_ratio[0.8]["failures"] == 0
+    by_ratio = {row.ratio: row for row in rows}
+    assert by_ratio[0.99].failures == 1
+    assert by_ratio[0.99].mean_test_accuracy is None
+    assert by_ratio[0.99].errors != ""
+    assert by_ratio[0.8].failures == 0
 
 
 def test_sweep_best_values_are_monotone():
@@ -247,7 +245,7 @@ def test_sweep_csv_round_trip(tmp_path):
         ds, fast_settings(), ratios=(0.8,), seeds=(0, 1), optimizers=("bso-ewma",)
     )
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(result, path)
+    write_rows(summarize_sweep(result), path)
     rows = read_csv(path)
     assert rows[0] == list(SWEEP_HEADER)
     assert len(rows) == 2
@@ -312,7 +310,7 @@ def test_param_sweep_csv(tmp_path):
         ds, fast_settings(), e_values=(0.5,), k_values=(10.0, 20.0)
     )
     path = tmp_path / "grid.csv"
-    write_param_sweep_csv(rows, path)
+    write_rows(rows, path)
     table = read_csv(path)
     assert table[0] == list(PARAM_SWEEP_HEADER)
     assert table[0][-1] == "error"
@@ -325,7 +323,7 @@ def test_param_sweep_error_row_ends_in_its_error(tmp_path):
         make_separable_dataset(), fast_settings(), e_values=(0.5,), k_values=(20.0,), ratio=0.99
     )
     path = tmp_path / "grid.csv"
-    write_param_sweep_csv(rows, path)
+    write_rows(rows, path)
     header, row = read_csv(path)
     assert header[-1] == "error" and row[-1].startswith("DataError: ")
     assert row[:4] == ["0.5", "20.0", "0.99", "0"]
@@ -361,9 +359,9 @@ def test_benchmark_unreachable_threshold_is_dnf_not_error(tmp_path):
     )
     assert all(not r.reached for r in rows)
     assert all(r.error is None for r in rows)
-    assert all(r.iterations_to_threshold is None for r in rows)
+    assert all(r.iterations_to_threshold == "DNF" for r in rows)
     path = tmp_path / "bench.csv"
-    write_benchmark_csv(rows, path)
+    write_rows(rows, path)
     table = read_csv(path)
     assert table[0] == list(BENCHMARK_HEADER)
     column = table[0].index("iterations_to_threshold")
@@ -375,7 +373,7 @@ def test_benchmark_error_row_format(tmp_path):
         make_separable_dataset(), fast_settings(), fractions=(0.99,), threshold=0.5, optimizers=("ga",)
     )
     path = tmp_path / "bench.csv"
-    write_benchmark_csv(rows, path)
+    write_rows(rows, path)
     header, row = read_csv(path)
     assert header[-1] == "error" and row[-1].startswith("DataError: ")
     cell = dict(zip(header, row))
@@ -392,3 +390,31 @@ def test_benchmark_rejects_bad_inputs():
         run_benchmark(ds, fast_settings(), fractions=(0.5,), threshold=1.5)
     with pytest.raises(ConfigError):
         run_benchmark(ds, fast_settings(), fractions=(0.0,), threshold=0.5)
+
+
+def test_sweep_header_is_the_sweep_row_fields_in_table_order():
+    assert SWEEP_HEADER == (
+        "ratio",
+        "optimizer",
+        "seeds",
+        "failures",
+        "mean_test_accuracy",
+        "std_test_accuracy",
+        "min_test_accuracy",
+        "max_test_accuracy",
+        "mean_train_accuracy",
+        "mean_sensitivity",
+        "mean_specificity",
+        "mean_iterations",
+        "mean_evaluations",
+        "errors",
+    )
+
+
+def test_an_integer_threshold_is_written_as_a_float(tmp_path):
+    # a config file may give the threshold as 1
+    rows = run_benchmark(make_noise_dataset(), fast_settings(), fractions=(1.0,), threshold=1, optimizers=("ga",))
+    assert [type(row.threshold) for row in rows] == [float]
+    write_rows(rows, tmp_path / "bench.csv")
+    header, row = read_csv(tmp_path / "bench.csv")
+    assert dict(zip(header, row))["threshold"] == "1.0"

@@ -170,8 +170,36 @@ def test_a_model_refuses_metadata_json_cannot_write(trained, extra):
 @pytest.mark.parametrize("metadata", [{1: "x"}, {"a": {1: "x"}}, {"a": [{"b": 1}, {None: 2}]}, {True: 1}])
 def test_a_model_refuses_metadata_keys_that_are_not_strings(trained, metadata):
     _, model = trained
-    with pytest.raises(ConfigError, match="^metadata keys must be strings, at every depth$"):
+    with pytest.raises(ConfigError, match="^metadata must load back from json unchanged, but loads back as "):
         Model(**{**model.__dict__, "metadata": metadata})
+
+
+JSON_KEYS = st.one_of(st.text(max_size=3), st.integers(), st.booleans(), st.none())
+JSON_LIKE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
+    lambda children: st.one_of(
+        st.dictionaries(JSON_KEYS, children, max_size=3),
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(metadata=st.dictionaries(JSON_KEYS, JSON_LIKE, max_size=4))
+@example(metadata={"a": (1, 2)})
+@example(metadata={"a": float("nan")})
+@example(metadata={"a": [1, (2, 3)]})
+@example(metadata={"a": [1, {"b": None}], "c": float("inf")})  # loads back equal
+def test_a_model_refuses_its_metadata_or_loads_back_equal(trained, metadata):
+    _, model = trained
+    try:
+        built = Model(**{**model.__dict__, "metadata": metadata})
+    except ConfigError:
+        return
+    text = json.dumps(model_io.model_to_document(built), indent=2, sort_keys=True)
+    assert model_io.model_from_document(json.loads(text)) == built
 
 
 @pytest.mark.parametrize("sum_scores", [False, True])
