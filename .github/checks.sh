@@ -152,6 +152,9 @@ check_bad_settings() {
   refused 2 "config: bso.smoothing must be in (0, 1], got 0" sweep --data data/pima.csv --config "$tmp/bad-bso.json" --out "$tmp/refused"
   echo '{"ga": {"tournament_size": 0}}' > "$tmp/bad-ga.json"
   refused 2 "config: ga.tournament_size must be at least 1, got 0" sweep --data data/pima.csv --config "$tmp/bad-ga.json" --out "$tmp/refused"
+  # train refuses too few rules once it has read the data, before it writes anything
+  echo '{"rule_count": 1}' > "$tmp/one-rule.json"
+  refused 2 "need at least one rule per class: r=1 < c=2" train --data data/pima.csv --config "$tmp/one-rule.json" --out "$tmp/refused"
 }
 
 check_evaluate_decision_rule() {

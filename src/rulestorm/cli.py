@@ -229,7 +229,7 @@ def _section(config: dict, name: str, cls, seed_option: str):
 
 def _load_dataset(options: dict) -> Dataset:
     label = options["label"]
-    if isinstance(label, str) and label.isdigit():
+    if isinstance(label, str) and label.isdecimal():  # int() reads every such string
         label = int(label)
     return load_csv(options["data"], label)
 

@@ -18,7 +18,6 @@ from .bso import BsoParams
 from .dataset import Dataset, SplitSpec, split
 from .errors import ConfigError, check_bound, check_seed
 from .inference import EvaluationReport, evaluate_model
-from .rules import RuleSetShape
 from .search import TraceRecord, write_csv
 from .training import OPTIMIZERS, ExperimentSettings, TrainingResult, check_optimizer, train_model
 
@@ -139,7 +138,7 @@ def run_sweep(
     completes.
     """
     check_sweep(ratios, seeds, optimizers)
-    RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)  # needs the data
+    settings.rule_shape(ds)  # refuses too few rules before any cell; needs the data
     runs = tuple(run_cell(ds, settings, *cell) for cell in itertools.product(ratios, optimizers, seeds))
     return SweepResult(runs, tuple(ratios), tuple(optimizers), tuple(seeds))
 
@@ -274,7 +273,7 @@ def run_param_sweep(
     value raises ConfigError rather than fill the grid with failed rows.
     """
     check_param_sweep(e_values, k_values, ratio, seed)
-    RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)  # needs the data
+    settings.rule_shape(ds)  # refuses too few rules before any cell; needs the data
     rows = []
     for e, k in itertools.product(e_values, k_values):
         bso_params = replace(settings.bso_params, smoothing=e, slope_divisor=k)
@@ -336,7 +335,7 @@ def run_benchmark(
     kept, with ``DNF`` as its iterations_to_threshold, rather than raised."""
     check_benchmark(fractions, threshold, seed, optimizers)
     threshold = float(threshold)  # a config may give 1, and the table reads 1.0
-    RuleSetShape(m=ds.m, p=settings.labels_per_attribute, c=ds.c, r=settings.rule_count)  # needs the data
+    settings.rule_shape(ds)  # refuses too few rules before any cell; needs the data
     rows = []
     for fraction, optimizer in itertools.product(fractions, optimizers):
         run = run_cell(ds, settings, fraction, optimizer, seed)

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import bso, ga
 from .dataset import Dataset, attribute_stats, majority_class
-from .errors import ConfigError, check_bound, check_fields
+from .errors import ConfigError, check_fields
 from .fitness import FitnessBreakdown, FitnessWeights, breakdown
 from .inference import Model, evaluate_model, score_blocks
-from .membership import FuzzyPartition, LabeledDataset, build_partition, fuzzify_dataset, rank_table
+from .membership import FuzzyPartition, build_partition, fuzzify_dataset, rank_table
 from .rules import RuleSetShape, decode, decode_arrays, genotype_bounds
 from .rules import match_fractions, rule_weights, with_weights
 from .search import Evaluation, RunResult
@@ -41,7 +41,9 @@ WEIGHT_DECIMALS = 4
 
 
 class RuleObjective:
-    """Objective over genotypes for one fuzzified training split.
+    """Objective over genotypes for one training split, built from the split,
+    its fitted partitions and the run's `settings`, which also give the rule
+    `shape`. Fuzzifies the split into `ld` and takes its majority class.
 
     Builds the padded attribute-major table of membership degrees once,
     coded by rank (`membership.rank_table`): a uint8, uint16 or uint32 table
@@ -56,25 +58,12 @@ class RuleObjective:
     fresh pages for its temporaries.
     """
 
-    def __init__(
-        self,
-        ld: LabeledDataset,
-        shape: RuleSetShape,
-        weights: FitnessWeights,
-        accuracy_weight: float,
-        partitions: tuple[FuzzyPartition, ...],
-        x: np.ndarray,
-        majority: int,
-        sum_scores: bool = False,
-    ) -> None:
-        check_bound("accuracy_weight", accuracy_weight, ExperimentSettings.BOUNDS["accuracy_weight"])
-        self.ld = ld
-        self.shape = shape
-        self.weights = weights
-        self.accuracy_weight = accuracy_weight
-        self.majority = majority
-        self.sum_scores = sum_scores
-        self.values, self.ranks = rank_table(partitions, x, shape.p)
+    def __init__(self, train: Dataset, partitions: tuple[FuzzyPartition, ...], settings: ExperimentSettings) -> None:
+        self.ld = fuzzify_dataset(train, partitions)
+        self.shape = settings.rule_shape(train)  # refuses fewer rules than classes
+        self.majority = majority_class(train)
+        self.settings = settings  # the blend's weights and the decision rule
+        self.values, self.ranks = rank_table(partitions, train.x, self.shape.p)
         self.workspace = {}  # the accuracy kernel's block buffers, kept for every batch
 
     def _train_accuracy(self, ants, consequents, is_and, fractions) -> np.ndarray:
@@ -82,7 +71,7 @@ class RuleObjective:
         correct = np.zeros(len(ants), dtype=int)
         for block, preds, _ in score_blocks(
             lambda block: self.ranks[:, :, block], self.ld.n, ants, consequents, is_and,
-            rule_weights(ants, fractions), self.shape.p, self.shape.c, self.majority, self.sum_scores,
+            rule_weights(ants, fractions), self.shape.p, self.shape.c, self.majority, self.settings.sum_scores,
             self.values, self.workspace,
         ):
             correct += np.count_nonzero(preds == self.ld.classes[block], axis=1)
@@ -93,8 +82,8 @@ class RuleObjective:
         ants, consequents, is_and = decode_arrays(genotypes, self.shape)
         q, r, m = ants.shape
         fractions = match_fractions(self.ld, ants.reshape(q * r, m), is_and.reshape(q * r)).reshape(q, r)
-        quality = breakdown(ants, consequents, fractions, self.shape.c, self.weights)
-        w = self.accuracy_weight  # at 0 the value is the quality score: 1.0 * G + 0.0 * 0.0
+        quality = breakdown(ants, consequents, fractions, self.shape.c, self.settings.fitness_weights)
+        w = self.settings.accuracy_weight  # at 0 the value is the quality score: 1.0 * G + 0.0 * 0.0
         accuracy = self._train_accuracy(ants, consequents, is_and, fractions).tolist() if w else [0.0] * q
         return [Evaluation(value=(1.0 - w) * b.fitness + w * acc, breakdown=b) for b, acc in zip(quality, accuracy)]
 
@@ -144,6 +133,10 @@ class ExperimentSettings:
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
 
+    def rule_shape(self, ds: Dataset) -> RuleSetShape:
+        """The shape of the rule tables these settings search on `ds`."""
+        return RuleSetShape(m=ds.m, p=self.labels_per_attribute, c=ds.c, r=self.rule_count)
+
 
 def train_model(train: Dataset, *, optimizer: str = OPTIMIZERS[0], **settings) -> TrainingResult:
     """Fit partitions on the training split, search for rules, weight them.
@@ -154,20 +147,9 @@ def train_model(train: Dataset, *, optimizer: str = OPTIMIZERS[0], **settings) -
     check_optimizer(optimizer)
     s = ExperimentSettings(**settings)
     partitions = tuple(build_partition(stats, s.labels_per_attribute) for stats in attribute_stats(train))
-    ld = fuzzify_dataset(train, partitions)
-    shape = RuleSetShape(m=train.m, p=s.labels_per_attribute, c=train.c, r=s.rule_count)
+    objective = RuleObjective(train, partitions, s)
+    ld, shape, majority = objective.ld, objective.shape, objective.majority
     lower, upper = genotype_bounds(shape)
-    majority = majority_class(train)
-    objective = RuleObjective(
-        ld=ld,
-        shape=shape,
-        weights=s.fitness_weights,
-        accuracy_weight=s.accuracy_weight,
-        partitions=partitions,
-        x=train.x,
-        majority=majority,
-        sum_scores=s.sum_scores,
-    )
 
     if optimizer == "ga":
         section, params = "ga", s.ga_params

@@ -1,13 +1,13 @@
 """Tests for the clustering-based stochastic optimizer."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import reference_base, reference_candidate, reference_clusters
 
 from rulestorm import bso
 from rulestorm.bso import (
@@ -156,45 +156,6 @@ def test_sample_population_deterministic():
 
 # -------------------------------------------------------------- clustering ---
 
-@dataclass(frozen=True)
-class Cluster:
-    members: tuple[int, ...]  # population indices, ascending
-    center: int               # index of the best-valued member
-
-
-def reference_clusters(genotypes, values, k, rng):
-    """k-means as a list of Cluster records, rebuilt from the final
-    assignment with one refill check per cluster: the oracle of
-    cluster_population."""
-    q = genotypes.shape[0]
-    means = np.array(genotypes[rng.choice(q, size=k, replace=False)], dtype=float)
-    assign = None
-    for _ in range(bso.KMEANS_PASSES):
-        distances = ((genotypes[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        new_assign = np.argmin(distances, axis=1)
-        counts = np.bincount(new_assign, minlength=k)
-        for cluster_idx in range(k):
-            if counts[cluster_idx] > 0:
-                continue
-            eligible = np.flatnonzero(counts[new_assign] >= 2)
-            victim = int(eligible[np.argmin(values[eligible])])
-            counts[new_assign[victim]] -= 1
-            new_assign[victim] = cluster_idx
-            counts[cluster_idx] += 1
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for cluster_idx in range(k):
-            members = np.flatnonzero(assign == cluster_idx)
-            means[cluster_idx] = genotypes[members].mean(axis=0)
-    clusters = []
-    for cluster_idx in range(k):
-        members = tuple(int(i) for i in np.flatnonzero(assign == cluster_idx))
-        center = members[int(np.argmax(values[list(members)]))]
-        clusters.append(Cluster(members=members, center=center))
-    return clusters
-
-
 @st.composite
 def clustering_cases(draw):
     """A population whose rows come from a small pool, so that rows repeat,
@@ -276,29 +237,6 @@ def test_cluster_deterministic():
 
 
 # ---------------------------------------------------------- base selection ---
-
-def reference_base(clusters, genotypes, centers, params, rng):
-    """A base from a list of Cluster records and a list of center rows, with
-    the one- and two-cluster branches written out apart: the oracle of
-    select_base."""
-    u1 = rng.random()
-    if u1 < params.one_cluster_prob or len(clusters) == 1:
-        cluster_idx = int(rng.integers(len(clusters)))
-        if rng.random() < params.use_center_prob:
-            return centers[cluster_idx]
-        members = clusters[cluster_idx].members
-        return genotypes[members[int(rng.integers(len(members)))]]
-    pair = rng.choice(len(clusters), size=2, replace=False)
-    first, second = int(pair[0]), int(pair[1])
-    if rng.random() < params.use_center_pair_prob:
-        x1, x2 = centers[first], centers[second]
-    else:
-        m1 = clusters[first].members[int(rng.integers(len(clusters[first].members)))]
-        m2 = clusters[second].members[int(rng.integers(len(clusters[second].members)))]
-        x1, x2 = genotypes[m1], genotypes[m2]
-    lam = rng.random()
-    return lam * x1 + (1.0 - lam) * x2
-
 
 PROBS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
@@ -409,22 +347,6 @@ def test_select_base_always_center_under_forcing_probs():
 
 
 # ----------------------------------------------------- candidate generation ---
-
-def reference_candidate(base, ewma_state, ramp, params, s, z, lower, upper):
-    """One slot's candidate, built on its own from the slot's two draws (step
-    s, noise row z): the oracle of the batched step. Returns the candidate
-    and the point it moved from (the base in plain mode, the updated running
-    average otherwise)."""
-    xi = s * ramp
-    noise = params.noise_mean + params.noise_sigma * z
-    if params.mode == "plain":
-        point = base
-        candidate = base + xi * noise
-    else:
-        point = params.smoothing * base + (1.0 - params.smoothing) * ewma_state
-        candidate = point + params.noise_scale * xi * noise
-    return np.minimum(np.maximum(candidate, lower), upper), point
-
 
 def one_slot(p, base, state, s, z, nc, lower, upper):
     """generate_candidate on a one-slot batch: that slot's candidate and point."""

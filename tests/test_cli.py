@@ -826,6 +826,23 @@ def test_label_flag_accepts_column_index(tmp_path, fast_config):
     assert code == 0
 
 
+@pytest.mark.parametrize("given_by", ["flag", "config"])
+def test_label_of_digit_characters_int_cannot_read_is_a_header_name(tmp_path, data_csv, capsys, given_by):
+    # "²".isdigit() is True, but int("²") raises: such a label names a column
+    config = write_fast_config(tmp_path / "config.json", **({"label": "²"} if given_by == "config" else {}))
+    flag = ["--label", "²"] if given_by == "flag" else []
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data_csv), *flag, "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert "config error: label column '²' not in header ['a1', 'a2', 'label']\n" in capsys.readouterr().err
+    assert not out.exists()
+
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text(data_csv.read_text().replace("a1,a2,label", "a1,a2,²", 1))
+    assert main(["train", "--data", str(renamed), *flag, "--config", str(config), "--out", str(out)]) == 0
+    assert load_model(out / "model.json").attribute_names == ("a1", "a2")
+
+
 def test_sweep_command_writes_summary(tmp_path, data_csv, fast_config, capsys):
     out = tmp_path / "sweep_out"
     code = main(

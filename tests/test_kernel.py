@@ -21,10 +21,11 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_objective
 
 from rulestorm import rules
 from rulestorm.dataset import AttributeStats, Dataset, majority_class
-from rulestorm.fitness import FitnessWeights, evaluate
+from rulestorm.fitness import FitnessWeights
 from rulestorm.inference import Model, activation, classify, predict_dataset, predict_scores, score_blocks
 from rulestorm.membership import build_partition, degree_table, fuzzify_dataset, rank_table
 from rulestorm.rules import (
@@ -41,9 +42,8 @@ from rulestorm.rules import (
     match_mask,
     rule_arrays,
     rule_weights,
-    with_weights,
 )
-from rulestorm.training import RuleObjective
+from rulestorm.training import ExperimentSettings, RuleObjective
 
 LOW, HIGH = 0.0, 10.0
 
@@ -101,12 +101,8 @@ case = dict(
 
 
 def objective_for(ds, partitions, rs):
-    ld = fuzzify_dataset(ds, partitions)
-    shape = RuleSetShape(m=rs.m, p=rs.p, c=rs.c, r=max(rs.r, rs.c))
-    objective = RuleObjective(
-        ld, shape, FitnessWeights(), 1.0, partitions, ds.x, majority=1
-    )
-    return ld, objective
+    objective = RuleObjective(ds, partitions, ExperimentSettings(labels_per_attribute=rs.p, rule_count=max(rs.r, rs.c)))
+    return objective.ld, objective
 
 
 def distinct_rows(ld):
@@ -337,12 +333,12 @@ def test_evaluate_batch_equals_per_genotype_oracles(
     split the records into blocks down to one record each."""
     p = 3
     ds, partitions, _ = random_case(seed, n, m, p, c, c, False)
-    ld = fuzzify_dataset(ds, partitions)
     shape = RuleSetShape(m=m, p=p, c=c, r=c + extra_rules)
-    weights = FitnessWeights(1.0, 2.0, 0.5)
-    objective = RuleObjective(
-        ld, shape, weights, accuracy_weight, partitions, ds.x, majority_class(ds), sum_scores
+    training = ExperimentSettings(
+        labels_per_attribute=p, rule_count=shape.r, fitness_weights=FitnessWeights(1.0, 2.0, 0.5),
+        accuracy_weight=accuracy_weight, sum_scores=sum_scores,
     )
+    objective = RuleObjective(ds, partitions, training)
     rng = np.random.default_rng(seed)
     lower, upper = genotype_bounds(shape)
     genes = rng.uniform(lower, upper, size=(tables, len(lower))).reshape(tables, shape.r, m + 2)
@@ -353,20 +349,10 @@ def test_evaluate_batch_equals_per_genotype_oracles(
     with mock.patch.object(rules, "BLOCK_BYTES", block_bytes):
         batch = objective.evaluate_batch(genes)
     assert len(batch) == len(genes)
+    # the accuracy counted record by record, not through the blocked scorer the objective uses
+    oracle = reference_objective(ds, partitions, training)
     for genotype, got in zip(genes, batch):
-        rule_set = decode(genotype, shape)
-        quality = evaluate(rule_set, ld, weights)
-        model = Model(
-            partitions, with_weights(rule_set, ld), ds.class_values, ds.attribute_names,
-            majority_class(ds), {"sum_scores": sum_scores},
-        )
-        # counted record by record, not through the blocked scorer the objective uses
-        accuracy = sum(classify(model, ds.x[k])[0] == ds.y[k] for k in range(ds.n)) / ds.n
-        assert got.breakdown == quality
-        if accuracy_weight == 0.0:
-            assert got.value == quality.fitness
-        else:
-            assert got.value == (1.0 - accuracy_weight) * quality.fitness + accuracy_weight * accuracy
+        assert got == oracle(genotype)
 
 
 def bits(evaluations):
@@ -400,11 +386,12 @@ def test_objective_reusing_its_workspace_equals_fresh_objectives(
     ds, partitions, _ = random_case(seed, n, m, p, c, c, False)
     ld = fuzzify_dataset(ds, partitions)
     shape = RuleSetShape(m=m, p=p, c=c, r=c + extra_rules)
+    training = ExperimentSettings(
+        labels_per_attribute=p, rule_count=shape.r, fitness_weights=FitnessWeights(1.0, 2.0, 0.5), sum_scores=sum_scores
+    )
 
     def objective():
-        return RuleObjective(
-            ld, shape, FitnessWeights(1.0, 2.0, 0.5), 1.0, partitions, ds.x, majority_class(ds), sum_scores
-        )
+        return RuleObjective(ds, partitions, training)
 
     def scored(obj, genes, size):
         return [obj(genes[0])] if size == 0 else obj.evaluate_batch(genes)
@@ -437,10 +424,8 @@ def test_objective_workspace_is_reused_by_same_size_and_smaller_batches():
     """After a full batch, batches of the same size, of a GA generation's
     size and of one genotype allocate no new workspace buffer."""
     ds, partitions, _ = random_case(0, 614, 8, 3, 2, 10, False)
-    ld = fuzzify_dataset(ds, partitions)
-    shape = RuleSetShape(m=8, p=3, c=2, r=10)
-    objective = RuleObjective(ld, shape, FitnessWeights(), 1.0, partitions, ds.x, majority_class(ds))
-    lower, upper = genotype_bounds(shape)
+    objective = RuleObjective(ds, partitions, ExperimentSettings(labels_per_attribute=3, rule_count=10))
+    lower, upper = genotype_bounds(objective.shape)
     rng = np.random.default_rng(0)
     objective.evaluate_batch(rng.uniform(lower, upper, size=(50, len(lower))))
     buffers = dict(objective.workspace)

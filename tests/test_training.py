@@ -38,20 +38,14 @@ def separable_dataset(n=60, seed=0):
 
 
 def make_objective(ds, p=3, r=4, accuracy_weight=0.5, weights=None):
+    """The objective with its partitions, and the fuzzified split and shape
+    that the oracles score against, built apart from it."""
     partitions = tuple(build_partition(s, p) for s in attribute_stats(ds))
-    ld = fuzzify_dataset(ds, partitions)
-    shape = RuleSetShape(m=ds.m, p=p, c=ds.c, r=r)
-    objective = RuleObjective(
-        ld=ld,
-        shape=shape,
-        weights=weights or FitnessWeights(),
-        accuracy_weight=accuracy_weight,
-        partitions=partitions,
-        x=ds.x,
-        majority=majority_class(ds),
-        sum_scores=False,
+    settings = ExperimentSettings(
+        labels_per_attribute=p, rule_count=r, fitness_weights=weights or FitnessWeights(), accuracy_weight=accuracy_weight
     )
-    return objective, ld, shape, partitions
+    objective = RuleObjective(ds, partitions, settings)
+    return objective, fuzzify_dataset(ds, partitions), RuleSetShape(m=ds.m, p=p, c=ds.c, r=r), partitions
 
 
 def reference_breakdown(rs, ld, w):
@@ -135,8 +129,8 @@ class CountingObjective(RuleObjective):
 @pytest.mark.parametrize("search", SEARCHES)
 def test_search_scores_each_iteration_in_one_batch(search):
     ds = separable_dataset()
-    plain, ld, shape, partitions = make_objective(ds)
-    objective = CountingObjective(ld, shape, FitnessWeights(), 0.5, partitions, ds.x, majority_class(ds))
+    plain, _, shape, partitions = make_objective(ds)
+    objective = CountingObjective(ds, partitions, ExperimentSettings(rule_count=shape.r, accuracy_weight=0.5))
     lower, upper = genotype_bounds(shape)
     result = SEARCHES[search](objective, lower, upper)
     assert objective.batches == [6] + [6 if search == "bso" else 5] * 3
