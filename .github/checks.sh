@@ -37,6 +37,16 @@ for key in sys.argv[1:]: value = value[key]
 print(value)' "$@"
 }
 
+# trace_matches KEY... PATH: trace.csv at PATH, without its wall-clock elapsed_ms
+# column, has the digest that perfbench/reference.json holds under KEY...
+trace_matches() {
+  local path=${*: -1} want got
+  want=$(reference "${@:1:$#-1}")
+  got=$(python3 -c 'import sys; from pathlib import Path; sys.path.insert(0, "perfbench"); import worker; print(worker.trace_digest(Path(sys.argv[1])))' "$path")
+  echo "trace without elapsed_ms: $got, reference: $want"
+  test "$got" = "$want"
+}
+
 # model_with EDIT PATH: perfbench/score_model.json, its document d edited by the
 # Python statement EDIT, written to PATH
 model_with() {
@@ -63,6 +73,15 @@ check_wide_ga_digest() {
   echo '{"ga": {"generations": 2}}' > "$tmp/wide.json"
   rulestorm train --data "$tmp/wide-0.csv" --optimizer ga --seed 0 --config "$tmp/wide.json" --out "$tmp/wide"
   echo "$(reference train-wide 0/0 model)  $tmp/wide/model.json" | sha256sum -c -
+  trace_matches train-wide 0/0 trace "$tmp/wide/trace.csv"
+}
+
+check_pima_bso_digest() {
+  # the train-pima workload's seed-0 operation: bso-ewma, 30 iterations, the seed-0 split
+  echo '{"bso": {"max_iterations": 30}}' > "$tmp/pima.json"
+  rulestorm train --data data/pima.csv --seed 0 --config "$tmp/pima.json" --out "$tmp/pima"
+  echo "$(reference train-pima 0 model)  $tmp/pima/model.json" | sha256sum -c -
+  trace_matches train-pima 0 trace "$tmp/pima/trace.csv"
 }
 
 check_split_ratios() {

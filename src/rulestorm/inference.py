@@ -8,6 +8,9 @@ that `predict_dataset` is tested against. `predict_dataset` and the training
 objective's accuracy share `score_blocks`. Its record blocks hold at most
 BLOCK_BYTES // (8 · max(Q·r, m·(p + 2))) records, so that a block's degree
 table and its (Q·r, records) fold both stay within `rules.BLOCK_BYTES`.
+It sets the fold up once for all blocks (`rules.fold_plan`), and
+`predict_scores` picks each block's winners with a running strict maximum,
+merging each rule's wins into the class codes without a branch.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, DataError, as_python, is_integer, is_number
 from .membership import FuzzyPartition, degree, degree_table
-from .rules import AND, OR, Rule, RuleSet, fold_rules, record_blocks, rule_arrays, workspace_array
+from .rules import AND, OR, Rule, RuleSet, fold_plan, fold_rules, record_blocks, rule_arrays, workspace_array
 
 # perfbench/worker.py traces this name here; predict_dataset no longer calls it.
 from .membership import degree_matrix  # noqa: F401
@@ -144,18 +147,21 @@ def classify(model: Model, x: np.ndarray) -> tuple[int, float]:
 
 def predict_scores(scores: np.ndarray, consequents: np.ndarray, c: int, majority: int, sum_scores: bool) -> tuple[np.ndarray, np.ndarray]:
     """(classes, winning scores), each (Q, n), from non-negative rule scores
-    (Q, r, n) of Q tables with consequents (Q, r), as classify picks them."""
+    (Q, r, n) of Q tables with consequents (Q, r), as classify picks them.
+    The classes are in the smallest unsigned dtype that holds c."""
     if sum_scores:
         totals = np.zeros((len(scores), c, scores.shape[2]))
         tables = np.arange(len(scores))
         for i in range(scores.shape[1]):  # rules add in rule order
             totals[tables, consequents[:, i] - 1] += scores[:, i]
         scores, consequents = totals, np.broadcast_to(np.arange(1, c + 1), (len(scores), c))
+    consequents = consequents.astype(np.min_scalar_type(c))
     # a running strict-> max keeps the first of equal maxima, as np.argmax does
     best = scores[:, 0].copy()
     preds = np.repeat(consequents[:, :1], scores.shape[2], axis=1)
     for i in range(1, scores.shape[1]):
-        np.copyto(preds, consequents[:, i, None], where=scores[:, i] > best)
+        # no branch: where rule i wins this xors in preds ^ class, giving class; elsewhere 0
+        preds ^= (preds ^ consequents[:, i, None]) * (scores[:, i] > best)
         np.maximum(best, scores[:, i], out=best)
     preds[best == 0.0] = majority  # no score above zero
     return preds, best
@@ -167,15 +173,17 @@ def score_blocks(table_of, n, ants, consequents, is_and, weights, p, c, majority
     `table_of(block)` gives the block's (m, p + 2, b) degree table or, with
     `values`, its rank table (`membership.rank_table`): the folded ranks are
     cast to np.intp and looked up in `values`, which gives the bits that
-    folding the degrees gives. The fold, the cast and the lookup write into
+    folding the degrees gives. The fold's set-up (`rules.fold_plan`) is built
+    once and serves every block. The fold, the cast and the lookup write into
     `workspace` (`rules.workspace_array`; a fresh one when None), which a
     caller keeps across calls so that no block allocates and page-faults its
     temporaries anew; what is yielded is never part of it."""
     workspace = {} if workspace is None else workspace
     q, r, m = ants.shape
     ants, is_and = ants.reshape(q * r, m), is_and.reshape(q * r)
+    plan = fold_plan(ants, is_and, p + 2)
     for block in record_blocks(n, max(q * r, m * (p + 2))):
-        scores = fold_rules(table_of(block), ants, is_and, workspace)
+        scores = fold_rules(table_of(block), ants, is_and, workspace, plan)
         if values is not None:
             # take with intp indices is the fast path; ranks index values, so "clip" never clips
             idx = workspace_array(workspace, "idx", scores.shape, np.intp)

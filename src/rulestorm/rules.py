@@ -6,8 +6,10 @@ result so no rule is empty and every class keeps at least one rule.
 
 Training and inference score a whole rule table with `fold_rules`, over a
 padded attribute-major table of membership degrees, of their ranks or of the
-label indicators of the distinct label rows; `match_mask` is the rule-by-rule
-reference for the crisp matches.
+label indicators of the distinct label rows; `fold_plan` is the part of a
+fold that depends on the rules alone, which a caller folding many record
+blocks builds once. `match_mask` is the rule-by-rule reference for the
+crisp matches.
 """
 
 from __future__ import annotations
@@ -207,28 +209,45 @@ def workspace_array(workspace: dict, name: str, shape: tuple[int, ...], dtype) -
     return flat[:size].reshape(shape)
 
 
-def fold_rules(table: np.ndarray, ants: np.ndarray, is_and: np.ndarray, workspace: dict | None = None) -> np.ndarray:
+def fold_plan(ants: np.ndarray, is_and: np.ndarray, labels: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The set-up of `fold_rules` for rules with antecedents (R, m) and
+    connectives (R,) over a table with `labels` label rows: (columns, k,
+    inverse). `columns` (m, R), in np.intp, holds the row that each rule
+    gathers from each attribute's table, the k AND rules first, then the OR
+    rules; an OR rule's don't-care gathers the last row (all zeros) and a rule
+    without antecedents folds as AND over label 0's rows. `inverse` (R,) puts
+    the folded rows back in rule order. It depends on the rules alone, so a
+    caller that folds the same rules over many record blocks builds it once."""
+    is_and = is_and | ~ants.any(axis=1)
+    ants = np.where(is_and[:, None] | (ants != 0), ants, labels - 1)
+    # AND rules first, so each connective folds a contiguous run of rows
+    order = np.argsort(~is_and, kind="stable")
+    columns = np.ascontiguousarray(ants[order].T, dtype=np.intp)
+    return columns, int(np.count_nonzero(is_and)), np.argsort(order)
+
+
+def fold_rules(
+    table: np.ndarray, ants: np.ndarray, is_and: np.ndarray, workspace: dict | None = None, plan: tuple | None = None
+) -> np.ndarray:
     """Each rule's rows of an (m, p + 2, n) table padded as
     `membership.degree_table` is, combined over the attributes: min for AND
     rules, max for OR rules. Shape (r, n), in the table's dtype; a rule without
     antecedents gives label 0's row. On degrees this gives activations, on
     their ranks the activations' ranks, on label indicators match masks.
 
-    The result and the fold's other temporary are arrays of `workspace`
+    `plan` is `fold_plan(ants, is_and, p + 2)`, built here when None; a caller
+    that folds the same rules over many blocks passes it to every block. The
+    result and the fold's other temporary are arrays of `workspace`
     (`workspace_array`; a fresh one when None), so the result is valid only
     until the workspace serves the next call."""
     workspace = {} if workspace is None else workspace
-    is_and = is_and | ~ants.any(axis=1)
-    ants = np.where(is_and[:, None] | (ants != 0), ants, table.shape[1] - 1)
-    # AND rules first, so each connective folds a contiguous run of rows; labels
-    # are in 0..p + 1, so "clip" never clips, and unlike "raise" it needs no copy
-    order = np.argsort(~is_and, kind="stable")
-    idx, k = ants[order], np.count_nonzero(is_and)
-    shape = (len(idx), table.shape[2])
-    acc = table[0].take(idx[:, 0], axis=0, out=workspace_array(workspace, "acc", shape, table.dtype), mode="clip")
+    columns, k, inverse = fold_plan(ants, is_and, table.shape[1]) if plan is None else plan
+    # labels are in 0..p + 1, so "clip" never clips, and unlike "raise" it needs no copy
+    shape = (columns.shape[1], table.shape[2])
+    acc = table[0].take(columns[0], axis=0, out=workspace_array(workspace, "acc", shape, table.dtype), mode="clip")
     gathered = workspace_array(workspace, "gathered", shape, table.dtype)
     for j in range(1, len(table)):
-        table[j].take(idx[:, j], axis=0, out=gathered, mode="clip")
+        table[j].take(columns[j], axis=0, out=gathered, mode="clip")
         np.minimum(acc[:k], gathered[:k], out=acc[:k])
         np.maximum(acc[k:], gathered[k:], out=acc[k:])
-    return acc.take(np.argsort(order), axis=0, out=gathered, mode="clip")
+    return acc.take(inverse, axis=0, out=gathered, mode="clip")

@@ -1,10 +1,12 @@
-"""Plain reference implementations of the search, for the tests to compare
-the optimizers and the training objective with.
+"""Plain reference implementations of the search and of the rule kernel,
+for the tests to compare the optimizers, the training objective, the
+decoder and the class pick with.
 
 Each oracle is written out step by step, sharing no code with the piece it
 checks: k-means as cluster records, base selection with its two branches
-apart, one slot's candidate on its own, the objective genotype by genotype,
-and whole BSO and GA runs that breed, score and keep one slot at a time.
+apart, one slot's candidate on its own, the decoder rule by rule, one rule
+table's class pick with np.argmax, the objective genotype by genotype, and
+whole BSO and GA runs that breed, score and keep one slot at a time.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from rulestorm.fitness import evaluate
 from rulestorm.ga import tournament_pick
 from rulestorm.inference import Model, classify
 from rulestorm.membership import fuzzify_dataset
-from rulestorm.rules import RuleSetShape, decode, with_weights
+from rulestorm.rules import AND, OR, RuleSetShape, decode, with_weights
 from rulestorm.search import IMPROVEMENT_EPS, Evaluation
 
 
@@ -98,6 +100,40 @@ def reference_candidate(base, ewma_state, ramp, params, s, z, lower, upper):
         point = params.smoothing * base + (1.0 - params.smoothing) * ewma_state
         candidate = point + params.noise_scale * xi * noise
     return np.minimum(np.maximum(candidate, lower), upper), point
+
+
+def decode_oracle(genes, shape):
+    """Rule-by-rule decoder with both repairs, written without arrays."""
+    w = shape.m + 2
+    ants, consequents, connectives = [], [], []
+    for i in range(shape.r):
+        block = genes[i * w : (i + 1) * w]
+        row = [min(max(int(np.rint(g)), 0), shape.p) for g in block[: shape.m]]
+        if not any(row):
+            row[i % shape.m] = 1
+        ants.append(row)
+        consequents.append(min(max(int(np.rint(block[shape.m])), 1), shape.c))
+        connectives.append(AND if block[shape.m + 1] < 0.5 else OR)
+    for missing in range(1, shape.c + 1):
+        counts = [consequents.count(k) for k in range(1, shape.c + 1)]
+        if counts[missing - 1] == 0:
+            donor_class = counts.index(max(counts)) + 1
+            consequents[consequents.index(donor_class)] = missing
+    return ants, consequents, connectives
+
+
+def predict_scores_oracle(scores, consequents, c, majority, sum_scores):
+    """One rule table's (classes, winning scores) with np.argmax."""
+    totals = scores
+    if sum_scores:
+        totals = np.zeros((c, scores.shape[1]))
+        for k, row in zip(consequents, scores):
+            totals[k - 1] += row
+        preds = np.argmax(totals, axis=0) + 1
+    else:
+        preds = consequents[np.argmax(scores, axis=0)]
+    dead = ~np.any(scores > 0.0, axis=0)
+    return np.where(dead, majority, preds), np.where(dead, 0.0, totals.max(axis=0))
 
 
 def reference_objective(ds, partitions, settings):

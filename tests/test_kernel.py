@@ -4,13 +4,15 @@
 values, and over `LabeledDataset.indicators`, one column per distinct label
 row, must give, cell for cell, what `inference.activation` and
 `rules.match_mask` give per rule and record; the rank fold must give the
-degree fold's bits, and match fractions the counts of a per-record table;
-`predict_dataset` must give what `inference.classify` gives per
-record, in any record blocking; `decode_arrays` must repair exactly as a
-rule-by-rule decoder does; `RuleObjective.evaluate_batch` must give, in any
-record blocking, exactly what `fitness.evaluate` and `classify` give per
-genotype, and an objective that has scored other batches in its workspace
-what a fresh one gives.
+degree fold's bits, a fold with a batch's one `fold_plan` the bits of a
+fold set up per call, and match fractions the counts of a per-record table;
+`predict_scores` must pick what `oracles.predict_scores_oracle` picks with
+np.argmax, and `predict_dataset` what `inference.classify` gives per
+record, in any record blocking; `decode_arrays` must repair exactly as
+`oracles.decode_oracle` does, rule by rule; `RuleObjective.evaluate_batch`
+must give, in any record blocking, exactly what `fitness.evaluate` and
+`classify` give per genotype, and an objective that has scored other
+batches in its workspace what a fresh one gives.
 """
 
 import struct
@@ -21,9 +23,9 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_objective
+from oracles import decode_oracle, predict_scores_oracle, reference_objective
 
-from rulestorm import rules
+from rulestorm import inference, rules
 from rulestorm.dataset import AttributeStats, Dataset, majority_class
 from rulestorm.fitness import FitnessWeights
 from rulestorm.inference import Model, activation, classify, predict_dataset, predict_scores, score_blocks
@@ -36,10 +38,12 @@ from rulestorm.rules import (
     RuleSetShape,
     decode,
     decode_arrays,
+    fold_plan,
     fold_rules,
     genotype_bounds,
     match_fractions,
     match_mask,
+    record_blocks,
     rule_arrays,
     rule_weights,
 )
@@ -188,6 +192,44 @@ def test_distinct_row_match_fractions_equal_full_table_counts(seed, n, m, p, c, 
 
 @settings(max_examples=150, deadline=None)
 @given(
+    kind=st.sampled_from(["degrees", np.uint8, np.uint16, "indicators"]),
+    block_bytes=st.sampled_from([200, 2000]),
+    **{**case, "n": st.integers(1, 30), "extra_rules": st.integers(0, 8)},
+)
+def test_fold_with_one_plan_per_batch_equals_fold_set_up_per_call(
+    seed, n, m, p, c, extra_rules, zero_weights, kind, block_bytes
+):
+    """One `fold_plan` serves every record block, in one workspace, as
+    score_blocks uses it, and each block's fold equals a fold set up on its
+    own call, bit for bit and in the table's dtype. The tables are degrees,
+    ranks in uint8 and in uint16 (at most 30 records on 4 attributes give
+    fewer than 256 distinct degrees, so the ranks fit either) and the
+    indicators of the distinct label rows; random_case gives all-don't-care
+    rules and AND/OR mixes, and small block budgets give ragged blocks."""
+    ds, partitions, rs = random_case(seed, n, m, p, c, c + extra_rules, zero_weights)
+    ants, _, is_and, _ = rule_arrays(rs)
+    if kind == "degrees":
+        table = degree_table(partitions, ds.x, p)
+    elif kind == "indicators":
+        table = fuzzify_dataset(ds, partitions).indicators
+    else:
+        table = rank_table(partitions, ds.x, p)[1].astype(kind)
+    plan = fold_plan(ants, is_and, p + 2)
+    columns, k, inverse = (np.copy(a) for a in plan)
+    workspace = {}
+    with mock.patch.object(rules, "BLOCK_BYTES", block_bytes):
+        blocks = record_blocks(table.shape[2], rs.r)
+    for block in blocks:
+        got = fold_rules(table[:, :, block], ants, is_and, workspace, plan)
+        want = fold_rules(table[:, :, block], ants, is_and)
+        assert got.dtype == want.dtype == table.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the blocks read the plan and never write it
+    assert plan[0].tobytes() == columns.tobytes() and plan[1] == k and plan[2].tobytes() == inverse.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
     sum_scores=st.booleans(),
     block_bytes=st.sampled_from([1, 200, 2000, rules.BLOCK_BYTES]),
     **{**case, "n": st.integers(1, 40)},
@@ -250,26 +292,6 @@ def test_generated_cases_cover_the_corner_cases():
         if np.any(scores == 0.0):
             seen.add("dead-record")
     assert seen == {"or-dont-care", "empty-AND", "empty-OR", "dead-record", "constant-attribute"}
-
-
-def decode_oracle(genes, shape):
-    """Rule-by-rule decoder with both repairs, written without arrays."""
-    w = shape.m + 2
-    ants, consequents, connectives = [], [], []
-    for i in range(shape.r):
-        block = genes[i * w : (i + 1) * w]
-        row = [min(max(int(np.rint(g)), 0), shape.p) for g in block[: shape.m]]
-        if not any(row):
-            row[i % shape.m] = 1
-        ants.append(row)
-        consequents.append(min(max(int(np.rint(block[shape.m])), 1), shape.c))
-        connectives.append(AND if block[shape.m + 1] < 0.5 else OR)
-    for missing in range(1, shape.c + 1):
-        counts = [consequents.count(k) for k in range(1, shape.c + 1)]
-        if counts[missing - 1] == 0:
-            donor_class = counts.index(max(counts)) + 1
-            consequents[consequents.index(donor_class)] = missing
-    return ants, consequents, connectives
 
 
 @settings(max_examples=200, deadline=None)
@@ -380,8 +402,9 @@ def test_objective_reusing_its_workspace_equals_fresh_objectives(
     """One objective scores a stream of batches of varying size, 0 standing
     for one genotype through __call__, ending with a batch larger than the
     first; small block budgets give ragged blocks of a few records. Then
-    score_blocks, run on that objective's workspace, must yield arrays that
-    stay valid while later blocks are scored."""
+    score_blocks, run on that objective's workspace, must build one fold
+    set-up for the batch and yield arrays that share no memory with it or
+    with the workspace and stay valid while later blocks are scored."""
     p = 3
     ds, partitions, _ = random_case(seed, n, m, p, c, c, False)
     ld = fuzzify_dataset(ds, partitions)
@@ -411,8 +434,21 @@ def test_objective_reusing_its_workspace_equals_fresh_objectives(
             lambda block: kept.ranks[:, :, block], ds.n, ants, consequents, is_and,
             rule_weights(ants, fractions), p, c, majority_class(ds), sum_scores, kept.values,
         )
-        collected = list(score_blocks(*args, kept.workspace))  # every block's arrays held to the end
+        plans, plan_of = [], rules.fold_plan
+
+        def recorded_plan(*plan_args):
+            plans.append(plan_of(*plan_args))
+            return plans[-1]
+
+        # a set-up built anywhere, score_blocks or fold_rules, is recorded
+        with mock.patch.object(inference, "fold_plan", recorded_plan), \
+                mock.patch.object(rules, "fold_plan", recorded_plan):
+            collected = list(score_blocks(*args, kept.workspace))  # every block's arrays held to the end
         copied = [(block, preds.copy(), best.copy()) for block, preds, best in score_blocks(*args)]
+    assert len(plans) == 1  # one fold set-up serves every block of the batch
+    held = [*kept.workspace.values(), plans[0][0], plans[0][2]]
+    for _, preds, best in collected:
+        assert not any(np.may_share_memory(out, buffer) for out in (preds, best) for buffer in held)
     assert len(collected) == len(copied)
     for (block, preds, best), (want_block, want_preds, want_best) in zip(collected, copied):
         assert block == want_block
@@ -440,38 +476,31 @@ def test_objective_workspace_is_reused_by_same_size_and_smaller_batches():
         assert all(objective.workspace[name] is flat for name, flat in buffers.items())
 
 
-def predict_scores_oracle(scores, consequents, c, majority, sum_scores):
-    """One rule table's (classes, winning scores) with np.argmax."""
-    totals = scores
-    if sum_scores:
-        totals = np.zeros((c, scores.shape[1]))
-        for k, row in zip(consequents, scores):
-            totals[k - 1] += row
-        preds = np.argmax(totals, axis=0) + 1
-    else:
-        preds = consequents[np.argmax(scores, axis=0)]
-    dead = ~np.any(scores > 0.0, axis=0)
-    return np.where(dead, majority, preds), np.where(dead, 0.0, totals.max(axis=0))
-
-
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**31),
-    tables=st.integers(1, 5),
+    tables=st.integers(0, 5),
     r=st.integers(1, 6),
     n=st.integers(1, 10),
-    c=st.integers(2, 4),
+    c=st.sampled_from([2, 3, 4, 255, 256, 257]),
     sum_scores=st.booleans(),
 )
 def test_batched_predict_scores_equals_per_table_calls(seed, tables, r, n, c, sum_scores):
-    """Scores from a few values, so ties and all-zero records are common."""
+    """Scores from a few values, so ties and all-zero records are common.
+    Class counts on both sides of 255 and 256 change the dtype of the class
+    codes; the classes include 1, c - 1 and c, and the majority is 1 or c.
+    No table (a GA of one breeds no child) and one rule are drawn too."""
     rng = np.random.default_rng(seed)
     scores = rng.choice([0.0, 0.25, 0.5], size=(tables, r, n))
-    consequents = rng.integers(1, c + 1, size=(tables, r))
-    preds, best = predict_scores(scores, consequents, c, 2, sum_scores)
+    consequents = np.where(
+        rng.random((tables, r)) < 0.5, rng.choice([1, c - 1, c], size=(tables, r)), rng.integers(1, c + 1, size=(tables, r))
+    )
+    majority = int(rng.choice([1, c]))
+    preds, best = predict_scores(scores, consequents, c, majority, sum_scores)
     assert preds.shape == best.shape == (tables, n)
+    assert preds.dtype == np.min_scalar_type(c) and best.dtype == np.float64
     for t in range(tables):
-        one_preds, one_best = predict_scores(scores[t : t + 1], consequents[t : t + 1], c, 2, sum_scores)
-        want_preds, want_best = predict_scores_oracle(scores[t], consequents[t], c, 2, sum_scores)
+        one_preds, one_best = predict_scores(scores[t : t + 1], consequents[t : t + 1], c, majority, sum_scores)
+        want_preds, want_best = predict_scores_oracle(scores[t], consequents[t], c, majority, sum_scores)
         assert preds[t].tolist() == one_preds[0].tolist() == want_preds.tolist()
-        assert best[t].tolist() == one_best[0].tolist() == want_best.tolist()
+        assert best[t].view(np.int64).tolist() == one_best[0].view(np.int64).tolist() == want_best.view(np.int64).tolist()
