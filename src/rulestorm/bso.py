@@ -113,28 +113,28 @@ def anneal_ramp(nc: int, params: BsoParams) -> float:
         return 0.0
 
 
-def select_base(members: list[np.ndarray], genotypes: np.ndarray, centers: np.ndarray, params: BsoParams, rng) -> np.ndarray:
-    """Pick the starting point for one candidate.
+def select_base(members: list[np.ndarray], q: int, params: BsoParams, rng) -> tuple[int, int, float]:
+    """Draw one candidate's base as (first, second, lam): two rows of `run`'s
+    pool, whose row q + c is cluster c's center, and their blend coefficient.
 
     Picks one uniformly chosen cluster (always, when only one exists) or two
-    distinct ones, then takes each picked cluster's row of `centers` or a
-    random member of it, and blends two at a uniform random coefficient.
-    The draws come in that order: the branch, the clusters, the center
-    coin, the members in cluster order, the coefficient. A one-cluster base
-    is the row of `centers` or `genotypes` itself, not a copy: `run` copies
-    it into its batch of bases.
+    distinct ones, then takes each one's center or a random member, and
+    draws lam for a pair. The draws come in that order: the branch, the
+    clusters, the center coin, the members in cluster order, lam. One
+    cluster gives first == second and lam 1.0; a pair's rows always differ.
     """
     k = len(members)
     if rng.random() < params.one_cluster_prob or k == 1:
         picked, center_prob = [rng.integers(k)], params.use_center_prob
     else:
         picked, center_prob = rng.choice(k, size=2, replace=False), params.use_center_pair_prob
-    use_center = rng.random() < center_prob
-    points = [centers[c] if use_center else genotypes[members[c][rng.integers(len(members[c]))]] for c in picked]
-    if len(points) == 1:
-        return points[0]
-    lam = rng.random()
-    return lam * points[0] + (1.0 - lam) * points[1]
+    if rng.random() < center_prob:
+        rows = [q + c for c in picked]
+    else:
+        rows = [members[c][rng.integers(len(members[c]))] for c in picked]
+    if len(rows) == 1:
+        return rows[0], rows[0], 1.0
+    return rows[0], rows[1], rng.random()
 
 
 def generate_candidate(bases: np.ndarray, ewma: np.ndarray, steps: np.ndarray, z: np.ndarray, params: BsoParams, lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,29 +155,32 @@ def generate_candidate(bases: np.ndarray, ewma: np.ndarray, steps: np.ndarray, z
 def run(params: BsoParams, objective, lower, upper) -> RunResult:
     """Maximize the objective; deterministic given params (one RNG stream).
 
-    Each iteration takes every slot's draws in turn (its base, then its
-    step, then its noise row), then builds all the candidates in one
-    `generate_candidate` step. Stops at max_iterations, or once
-    stagnation_window consecutive iterations pass without the best value
-    improving by more than search.IMPROVEMENT_EPS.
+    Each iteration takes every slot's draws in turn (its base's rows and
+    lam, its step, its noise row), then blends all the bases in one array
+    step and builds the candidates in one `generate_candidate` step. Stops
+    at max_iterations, or once stagnation_window consecutive iterations pass
+    without the best value improving by more than search.IMPROVEMENT_EPS.
     """
     pop = Population(
         objective, lower, upper, params.population_size, params.seed, params.stagnation_window
     )
     rng = pop.rng
+    q = params.population_size
     ewma = pop.genotypes.copy()  # the slots' running averages; plain mode never reads them
-    bases, z = np.empty_like(ewma), np.empty_like(ewma)
-    steps = np.empty(params.population_size)
+    first, second = np.zeros((2, q), dtype=np.int64)
+    lam, steps, z = np.zeros(q), np.zeros(q), np.zeros_like(ewma)
     for nc in range(1, params.max_iterations + 1):
         members, best = cluster_population(pop.genotypes, pop.values, params.cluster_count, rng)
-        centers = pop.genotypes[best]
+        pool = np.vstack([pop.genotypes, pop.genotypes[best]])  # the population, then the centers
         if rng.random() < params.replace_center_prob:
-            centers[rng.integers(len(best))] = rng.uniform(pop.lower, pop.upper)
+            pool[q + rng.integers(len(best))] = rng.uniform(pop.lower, pop.upper)
 
-        for slot in range(params.population_size):
-            bases[slot] = select_base(members, pop.genotypes, centers, params, rng)
+        for slot in range(q):
+            first[slot], second[slot], lam[slot] = select_base(members, q, params, rng)
             steps[slot] = rng.random()
             rng.standard_normal(out=z[slot])
+        x1, x2 = pool[first], pool[second]
+        bases = np.where((first == second)[:, None], x1, lam[:, None] * x1 + (1.0 - lam[:, None]) * x2)
         candidates, points = generate_candidate(
             bases, ewma, steps * anneal_ramp(nc, params), z, params, pop.lower, pop.upper
         )

@@ -39,13 +39,11 @@ class GaParams:
         check_fields(self)
 
 
-def tournament_pick(values: np.ndarray, size: int, rng) -> int:
-    """Index of the best-valued member among `size` sampled with replacement.
-
-    Ties go to the earliest sampled contender.
-    """
-    contenders = np.asarray(rng.integers(len(values), size=size))
-    return int(contenders[int(np.argmax(values[contenders]))])
+def tournament_pick(values: np.ndarray, contenders: np.ndarray) -> np.ndarray:
+    """Each tournament's best-valued contender, one tournament per row of
+    `contenders`' last axis; draws nothing. Ties go to the earliest contender."""
+    best = np.argmax(values[contenders], axis=-1)
+    return np.take_along_axis(contenders, best[..., None], axis=-1)[..., 0]
 
 
 def run_ga(params: GaParams, objective, lower, upper) -> RunResult:
@@ -59,25 +57,24 @@ def run_ga(params: GaParams, objective, lower, upper) -> RunResult:
         objective, lower, upper, params.population_size, params.seed, params.stagnation_window
     )
     rng = pop.rng
-    dims = pop.lower.shape[0]
+    q, t, dims = params.population_size, params.tournament_size, pop.lower.shape[0]
     for generation in range(1, params.generations + 1):
-        elite = int(np.argmax(pop.values))
-        children = np.empty_like(pop.genotypes)
-        children[0] = pop.genotypes[elite]
-        for slot in range(1, params.population_size):
-            p1 = tournament_pick(pop.values, params.tournament_size, rng)
-            p2 = tournament_pick(pop.values, params.tournament_size, rng)
+        contenders = np.zeros((2, q - 1, t), dtype=np.int64)
+        coins, mutate, z = np.zeros((3, q - 1, dims))  # uncrossed children keep zero coins: all from the first parent
+        for slot in range(q - 1):
+            contenders[0, slot] = rng.integers(q, size=t)
+            contenders[1, slot] = rng.integers(q, size=t)
             if rng.random() < params.crossover_prob:
-                take_first = rng.random(dims) < 0.5
-                child = np.where(take_first, pop.genotypes[p1], pop.genotypes[p2])
-            else:
-                child = pop.genotypes[p1].copy()
-            mutate = rng.random(dims) < params.mutation_prob
-            steps = rng.standard_normal(dims) * params.mutation_sigma
-            child = np.where(mutate, child + steps, child)
-            children[slot] = np.minimum(np.maximum(child, pop.lower), pop.upper)
-        pop.evaluations = [pop.evaluations[elite], *pop.evaluate(children[1:], generation)]
-        pop.genotypes = children
+                rng.random(out=coins[slot])
+            rng.random(out=mutate[slot])
+            rng.standard_normal(out=z[slot])
+        first, second = pop.genotypes[tournament_pick(pop.values, contenders)]
+        children = np.where(coins < 0.5, first, second)
+        children = np.where(mutate < params.mutation_prob, children + z * params.mutation_sigma, children)
+        children = np.minimum(np.maximum(children, pop.lower), pop.upper)
+        elite = int(np.argmax(pop.values))
+        pop.evaluations = [pop.evaluations[elite], *pop.evaluate(children, generation)]
+        pop.genotypes = np.vstack([pop.genotypes[elite], children])
         if pop.end_iteration(generation):
             break
     return pop.result()

@@ -162,12 +162,6 @@ def rank_table(partitions: tuple[FuzzyPartition, ...], x: np.ndarray, p: int) ->
     return values, ranks
 
 
-def fuzzify(partition: FuzzyPartition, x: float) -> int:
-    """Label with the highest degree; ties go to the smaller label index."""
-    degs = [degree(partition, k, x) for k in range(1, partition.p + 1)]
-    return int(np.argmax(degs)) + 1
-
-
 @dataclass(frozen=True)
 class LabeledDataset:
     """Fuzzified records: one label in 1..p per attribute, plus the class.

@@ -1,26 +1,30 @@
-"""Plain reference implementations of the search and of the rule kernel,
-for the tests to compare the optimizers, the training objective, the
-decoder and the class pick with.
+"""Plain reference implementations of the search, of the rule kernel and
+of the data layer, for the tests to compare the optimizers, the training
+objective, the quality score, the decoder, the class pick, the CSV loader
+and the fuzzifier with.
 
 Each oracle is written out step by step, sharing no code with the piece it
 checks: k-means as cluster records, base selection with its two branches
-apart, one slot's candidate on its own, the decoder rule by rule, one rule
-table's class pick with np.argmax, the objective genotype by genotype, and
-whole BSO and GA runs that breed, score and keep one slot at a time.
+apart, one slot's candidate on its own, one tournament at a time, the CSV
+loader cell by cell, one record's label by argmax, the decoder rule by rule,
+one rule table's class pick with np.argmax, the quality score rule by rule,
+the objective genotype by genotype, and whole BSO and GA runs that breed,
+score and keep one slot at a time.
 """
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from rulestorm import bso
 from rulestorm.bso import anneal_ramp
-from rulestorm.dataset import majority_class
+from rulestorm.dataset import Dataset, majority_class
+from rulestorm.errors import ConfigError, DataError
 from rulestorm.fitness import evaluate
-from rulestorm.ga import tournament_pick
 from rulestorm.inference import Model, classify
-from rulestorm.membership import fuzzify_dataset
-from rulestorm.rules import AND, OR, RuleSetShape, decode, with_weights
+from rulestorm.membership import FuzzyPartition, degree, fuzzify_dataset
+from rulestorm.rules import AND, OR, RuleSetShape, decode, match_mask, with_weights
 from rulestorm.search import IMPROVEMENT_EPS, Evaluation
 
 
@@ -66,7 +70,7 @@ def reference_clusters(genotypes, values, k, rng):
 def reference_base(clusters, genotypes, centers, params, rng):
     """A base from a list of Cluster records and a list of center rows, with
     the one- and two-cluster branches written out apart: the oracle of
-    select_base."""
+    select_base's rows blended as run blends them."""
     u1 = rng.random()
     if u1 < params.one_cluster_prob or len(clusters) == 1:
         cluster_idx = int(rng.integers(len(clusters)))
@@ -102,6 +106,88 @@ def reference_candidate(base, ewma_state, ramp, params, s, z, lower, upper):
     return np.minimum(np.maximum(candidate, lower), upper), point
 
 
+def reference_load_csv(path, label=None):
+    """load_csv as it was before the numpy path: csv.reader, float() per cell.
+
+    Kept here verbatim in behaviour, independent of the helpers that
+    rulestorm.dataset shares between its two parse paths.
+    """
+    if not path.is_file():
+        raise DataError(f"data file not found: {path}")
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    width = len(rows[0])
+    if width < 2:
+        raise DataError(f"{path}: need at least one attribute and a label column")
+
+    def number(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    if isinstance(label, str):
+        if label not in rows[0]:
+            raise ConfigError(f"label column {label!r} not in header {rows[0]}")
+        label_idx = rows[0].index(label)
+        header = rows[0]
+    else:
+        label_idx = width - 1 if label is None else label
+        if not 0 <= label_idx < width:
+            raise ConfigError(f"label column index {label_idx} out of range for {width} columns")
+        header = rows[0] if number(rows[0][label_idx]) is None else None
+    if header is not None:
+        names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        body, first_line = rows[1:], 2
+    else:
+        names = tuple(f"a{j + 1}" for j in range(width - 1))
+        body, first_line = rows, 1
+    if not body:
+        raise DataError(f"{path}: no data rows")
+
+    x = np.empty((len(body), width - 1), dtype=float)
+    raw_labels = np.empty(len(body), dtype=float)
+    for i, row in enumerate(body):
+        line = first_line + i
+        if len(row) != width:
+            raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
+        col_out = 0
+        for j, cell in enumerate(row):
+            value = number(cell)
+            if value is None:
+                kind = "label" if j == label_idx else "attribute"
+                raise DataError(
+                    f"{path}: row {line}, column {j + 1} has non-numeric {kind} cell {cell!r}"
+                )
+            if j == label_idx:
+                raw_labels[i] = value
+            else:
+                x[i, col_out] = value
+                col_out += 1
+    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(raw_labels))
+    if bad.any():
+        i = int(np.argmax(bad))
+        cell = next(c for c in body[i] if not np.isfinite(float(c)))
+        raise DataError(f"{path}: row {first_line + i} has non-finite cell {cell!r}")
+    class_values = tuple(float(v) for v in np.unique(raw_labels))
+    if len(class_values) < 2:
+        raise DataError(f"{path}: need at least two distinct class labels, found {class_values}")
+    remap = {v: k + 1 for k, v in enumerate(class_values)}
+    y = np.array([remap[v] for v in raw_labels], dtype=int)
+    return Dataset(x=x, y=y, attribute_names=names, class_values=class_values)
+
+
+def fuzzify(partition: FuzzyPartition, x: float) -> int:
+    """Label with the highest degree; ties go to the smaller label index."""
+    degs = [degree(partition, k, x) for k in range(1, partition.p + 1)]
+    return int(np.argmax(degs)) + 1
+
+
 def decode_oracle(genes, shape):
     """Rule-by-rule decoder with both repairs, written without arrays."""
     w = shape.m + 2
@@ -134,6 +220,44 @@ def predict_scores_oracle(scores, consequents, c, majority, sum_scores):
         preds = consequents[np.argmax(scores, axis=0)]
     dead = ~np.any(scores > 0.0, axis=0)
     return np.where(dead, majority, preds), np.where(dead, 0.0, totals.max(axis=0))
+
+
+def oracle_components(rs, ld):
+    """Independent plain-Python computation of all three components."""
+    r, m, n, c = rs.r, rs.m, ld.n, rs.c
+    total_len = 0
+    total_match = 0
+    for rule in rs.rules:
+        active = [(j, a) for j, a in enumerate(rule.antecedents) if a != 0]
+        total_len += len(active)
+        for i in range(n):
+            if not active:
+                hit = True
+            elif rule.connective == "AND":
+                hit = all(ld.labels[i][j] == a for j, a in active)
+            else:
+                hit = any(ld.labels[i][j] == a for j, a in active)
+            if hit:
+                total_match += 1
+    g1 = 1.0 - total_len / (r * m)
+    g2 = total_match / (r * n)
+    counts = [0] * c
+    for rule in rs.rules:
+        counts[rule.consequent - 1] += 1
+    v = sum((nj - r / c) ** 2 for nj in counts) / c
+    g3 = max(0.0, 1.0 - v / r)
+    return g1, g2, g3
+
+
+def reference_breakdown(rs, ld, w):
+    """The quality score rule by rule over `rules.match_mask`, sharing no
+    code with `fitness.breakdown` or `rules.match_fractions`."""
+    g1 = 1.0 - sum(rule.antecedent_count() for rule in rs.rules) / (rs.r * rs.m)
+    g2 = sum(int(match_mask(rule, ld).sum()) for rule in rs.rules) / (rs.r * ld.n)
+    counts = [sum(rule.consequent == k for rule in rs.rules) for k in range(1, rs.c + 1)]
+    variance = sum((count - rs.r / rs.c) ** 2 for count in counts) / rs.c
+    g3 = max(0.0, 1.0 - variance / rs.r)
+    return g1, g2, g3, w.alpha * g1 + w.beta * g2 + w.gamma * g3
 
 
 def reference_objective(ds, partitions, settings):
@@ -229,6 +353,14 @@ def reference_bso_run(params, objective, lower, upper):
     return run.outcome()
 
 
+def reference_pick(values, size, rng):
+    """One tournament: the best-valued of `size` members sampled with
+    replacement, ties to the earliest sampled: the oracle of tournament_pick
+    on that draw."""
+    contenders = rng.integers(len(values), size=size)
+    return int(contenders[int(np.argmax(values[contenders]))])
+
+
 def reference_ga_run(params, objective, lower, upper):
     """ga.run_ga child by child: the first best member carries over, and
     each other child is bred from two tournament picks gene by gene, clamped
@@ -241,8 +373,8 @@ def reference_ga_run(params, objective, lower, upper):
         children, scored = [run.genotypes[elite].copy()], [run.evaluations[elite]]
         values = np.array(values)
         for _ in range(1, params.population_size):
-            first = run.genotypes[tournament_pick(values, params.tournament_size, rng)]
-            second = run.genotypes[tournament_pick(values, params.tournament_size, rng)]
+            first = run.genotypes[reference_pick(values, params.tournament_size, rng)]
+            second = run.genotypes[reference_pick(values, params.tournament_size, rng)]
             child = first.copy()
             if rng.random() < params.crossover_prob:
                 coins = rng.random(dims)

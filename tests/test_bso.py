@@ -256,6 +256,14 @@ def base_cases(draw):
     return genotypes, values, k, params, replaced, draw(st.integers(0, 2**32 - 1))
 
 
+def blended(members, genotypes, centers, params, rng):
+    """select_base's rows and lam blended as run blends them, over the pool
+    of the genotypes and then the center rows."""
+    pool = np.vstack([genotypes, centers])
+    first, second, lam = select_base(members, len(genotypes), params, rng)
+    return np.where(first == second, pool[first], lam * pool[first] + (1.0 - lam) * pool[second])
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=base_cases())
 def test_select_base_equals_the_two_branch_oracle(case):
@@ -268,7 +276,7 @@ def test_select_base_equals_the_two_branch_oracle(case):
     if replaced is not None:
         centers[replaced[0]] = oracle_centers[replaced[0]] = replaced[1]
     for _ in range(8):
-        base = select_base(members, genotypes, centers, params, rng)
+        base = blended(members, genotypes, centers, params, rng)
         assert base.tobytes() == reference_base(clusters, genotypes, oracle_centers, params, oracle_rng).tobytes()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -287,7 +295,7 @@ def test_select_base_one_cluster_center_branch():
     members, centers = clustered(genos, values, k=1, seed=0)
     p = params_with(one_cluster_prob=1.0, use_center_prob=1.0)
     rng = ScriptedRng(randoms=[0.3, 0.2], ints=[0])
-    base = select_base(members, genos, centers, p, rng)
+    base = blended(members, genos, centers, p, rng)
     assert np.array_equal(base, genos[1])  # best member of the only cluster
 
 
@@ -298,7 +306,7 @@ def test_select_base_one_cluster_member_branch():
     p = params_with(one_cluster_prob=1.0, use_center_prob=0.0)
     rows = sorted(members[0])
     rng = ScriptedRng(randoms=[0.3, 0.7], ints=[0, 2])
-    base = select_base(members, genos, centers, p, rng)
+    base = blended(members, genos, centers, p, rng)
     assert np.array_equal(base, genos[rows[2]])
 
 
@@ -308,7 +316,7 @@ def test_select_base_two_cluster_center_blend():
     members, centers = clustered(genos, values, k=2, seed=1)
     p = params_with(one_cluster_prob=0.0, use_center_pair_prob=1.0)
     rng = ScriptedRng(randoms=[0.9, 0.2, 0.5], choices=[(0, 1)])
-    base = select_base(members, genos, centers, p, rng)
+    base = blended(members, genos, centers, p, rng)
     assert np.allclose(base, [1.0, 2.0])  # midpoint of (0,0) and (2,4)
 
 
@@ -319,7 +327,7 @@ def test_select_base_two_cluster_member_blend():
     p = params_with(one_cluster_prob=0.0, use_center_pair_prob=0.0)
     # u1, u3, member picks within each cluster, lambda
     rng = ScriptedRng(randoms=[0.9, 0.7, 0.25], choices=[(0, 1)], ints=[0, 0])
-    base = select_base(members, genos, centers, p, rng)
+    base = blended(members, genos, centers, p, rng)
     expected = 0.25 * genos[0] + 0.75 * genos[1]
     assert np.allclose(base, expected)
 
@@ -330,7 +338,7 @@ def test_select_base_single_cluster_forces_one_cluster_branch():
     members, centers = clustered(genos, values, k=1, seed=0)
     p = params_with(one_cluster_prob=0.0, use_center_prob=1.0)
     rng = ScriptedRng(randoms=[0.99, 0.1], ints=[0])
-    base = select_base(members, genos, centers, p, rng)
+    base = blended(members, genos, centers, p, rng)
     assert np.array_equal(base, genos[1])
 
 
@@ -340,10 +348,21 @@ def test_select_base_always_center_under_forcing_probs():
     values = rng.uniform(size=15)
     members, centers = clustered(genos, values, k=3, seed=3)
     p = params_with(one_cluster_prob=1.0, use_center_prob=1.0)
-    center_rows = {tuple(c) for c in centers}
-    for _ in range(25):
-        base = select_base(members, genos, centers, p, rng)
-        assert tuple(base) in center_rows
+    for _ in range(25):  # one center row, at 15 + its cluster, blended with itself
+        first, second, lam = select_base(members, 15, p, rng)
+        assert 15 <= first == second < 18 and lam == 1.0
+
+
+def test_select_base_pair_rows_differ():
+    rng = np.random.default_rng(4)
+    genos = rng.normal(size=(12, 3))
+    members, _ = clustered(genos, rng.uniform(size=12), k=4, seed=5)
+    for center_pair_prob in (0.0, 1.0):
+        p = params_with(one_cluster_prob=0.0, use_center_pair_prob=center_pair_prob)
+        for _ in range(25):
+            first, second, lam = select_base(members, 12, p, rng)
+            assert first != second and 0.0 <= lam < 1.0
+            assert (first >= 12) == (second >= 12) == (center_pair_prob == 1.0)
 
 
 # ----------------------------------------------------- candidate generation ---

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_components
 
 from rulestorm.errors import ConfigError
 from rulestorm.fitness import (
@@ -27,35 +28,6 @@ def ruleset_from(specs, m, p=3, c=2):
     """specs: list of (antecedents, consequent, connective)."""
     rules = tuple(Rule(tuple(a), cons, conn) for a, cons, conn in specs)
     return RuleSet(rules=rules, m=m, p=p, c=c)
-
-
-# ---------------------------------------------------------------- oracle ---
-
-def oracle_components(rs, ld):
-    """Independent plain-Python computation of all three components."""
-    r, m, n, c = rs.r, rs.m, ld.n, rs.c
-    total_len = 0
-    total_match = 0
-    for rule in rs.rules:
-        active = [(j, a) for j, a in enumerate(rule.antecedents) if a != 0]
-        total_len += len(active)
-        for i in range(n):
-            if not active:
-                hit = True
-            elif rule.connective == "AND":
-                hit = all(ld.labels[i][j] == a for j, a in active)
-            else:
-                hit = any(ld.labels[i][j] == a for j, a in active)
-            if hit:
-                total_match += 1
-    g1 = 1.0 - total_len / (r * m)
-    g2 = total_match / (r * n)
-    counts = [0] * c
-    for rule in rs.rules:
-        counts[rule.consequent - 1] += 1
-    v = sum((nj - r / c) ** 2 for nj in counts) / c
-    g3 = max(0.0, 1.0 - v / r)
-    return g1, g2, g3
 
 
 # --------------------------------------------------------------- weights ---

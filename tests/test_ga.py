@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import reference_pick
 
 from rulestorm.errors import ConfigError, EvaluationError
 from rulestorm.ga import GaParams, run_ga, tournament_pick
@@ -12,26 +15,29 @@ def sphere_objective(x):
     return Evaluation(value=-float(np.dot(x, x)))
 
 
-class ScriptedRng:
-    def __init__(self, ints=()):
-        self.ints = list(ints)
-
-    def integers(self, high, size=None):
-        return np.asarray(self.ints.pop(0))
-
-
 # ------------------------------------------------------------- selection ---
 
-def test_tournament_picks_best_of_sampled():
-    values = np.array([0.1, 0.9, 0.5, 0.3])
-    rng = ScriptedRng(ints=[[0, 2, 3]])
-    assert tournament_pick(values, 3, rng) == 2
-
-
-def test_tournament_tie_prefers_first_sampled():
-    values = np.array([0.7, 0.7, 0.7])
-    rng = ScriptedRng(ints=[[2, 1, 0]])
-    assert tournament_pick(values, 3, rng) == 2
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, 0.5]) | st.floats(-1.0, 1.0), min_size=1, max_size=8).map(np.array),
+    tournaments=st.integers(0, 6),
+    size=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(values=np.array([0.7, 0.7, 0.7]), tournaments=4, size=3, seed=0)  # all tied
+@example(values=np.array([0.2]), tournaments=0, size=3, seed=0)  # a GA of one breeds no child
+def test_tournament_pick_equals_the_one_tournament_oracle(values, tournaments, size, seed):
+    """A batch of tournaments, drawn as run_ga draws them, picks what one
+    tournament at a time picks from an identically seeded generator; ties
+    are common, and zero tournaments is a GA of one."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    contenders = np.zeros((tournaments, size), dtype=np.int64)
+    for row in contenders:
+        row[:] = rng.integers(len(values), size=size)
+    winners = tournament_pick(values, contenders)
+    assert winners.shape == (tournaments,)
+    assert winners.tolist() == [reference_pick(values, size, oracle_rng) for _ in range(tournaments)]
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 # ------------------------------------------------------------ parameters ---

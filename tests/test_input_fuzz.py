@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_load_csv
 
 from rulestorm import dataset
-from rulestorm.dataset import AttributeStats, Dataset, load_csv
+from rulestorm.dataset import AttributeStats, load_csv
 from rulestorm.errors import ConfigError, DataError
 from rulestorm.inference import Model
 from rulestorm.membership import FuzzyPartition, TriangularMF, build_partition
@@ -319,82 +320,6 @@ def test_arbitrary_csv_bytes_load_or_raise_input_errors(input_file, content, lab
     except INPUT_ERRORS:
         return
     check_loaded(ds)
-
-
-def reference_load_csv(path, label=None):
-    """load_csv as it was before the numpy path: csv.reader, float() per cell.
-
-    Kept here verbatim in behaviour, independent of the helpers that
-    rulestorm.dataset shares between its two parse paths.
-    """
-    if not path.is_file():
-        raise DataError(f"data file not found: {path}")
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    width = len(rows[0])
-    if width < 2:
-        raise DataError(f"{path}: need at least one attribute and a label column")
-
-    def number(cell):
-        try:
-            return float(cell)
-        except ValueError:
-            return None
-
-    if isinstance(label, str):
-        if label not in rows[0]:
-            raise ConfigError(f"label column {label!r} not in header {rows[0]}")
-        label_idx = rows[0].index(label)
-        header = rows[0]
-    else:
-        label_idx = width - 1 if label is None else label
-        if not 0 <= label_idx < width:
-            raise ConfigError(f"label column index {label_idx} out of range for {width} columns")
-        header = rows[0] if number(rows[0][label_idx]) is None else None
-    if header is not None:
-        names = tuple(h for i, h in enumerate(header) if i != label_idx)
-        body, first_line = rows[1:], 2
-    else:
-        names = tuple(f"a{j + 1}" for j in range(width - 1))
-        body, first_line = rows, 1
-    if not body:
-        raise DataError(f"{path}: no data rows")
-
-    x = np.empty((len(body), width - 1), dtype=float)
-    raw_labels = np.empty(len(body), dtype=float)
-    for i, row in enumerate(body):
-        line = first_line + i
-        if len(row) != width:
-            raise DataError(f"{path}: row {line} has {len(row)} cells, expected {width}")
-        col_out = 0
-        for j, cell in enumerate(row):
-            value = number(cell)
-            if value is None:
-                kind = "label" if j == label_idx else "attribute"
-                raise DataError(
-                    f"{path}: row {line}, column {j + 1} has non-numeric {kind} cell {cell!r}"
-                )
-            if j == label_idx:
-                raw_labels[i] = value
-            else:
-                x[i, col_out] = value
-                col_out += 1
-    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(raw_labels))
-    if bad.any():
-        i = int(np.argmax(bad))
-        cell = next(c for c in body[i] if not np.isfinite(float(c)))
-        raise DataError(f"{path}: row {first_line + i} has non-finite cell {cell!r}")
-    class_values = tuple(float(v) for v in np.unique(raw_labels))
-    if len(class_values) < 2:
-        raise DataError(f"{path}: need at least two distinct class labels, found {class_values}")
-    remap = {v: k + 1 for k, v in enumerate(class_values)}
-    y = np.array([remap[v] for v in raw_labels], dtype=int)
-    return Dataset(x=x, y=y, attribute_names=names, class_values=class_values)
 
 
 def load_outcome(load, path, label):

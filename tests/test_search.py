@@ -114,7 +114,9 @@ def test_trace_csv_bytes(tmp_path):
 def tiny_searches(draw, optimizer):
     """A 40-record split over up to three attributes with two or three
     labels each, settings of up to four rules, and the params of a short
-    search whose small stagnation window stops some runs early."""
+    search whose small stagnation window stops some runs early; each
+    breeding probability is 0, its default or 1, so every masked branch
+    runs alone too."""
     m, p, c = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(2, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     y = rng.integers(1, c + 1, size=40)
@@ -134,13 +136,21 @@ def tiny_searches(draw, optimizer):
     size, iterations = draw(st.integers(1, 8)), draw(st.integers(0, 6))
     common = dict(population_size=size, stagnation_window=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**31)))
     if optimizer == "ga":
-        params = GaParams(generations=iterations, tournament_size=draw(st.integers(1, 3)), **common)
+        params = GaParams(
+            generations=iterations,
+            tournament_size=draw(st.integers(1, 3)),
+            crossover_prob=draw(st.sampled_from([0.0, GaParams.crossover_prob, 1.0])),
+            mutation_prob=draw(st.sampled_from([0.0, GaParams.mutation_prob, 1.0])),
+            **common,
+        )
     else:
         params = BsoParams(
             max_iterations=iterations,
             cluster_count=draw(st.integers(1, size)),
-            replace_center_prob=draw(st.sampled_from([0.0, 0.2, 1.0])),
-            one_cluster_prob=draw(st.sampled_from([0.0, 0.8, 1.0])),
+            replace_center_prob=draw(st.sampled_from([0.0, BsoParams.replace_center_prob, 1.0])),
+            one_cluster_prob=draw(st.sampled_from([0.0, BsoParams.one_cluster_prob, 1.0])),
+            use_center_prob=draw(st.sampled_from([0.0, BsoParams.use_center_prob, 1.0])),
+            use_center_pair_prob=draw(st.sampled_from([0.0, BsoParams.use_center_pair_prob, 1.0])),
             mode=optimizer.removeprefix("bso-"),
             **common,
         )

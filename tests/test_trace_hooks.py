@@ -12,7 +12,8 @@ import sys
 import numpy as np
 from conftest import REPO_ROOT
 
-from rulestorm import ga
+from rulestorm import bso, ga
+from rulestorm.search import Evaluation
 
 
 def load(name: str):
@@ -49,6 +50,22 @@ def test_installing_the_tracer_wraps_every_target_and_restores_it():
     with tracer.installed(targets) as rec:
         for (owner, key, _), original in zip(targets, originals):
             assert lookup(owner, key).__wrapped__ is original
-        assert ga.tournament_pick(np.array([1.0, 3.0]), 2, np.random.default_rng(0)) in (0, 1)
+        assert ga.tournament_pick(np.array([1.0, 3.0]), np.array([[0, 1], [0, 0]])).tolist() == [1, 0]
     assert rec.names == ["ga.tournament_pick"]
     assert all(lookup(owner, key) is original for (owner, key, _), original in zip(targets, originals))
+
+
+def test_the_search_helpers_record_spans_in_a_run():
+    """A traced name that the searches stopped calling still resolves, but
+    reads 0 in every benchmark run: one tiny run of each search must reach
+    every search helper that the worker traces."""
+    lower, upper = np.zeros(3), np.ones(3)
+
+    def objective(x):
+        return Evaluation(value=-float(np.dot(x, x)))
+
+    with tracer.installed(worker.trace_targets()) as rec:
+        bso.run(bso.BsoParams(population_size=6, cluster_count=2, max_iterations=2), objective, lower, upper)
+        ga.run_ga(ga.GaParams(population_size=6, generations=2), objective, lower, upper)
+    helpers = ("bso.cluster_population", "bso.select_base", "bso.generate_candidate", "ga.tournament_pick")
+    assert [name for name in helpers if name not in rec.names] == []

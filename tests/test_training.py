@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import reference_breakdown
 
 from rulestorm import bso, ga
 from rulestorm.bso import BsoParams
@@ -14,7 +15,7 @@ from rulestorm.fitness import FitnessWeights
 from rulestorm.ga import GaParams
 from rulestorm.inference import Model, classify, evaluate_model, predict_dataset
 from rulestorm.membership import build_partition, fuzzify_dataset
-from rulestorm.rules import RuleSetShape, decode, genotype_bounds, match_mask, with_weights
+from rulestorm.rules import RuleSetShape, decode, genotype_bounds, with_weights
 from rulestorm.search import sample_population
 from rulestorm.training import ExperimentSettings, RuleObjective, train_model
 
@@ -46,17 +47,6 @@ def make_objective(ds, p=3, r=4, accuracy_weight=0.5, weights=None):
     )
     objective = RuleObjective(ds, partitions, settings)
     return objective, fuzzify_dataset(ds, partitions), RuleSetShape(m=ds.m, p=p, c=ds.c, r=r), partitions
-
-
-def reference_breakdown(rs, ld, w):
-    """The quality score rule by rule over `rules.match_mask`, sharing no
-    code with `fitness.breakdown` or `rules.match_fractions`."""
-    g1 = 1.0 - sum(rule.antecedent_count() for rule in rs.rules) / (rs.r * rs.m)
-    g2 = sum(int(match_mask(rule, ld).sum()) for rule in rs.rules) / (rs.r * ld.n)
-    counts = [sum(rule.consequent == k for rule in rs.rules) for k in range(1, rs.c + 1)]
-    variance = sum((count - rs.r / rs.c) ** 2 for count in counts) / rs.c
-    g3 = max(0.0, 1.0 - variance / rs.r)
-    return g1, g2, g3, w.alpha * g1 + w.beta * g2 + w.gamma * g3
 
 
 def test_objective_breakdown_matches_reference_scorer():
