@@ -202,6 +202,8 @@ check_model_values() {
   refused 3 "rule 1 connective must be AND or OR, got 'and'" evaluate "$model" "${where[@]}"
   model_with 'd["metadata"]["sum_scores"] = "false"' "$model"
   refused 3 "metadata.sum_scores must be true or false, got 'false'" evaluate "$model" "${where[@]}"
+  model_with 'd["attributes"] = []; d["rules"] = [dict(rule, antecedents=[]) for rule in d["rules"]]' "$model"
+  refused 3 "a model needs at least one attribute" evaluate "$model" "${where[@]}"
 }
 
 if ! declare -F "check_${1//-/_}" > /dev/null; then

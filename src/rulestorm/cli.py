@@ -306,7 +306,7 @@ def cmd_train(args) -> int:
     model_path = _output(out, "model.json", lambda path: save_model(result.model, path))
     trace_path = _output(out, "trace.csv", result.run.trace.write_csv)
 
-    b = result.breakdown
+    b = result.run.best.evaluation.breakdown
     print(f"best objective value: {result.run.best.evaluation.value:.6f}")
     print(f"quality components: g1={b.g1:.6f} g2={b.g2:.6f} g3={b.g3:.6f} G={b.fitness:.6f}")
     print(f"train accuracy: {result.train_accuracy:.4f} ({train.n} records)")

@@ -47,7 +47,6 @@ class Dataset:
 class AttributeStats:
     minimum: float
     maximum: float
-    constant: bool
 
 
 @dataclass(frozen=True)
@@ -297,12 +296,7 @@ def _scan_rows(
 
 def attribute_stats(ds: Dataset) -> tuple[AttributeStats, ...]:
     """Per-attribute minimum and maximum over the given records."""
-    stats = []
-    for j in range(ds.m):
-        lo = float(ds.x[:, j].min())
-        hi = float(ds.x[:, j].max())
-        stats.append(AttributeStats(minimum=lo, maximum=hi, constant=lo == hi))
-    return tuple(stats)
+    return tuple(AttributeStats(minimum=float(ds.x[:, j].min()), maximum=float(ds.x[:, j].max())) for j in range(ds.m))
 
 
 def majority_class(ds: Dataset) -> int:

@@ -34,14 +34,14 @@ from .membership import degree_matrix  # noqa: F401
 class Model:
     """Everything needed to classify: fitted partitions, weighted rules, the
     label coding, and enough metadata to reproduce training. ConfigError
-    unless it holds m partitions and string names, an integer p
-    (`errors.is_integer`), c distinct finite class values (`errors.is_number`),
-    a majority class in 1..c, and rules with m integer antecedents in 0..p,
-    an integer class in 1..c, connective AND or OR and a finite weight in
-    [0, 1]; `metadata["sum_scores"]`, when present, is True or False, and
-    json can write the metadata and read it back equal: its keys at every
-    depth are strings, and it holds no tuple and no NaN. A
-    numpy scalar among those numbers or among the metadata's values is
+    unless it holds integers m >= 1, p and c (`errors.is_integer`), m
+    partitions and string names, c distinct finite class values
+    (`errors.is_number`), a majority class in 1..c, and rules with m integer
+    antecedents in 0..p, an integer class in 1..c, connective AND or OR and a
+    finite weight in [0, 1]; the metadata is a mapping whose "sum_scores",
+    when present, is True or False, and json can write it and read it back
+    equal: its keys at every depth are strings, and it holds no tuple and no
+    NaN. A numpy scalar among those numbers or among the metadata's values is
     stored as its Python number (`errors.as_python`), so that
     `model_io.save_model` can write it."""
 
@@ -54,10 +54,13 @@ class Model:
 
     def __post_init__(self) -> None:
         m, p, c = self.rules.m, self.rules.p, self.rules.c
+        for name, value in (("attribute count m", m), ("labels_per_attribute", p), ("class count c", c)):
+            if not is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if m < 1:
+            raise ConfigError("a model needs at least one attribute")
         if len(self.partitions) != m:
             raise ConfigError(f"{len(self.partitions)} partitions for {m} attributes")
-        if not is_integer(p):
-            raise ConfigError(f"labels_per_attribute must be an integer, got {p!r}")
         for part in self.partitions:
             if part.p != p:
                 raise ConfigError(f"partition has {part.p} labels but rules use {p}")
@@ -84,6 +87,8 @@ class Model:
                 raise ConfigError(f"rule {i} connective must be AND or OR, got {rule.connective!r}")
             if not (is_number(rule.weight) and 0.0 <= rule.weight <= 1.0):
                 raise ConfigError(f"rule {i} weight {rule.weight!r} outside [0, 1]")
+        if not isinstance(self.metadata, Mapping):
+            raise ConfigError(f"metadata must be a mapping, got {self.metadata!r}")
         if not isinstance(self.metadata.get("sum_scores", False), bool):
             raise ConfigError(f"metadata.sum_scores must be true or false, got {self.metadata['sum_scores']!r}")
         metadata = {key: as_python(value) for key, value in self.metadata.items()}
@@ -180,10 +185,9 @@ def score_blocks(table_of, n, ants, consequents, is_and, weights, p, c, majority
     temporaries anew; what is yielded is never part of it."""
     workspace = {} if workspace is None else workspace
     q, r, m = ants.shape
-    ants, is_and = ants.reshape(q * r, m), is_and.reshape(q * r)
-    plan = fold_plan(ants, is_and, p + 2)
+    plan = fold_plan(ants.reshape(q * r, m), is_and.reshape(q * r), p + 2)
     for block in record_blocks(n, max(q * r, m * (p + 2))):
-        scores = fold_rules(table_of(block), ants, is_and, workspace, plan)
+        scores = fold_rules(table_of(block), plan, workspace)
         if values is not None:
             # take with intp indices is the fast path; ranks index values, so "clip" never clips
             idx = workspace_array(workspace, "idx", scores.shape, np.intp)

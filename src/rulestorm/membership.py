@@ -65,7 +65,7 @@ def build_partition(stats: AttributeStats, p: int) -> FuzzyPartition:
     lo, hi = stats.minimum, stats.maximum
     if not np.isfinite(hi - lo):
         raise DataError(f"attribute range [{lo}, {hi}] is too wide to partition")
-    if stats.constant or lo == hi:
+    if lo == hi:
         warnings.warn(
             f"constant attribute (min == max == {lo}); every value maps to "
             "label 1 with degree 1"

@@ -7,9 +7,9 @@ result so no rule is empty and every class keeps at least one rule.
 Training and inference score a whole rule table with `fold_rules`, over a
 padded attribute-major table of membership degrees, of their ranks or of the
 label indicators of the distinct label rows; `fold_plan` is the part of a
-fold that depends on the rules alone, which a caller folding many record
-blocks builds once. `match_mask` is the rule-by-rule reference for the
-crisp matches.
+fold that depends on the rules alone, which a caller builds once for all
+the record blocks it folds. `match_mask` is the rule-by-rule reference for
+the crisp matches.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ class Rule:
     consequent: int               # class in 1..c
     connective: str               # AND or OR
     weight: float = 0.0
-
-    def antecedent_count(self) -> int:
-        return sum(1 for a in self.antecedents if a != 0)
 
 
 @dataclass(frozen=True)
@@ -139,12 +136,6 @@ def rule_arrays(rs: RuleSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     )
 
 
-def encode(rs: RuleSet) -> np.ndarray:
-    """Inverse of decode on repaired rule sets. AND -> 0.0, OR -> 1.0."""
-    ants, consequents, is_and, _ = rule_arrays(rs)
-    return np.column_stack([ants, consequents, ~is_and]).astype(float).ravel()
-
-
 def match_mask(rule: Rule, ld: LabeledDataset) -> np.ndarray:
     """Boolean mask of records whose fuzzified labels satisfy the rule.
 
@@ -171,11 +162,12 @@ def match_fractions(ld: LabeledDataset, ants: np.ndarray, is_and: np.ndarray) ->
     """Fraction of the records that each rule matches, shape (r,). The match
     masks that `fold_rules` gives on `ld.indicators`, one column per distinct
     label row, are counted as `mask @ ld.multiplicities` in blocks of rows;
-    the integer counts are divided by n once."""
+    the integer counts are divided by n once. The fold is planned once."""
     table, multiplicities = ld.indicators, ld.multiplicities
+    plan, workspace = fold_plan(ants, is_and, table.shape[1]), {}
     counts = np.zeros(len(ants), dtype=np.int64)
     for block in record_blocks(table.shape[2], len(ants)):
-        counts += fold_rules(table[:, :, block], ants, is_and).astype(np.int64) @ multiplicities[block]
+        counts += fold_rules(table[:, :, block], plan, workspace).astype(np.int64) @ multiplicities[block]
     return counts / ld.n
 
 
@@ -226,22 +218,19 @@ def fold_plan(ants: np.ndarray, is_and: np.ndarray, labels: int) -> tuple[np.nda
     return columns, int(np.count_nonzero(is_and)), np.argsort(order)
 
 
-def fold_rules(
-    table: np.ndarray, ants: np.ndarray, is_and: np.ndarray, workspace: dict | None = None, plan: tuple | None = None
-) -> np.ndarray:
+def fold_rules(table: np.ndarray, plan: tuple, workspace: dict) -> np.ndarray:
     """Each rule's rows of an (m, p + 2, n) table padded as
     `membership.degree_table` is, combined over the attributes: min for AND
     rules, max for OR rules. Shape (r, n), in the table's dtype; a rule without
     antecedents gives label 0's row. On degrees this gives activations, on
     their ranks the activations' ranks, on label indicators match masks.
 
-    `plan` is `fold_plan(ants, is_and, p + 2)`, built here when None; a caller
-    that folds the same rules over many blocks passes it to every block. The
+    `plan` is `fold_plan(ants, is_and, p + 2)` of the rules, which a caller
+    that folds the same rules over many blocks passes to every block. The
     result and the fold's other temporary are arrays of `workspace`
-    (`workspace_array`; a fresh one when None), so the result is valid only
-    until the workspace serves the next call."""
-    workspace = {} if workspace is None else workspace
-    columns, k, inverse = fold_plan(ants, is_and, table.shape[1]) if plan is None else plan
+    (`workspace_array`), so the result is valid only until the workspace
+    serves the next call."""
+    columns, k, inverse = plan
     # labels are in 0..p + 1, so "clip" never clips, and unlike "raise" it needs no copy
     shape = (columns.shape[1], table.shape[2])
     acc = table[0].take(columns[0], axis=0, out=workspace_array(workspace, "acc", shape, table.dtype), mode="clip")

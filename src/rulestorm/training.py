@@ -22,7 +22,7 @@ import numpy as np
 from . import bso, ga
 from .dataset import Dataset, attribute_stats, majority_class
 from .errors import ConfigError, check_fields
-from .fitness import FitnessBreakdown, FitnessWeights, breakdown
+from .fitness import FitnessWeights, breakdown
 from .inference import Model, evaluate_model, score_blocks
 from .membership import FuzzyPartition, build_partition, fuzzify_dataset, rank_table
 from .rules import RuleSetShape, decode, decode_arrays, genotype_bounds
@@ -94,8 +94,7 @@ class RuleObjective:
 @dataclass(frozen=True)
 class TrainingResult:
     model: Model
-    run: RunResult
-    breakdown: FitnessBreakdown  # quality components of the winning rule set
+    run: RunResult  # run.best.evaluation.breakdown: the winner's quality components
     train_accuracy: float  # the saved model's accuracy on its training split
 
 
@@ -114,7 +113,7 @@ def check_optimizer(optimizer) -> None:
 class ExperimentSettings:
     """The settings of a training run, with their defaults and checks. The
     field names are train_model's keywords; the optimizer params carry the
-    seed."""
+    seed, and the optimizer name, never `bso_params.mode`, picks BSO's mode."""
 
     labels_per_attribute: int = 3
     rule_count: int = 10
@@ -132,6 +131,8 @@ class ExperimentSettings:
         for name, kind in (("fitness_weights", FitnessWeights), ("bso_params", bso.BsoParams), ("ga_params", ga.GaParams)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if self.bso_params.mode != bso.BsoParams.mode:
+            raise ConfigError("bso_params.mode is not a setting; set optimizer to bso-ewma or bso-plain")
 
     def rule_shape(self, ds: Dataset) -> RuleSetShape:
         """The shape of the rule tables these settings search on `ds`."""
@@ -155,7 +156,7 @@ def train_model(train: Dataset, *, optimizer: str = OPTIMIZERS[0], **settings) -
         section, params = "ga", s.ga_params
         run_result = ga.run_ga(params, objective, lower, upper)
     else:
-        section, params = "bso", replace(s.bso_params, mode="plain" if optimizer == "bso-plain" else "ewma")
+        section, params = "bso", replace(s.bso_params, mode=optimizer.removeprefix("bso-"))
         run_result = bso.run(params, objective, lower, upper)
 
     del objective  # frees its rank table before the model is scored
@@ -183,6 +184,5 @@ def train_model(train: Dataset, *, optimizer: str = OPTIMIZERS[0], **settings) -
     return TrainingResult(
         model=model,
         run=run_result,
-        breakdown=run_result.best.evaluation.breakdown,
         train_accuracy=evaluate_model(model, train).accuracy,
     )

@@ -9,7 +9,8 @@ apart, one slot's candidate on its own, one tournament at a time, the CSV
 loader cell by cell, one record's label by argmax, the decoder rule by rule,
 one rule table's class pick with np.argmax, the quality score rule by rule,
 the objective genotype by genotype, and whole BSO and GA runs that breed,
-score and keep one slot at a time.
+score and keep one slot at a time. `encode`, the decoder's inverse, and
+`antecedent_count` are helpers that only the tests use.
 """
 
 import csv
@@ -24,7 +25,7 @@ from rulestorm.errors import ConfigError, DataError
 from rulestorm.fitness import evaluate
 from rulestorm.inference import Model, classify
 from rulestorm.membership import FuzzyPartition, degree, fuzzify_dataset
-from rulestorm.rules import AND, OR, RuleSetShape, decode, match_mask, with_weights
+from rulestorm.rules import AND, OR, RuleSetShape, decode, match_mask, rule_arrays, with_weights
 from rulestorm.search import IMPROVEMENT_EPS, Evaluation
 
 
@@ -208,6 +209,16 @@ def decode_oracle(genes, shape):
     return ants, consequents, connectives
 
 
+def encode(rs):
+    """Inverse of decode on repaired rule sets. AND -> 0.0, OR -> 1.0."""
+    ants, consequents, is_and, _ = rule_arrays(rs)
+    return np.column_stack([ants, consequents, ~is_and]).astype(float).ravel()
+
+
+def antecedent_count(rule):
+    return sum(1 for a in rule.antecedents if a != 0)
+
+
 def predict_scores_oracle(scores, consequents, c, majority, sum_scores):
     """One rule table's (classes, winning scores) with np.argmax."""
     totals = scores
@@ -252,7 +263,7 @@ def oracle_components(rs, ld):
 def reference_breakdown(rs, ld, w):
     """The quality score rule by rule over `rules.match_mask`, sharing no
     code with `fitness.breakdown` or `rules.match_fractions`."""
-    g1 = 1.0 - sum(rule.antecedent_count() for rule in rs.rules) / (rs.r * rs.m)
+    g1 = 1.0 - sum(antecedent_count(rule) for rule in rs.rules) / (rs.r * rs.m)
     g2 = sum(int(match_mask(rule, ld).sum()) for rule in rs.rules) / (rs.r * ld.n)
     counts = [sum(rule.consequent == k for rule in rs.rules) for k in range(1, rs.c + 1)]
     variance = sum((count - rs.r / rs.c) ** 2 for count in counts) / rs.c

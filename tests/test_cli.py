@@ -176,7 +176,7 @@ def test_trained_model_file_is_a_rule_table(tmp_path, fast_config):
 
 def perfect_model(tmp_path):
     """One attribute on [0, 10]; low region is class 0.0, high is 1.0."""
-    partition = build_partition(AttributeStats(0.0, 10.0, False), 3)
+    partition = build_partition(AttributeStats(0.0, 10.0), 3)
     model = Model(
         partitions=(partition,),
         rules=RuleSet(
@@ -317,7 +317,7 @@ def write_one_attribute_csv(path, rows):
 def test_predictions_csv_equals_csv_writer_output(tmp_path):
     """predictions.csv holds the bytes a csv.writer gives, row by row."""
     model = Model(
-        partitions=(build_partition(AttributeStats(0.0, 10.0, False), 3),),
+        partitions=(build_partition(AttributeStats(0.0, 10.0), 3),),
         rules=RuleSet(
             rules=(
                 Rule(antecedents=(1,), consequent=2, connective=AND, weight=0.75),
@@ -372,7 +372,7 @@ def csv_writer_predictions(path, ds, model, classes, scores):
 def one_attribute_model(class_values):
     c = len(class_values)
     return Model(
-        partitions=(build_partition(AttributeStats(0.0, 10.0, False), 3),),
+        partitions=(build_partition(AttributeStats(0.0, 10.0), 3),),
         rules=RuleSet(
             rules=tuple(
                 Rule(antecedents=(1 + k % 3,), consequent=1 + k, connective=AND, weight=0.5)

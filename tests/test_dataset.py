@@ -220,8 +220,9 @@ class TestAttributeStats:
     def test_min_max(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", [[1, 9, 0], [4, 9, 1], [-2, 9, 1]])
         stats = attribute_stats(load_csv(p))
-        assert stats[0] == AttributeStats(minimum=-2.0, maximum=4.0, constant=False)
-        assert stats[1].constant is True
+        assert stats[0] == AttributeStats(minimum=-2.0, maximum=4.0)
+        assert stats[0].minimum < stats[0].maximum
+        assert stats[1] == AttributeStats(minimum=9.0, maximum=9.0)
         assert stats[1].minimum == stats[1].maximum == 9.0
 
     def test_reference_corpus_age_stats(self, pid_path):
@@ -229,7 +230,7 @@ class TestAttributeStats:
         s = attribute_stats(ds)[ds.attribute_names.index("Age")]
         assert s.minimum == 21.0
         assert s.maximum == 81.0
-        assert not s.constant
+        assert s.minimum < s.maximum
 
 
 def multiset(ds: Dataset):

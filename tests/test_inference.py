@@ -26,7 +26,7 @@ from rulestorm.rules import AND, OR, Rule, RuleSet
 def unit_partitions(count):
     """Partitions over [0, 10] with p=3: peaks at 0, 5, 10."""
     return tuple(
-        build_partition(AttributeStats(minimum=0.0, maximum=10.0, constant=False), 3)
+        build_partition(AttributeStats(minimum=0.0, maximum=10.0), 3)
         for _ in range(count)
     )
 
@@ -325,7 +325,7 @@ def test_model_rejects_partition_count_mismatch():
 
 def test_model_rejects_label_count_mismatch():
     parts = tuple(
-        build_partition(AttributeStats(minimum=0.0, maximum=10.0, constant=False), 4)
+        build_partition(AttributeStats(minimum=0.0, maximum=10.0), 4)
         for _ in range(2)
     )
     with pytest.raises(ConfigError):
@@ -378,7 +378,7 @@ def test_model_rejects_bad_rule(spec, message):
 
 def unit_interval_model(rules, p=3, class_values=(0.0, 1.0), majority=1, metadata=None):
     """Two 3-label partitions over [0, 1]; rules are (antecedents, class, connective, weight)."""
-    part = build_partition(AttributeStats(minimum=0.0, maximum=1.0, constant=False), 3)
+    part = build_partition(AttributeStats(minimum=0.0, maximum=1.0), 3)
     return Model(
         partitions=(part, part),
         rules=RuleSet(rules=tuple(Rule(*spec) for spec in rules), m=2, p=p, c=2),
@@ -434,6 +434,28 @@ def test_a_model_built_in_code_refuses_a_sum_scores_that_is_not_a_bool():
 def test_a_model_built_in_code_checks_every_value_it_holds(change, message):
     with pytest.raises(ConfigError, match=message):
         unit_interval_model(**{"rules": TWO_RULES, **change})
+
+
+@pytest.mark.parametrize("metadata", [None, [["sum_scores", True]], "sum_scores"])
+def test_a_model_refuses_metadata_that_is_not_a_mapping(metadata):
+    with pytest.raises(ConfigError, match="metadata must be a mapping"):
+        replace(unit_interval_model(TWO_RULES), metadata=metadata)
+
+
+@pytest.mark.parametrize("name, message", [("m", "attribute count m"), ("c", "class count c")])
+def test_a_model_checks_its_dimensions_as_integers(name, message):
+    """A float m or c passes every length check, and numpy would refuse it
+    only when the model scores."""
+    model = unit_interval_model(TWO_RULES)
+    value = float(getattr(model.rules, name))
+    with pytest.raises(ConfigError, match=f"{message} must be an integer, got {value}"):
+        replace(model, rules=replace(model.rules, **{name: value}))
+
+
+def test_a_model_needs_at_least_one_attribute():
+    rules = RuleSet(rules=(Rule((), 1, AND, 0.5), Rule((), 2, AND, 0.5)), m=0, p=3, c=2)
+    with pytest.raises(ConfigError, match="a model needs at least one attribute"):
+        Model(partitions=(), rules=rules, class_values=(0.0, 1.0), attribute_names=(), majority_class=1, metadata={})
 
 
 def test_a_model_built_from_numpy_values_scores_as_one_built_from_python_values():

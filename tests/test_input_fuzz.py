@@ -39,7 +39,7 @@ def input_file(tmp_path_factory):
 
 def base_document() -> dict:
     partitions = tuple(
-        build_partition(AttributeStats(minimum=lo, maximum=hi, constant=False), 3)
+        build_partition(AttributeStats(minimum=lo, maximum=hi), 3)
         for lo, hi in ((0.0, 10.0), (-3.0, 3.0))
     )
     rules = (

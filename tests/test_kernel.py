@@ -5,7 +5,8 @@ values, and over `LabeledDataset.indicators`, one column per distinct label
 row, must give, cell for cell, what `inference.activation` and
 `rules.match_mask` give per rule and record; the rank fold must give the
 degree fold's bits, a fold with a batch's one `fold_plan` the bits of a
-fold set up per call, and match fractions the counts of a per-record table;
+fold set up per call, and match fractions, from one `fold_plan` per call,
+the counts of a per-record table;
 `predict_scores` must pick what `oracles.predict_scores_oracle` picks with
 np.argmax, and `predict_dataset` what `inference.classify` gives per
 record, in any record blocking; `decode_arrays` must repair exactly as
@@ -23,7 +24,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decode_oracle, predict_scores_oracle, reference_objective
+from oracles import antecedent_count, decode_oracle, predict_scores_oracle, reference_objective
 
 from rulestorm import inference, rules
 from rulestorm.dataset import AttributeStats, Dataset, majority_class
@@ -59,7 +60,7 @@ def random_case(seed, n, m, p, c, r, zero_weights):
     partition that training gives it."""
     rng = np.random.default_rng(seed)
     partitions = tuple(
-        build_partition(AttributeStats(LOW, HIGH, False), p) for _ in range(m)
+        build_partition(AttributeStats(LOW, HIGH), p) for _ in range(m)
     )
     x = rng.uniform(LOW - 2.0, HIGH + 2.0, size=(n, m))
     peaks = np.linspace(LOW, HIGH, p)
@@ -82,7 +83,7 @@ def random_case(seed, n, m, p, c, r, zero_weights):
         x[:, j] = value
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # build_partition warns about a constant attribute
-            flat = build_partition(AttributeStats(value, value, True), p)
+            flat = build_partition(AttributeStats(value, value), p)
         partitions = partitions[:j] + (flat,) + partitions[j + 1 :]
     ds = Dataset(
         x=x,
@@ -104,6 +105,22 @@ case = dict(
 )
 
 
+def fold(table, ants, is_and):
+    """One fold of the rules over a whole table, with its own plan and
+    workspace, so the result stays valid."""
+    return fold_rules(table, fold_plan(ants, is_and, table.shape[1]), {})
+
+
+def plan_recorder(plans):
+    """A stand-in for `fold_plan` that appends each plan it builds to `plans`."""
+
+    def recorded_plan(*plan_args):
+        plans.append(fold_plan(*plan_args))
+        return plans[-1]
+
+    return recorded_plan
+
+
 def objective_for(ds, partitions, rs):
     objective = RuleObjective(ds, partitions, ExperimentSettings(labels_per_attribute=rs.p, rule_count=max(rs.r, rs.c)))
     return objective.ld, objective
@@ -121,8 +138,8 @@ def test_fold_equals_activation_and_match_mask(seed, n, m, p, c, extra_rules, ze
     ds, partitions, rs = random_case(seed, n, m, p, c, c + extra_rules, zero_weights)
     ld, objective = objective_for(ds, partitions, rs)
     ants, _, is_and, _ = rule_arrays(rs)
-    activations = objective.values[fold_rules(objective.ranks, ants, is_and)]
-    matched = fold_rules(ld.indicators, ants, is_and)
+    activations = objective.values[fold(objective.ranks, ants, is_and)]
+    matched = fold(ld.indicators, ants, is_and)
     rows = distinct_rows(ld)
     assert activations.shape == (rs.r, ds.n) and matched.shape == (rs.r, len(rows))
     assert objective.ranks.flags.c_contiguous and ld.indicators.flags.c_contiguous
@@ -145,8 +162,8 @@ def assert_rank_fold_equals_degree_fold(partitions, x, p, ants, is_and):
     assert ranks.shape == degrees.shape and ranks.dtype == np.min_scalar_type(len(values) - 1)
     assert values[0] == 0.0 and values[-1] == 1.0 and np.all(np.diff(values) > 0.0)
     assert np.array_equal(values[ranks].view(np.int64), degrees.view(np.int64))
-    folded = values[fold_rules(ranks, ants, is_and)]
-    assert np.array_equal(folded.view(np.int64), fold_rules(degrees, ants, is_and).view(np.int64))
+    folded = values[fold(ranks, ants, is_and)]
+    assert np.array_equal(folded.view(np.int64), fold(degrees, ants, is_and).view(np.int64))
     return ranks.dtype
 
 
@@ -165,7 +182,7 @@ def test_rank_fold_equals_degree_fold_past_65535_distinct_degrees():
     distinct degrees, so the ranks need uint32."""
     rng = np.random.default_rng(5)
     x = rng.uniform(LOW - 2.0, HIGH + 2.0, size=(40_000, 2))
-    partitions = (build_partition(AttributeStats(LOW, HIGH, False), 3),) * 2
+    partitions = (build_partition(AttributeStats(LOW, HIGH), 3),) * 2
     ants = np.array([[0, 0], [0, 0], [1, 0], [2, 3], [3, 1], [0, 2]])
     is_and = np.array([True, False, True, True, False, False])
     assert assert_rank_fold_equals_degree_fold(partitions, x, 3, ants, is_and) == np.uint32
@@ -178,16 +195,20 @@ def test_rank_fold_equals_degree_fold_past_65535_distinct_degrees():
 )
 def test_distinct_row_match_fractions_equal_full_table_counts(seed, n, m, p, c, extra_rules, zero_weights, block_bytes):
     """Few attributes and labels, so many records share a label row; small
-    block budgets split the distinct rows into blocks down to one row."""
+    block budgets split the distinct rows into blocks down to one row, and
+    one `fold_plan` serves every block of a call."""
     ds, partitions, rs = random_case(seed, n, m, p, c, c + extra_rules, zero_weights)
     ld = fuzzify_dataset(ds, partitions)
     ants, _, is_and, _ = rule_arrays(rs)
     full = ld.labels.T[:, None, :] == np.arange(p + 2)[:, None]  # one column per record
     full[:, 0] = True
-    counts = np.count_nonzero(fold_rules(full, ants, is_and), axis=1)
+    counts = np.count_nonzero(fold(full, ants, is_and), axis=1)
     assert counts.tolist() == [match_mask(rule, ld).sum() for rule in rs.rules]
-    with mock.patch.object(rules, "BLOCK_BYTES", block_bytes):
+    plans = []
+    with mock.patch.object(rules, "BLOCK_BYTES", block_bytes), \
+            mock.patch.object(rules, "fold_plan", plan_recorder(plans)):
         assert rules.match_fractions(ld, ants, is_and).tolist() == (counts / ds.n).tolist()
+    assert len(plans) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,8 +241,8 @@ def test_fold_with_one_plan_per_batch_equals_fold_set_up_per_call(
     with mock.patch.object(rules, "BLOCK_BYTES", block_bytes):
         blocks = record_blocks(table.shape[2], rs.r)
     for block in blocks:
-        got = fold_rules(table[:, :, block], ants, is_and, workspace, plan)
-        want = fold_rules(table[:, :, block], ants, is_and)
+        got = fold_rules(table[:, :, block], plan, workspace)
+        want = fold(table[:, :, block], ants, is_and)
         assert got.dtype == want.dtype == table.dtype
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # the blocks read the plan and never write it
@@ -281,9 +302,9 @@ def test_generated_cases_cover_the_corner_cases():
     for seed in range(200):
         ds, partitions, rs = random_case(seed, 8, 2, 3, 2, 4, zero_weights=seed % 2 == 0)
         for rule in rs.rules:
-            if rule.connective == OR and 0 < rule.antecedent_count() < rs.m:
+            if rule.connective == OR and 0 < antecedent_count(rule) < rs.m:
                 seen.add("or-dont-care")
-            if rule.antecedent_count() == 0:
+            if antecedent_count(rule) == 0:
                 seen.add(f"empty-{rule.connective}")
         if any(partition.degenerate for partition in partitions):
             seen.add("constant-attribute")
@@ -434,15 +455,8 @@ def test_objective_reusing_its_workspace_equals_fresh_objectives(
             lambda block: kept.ranks[:, :, block], ds.n, ants, consequents, is_and,
             rule_weights(ants, fractions), p, c, majority_class(ds), sum_scores, kept.values,
         )
-        plans, plan_of = [], rules.fold_plan
-
-        def recorded_plan(*plan_args):
-            plans.append(plan_of(*plan_args))
-            return plans[-1]
-
-        # a set-up built anywhere, score_blocks or fold_rules, is recorded
-        with mock.patch.object(inference, "fold_plan", recorded_plan), \
-                mock.patch.object(rules, "fold_plan", recorded_plan):
+        plans = []
+        with mock.patch.object(inference, "fold_plan", plan_recorder(plans)):
             collected = list(score_blocks(*args, kept.workspace))  # every block's arrays held to the end
         copied = [(block, preds.copy(), best.copy()) for block, preds, best in score_blocks(*args)]
     assert len(plans) == 1  # one fold set-up serves every block of the batch

@@ -17,7 +17,7 @@ from rulestorm.membership import (
 
 
 def part(lo, hi, p):
-    return build_partition(AttributeStats(lo, hi, lo == hi), p)
+    return build_partition(AttributeStats(lo, hi), p)
 
 
 class TestBuildPartition:

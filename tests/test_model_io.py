@@ -77,7 +77,7 @@ def hand_built(rules, sum_scores):
     """A two-attribute, two-class model over [0, 10] with three labels per
     attribute; rules are (antecedents, connective, weight), of classes 1, 2,
     1, ... in turn."""
-    part = build_partition(AttributeStats(minimum=0.0, maximum=10.0, constant=False), 3)
+    part = build_partition(AttributeStats(minimum=0.0, maximum=10.0), 3)
     return Model(
         partitions=(part, part),
         rules=RuleSet(
@@ -216,7 +216,7 @@ def test_every_trained_model_loads_back_equal(tmp_path, trained, optimizer, sum_
 
 
 def test_a_model_built_from_numpy_scalars_saves_and_loads_back_equal(tmp_path):
-    part = build_partition(AttributeStats(minimum=np.float64(0.0), maximum=np.float32(10.0), constant=False), 3)
+    part = build_partition(AttributeStats(minimum=np.float64(0.0), maximum=np.float32(10.0)), 3)
     model = Model(
         partitions=(part, FuzzyPartition(mfs=tuple(TriangularMF(*np.array([mf.a, mf.b, mf.c])) for mf in part.mfs),
                                          minimum=np.float64(0.0), maximum=np.float64(10.0))),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import antecedent_count, encode
 
 from rulestorm.errors import ConfigError
 from rulestorm.membership import LabeledDataset
@@ -10,7 +11,6 @@ from rulestorm.rules import (
     RuleSet,
     RuleSetShape,
     decode,
-    encode,
     genotype_bounds,
     match_mask,
     with_weights,
@@ -259,7 +259,7 @@ class TestRuleWeight:
         )
         weighted = with_weights(RuleSet(rules=rules, m=m, p=p, c=2), ld, 4)
         for rule, got in zip(rules, weighted.rules):
-            k = rule.antecedent_count()
+            k = antecedent_count(rule)
             coverage = int(match_mask(rule, ld).sum()) / n
             assert got.weight == round(0.5 * ((1 - k / m) + coverage), 4)
             assert type(got.weight) is float

@@ -11,6 +11,7 @@ from rulestorm import bso, ga
 from rulestorm.bso import BsoParams
 from rulestorm.dataset import Dataset, SplitSpec, attribute_stats, load_csv, majority_class, split
 from rulestorm.errors import ConfigError, EvaluationError
+from rulestorm.experiments import run_sweep
 from rulestorm.fitness import FitnessWeights
 from rulestorm.ga import GaParams
 from rulestorm.inference import Model, classify, evaluate_model, predict_dataset
@@ -258,6 +259,19 @@ def test_train_model_checks_its_settings_before_any_work(monkeypatch, settings, 
     monkeypatch.setattr("rulestorm.training.build_partition", None)  # any work would fail here
     with pytest.raises(ConfigError, match=message):
         train_model(separable_dataset(), **settings)
+
+
+def test_settings_refuse_a_bso_mode_through_train_model_and_run_sweep(monkeypatch):
+    """The optimizer name alone picks BSO's mode, so a bso_params mode other
+    than the default is refused rather than overwritten."""
+    monkeypatch.setattr("rulestorm.training.build_partition", None)  # any work would fail here
+    message = "bso_params.mode is not a setting; set optimizer to bso-ewma or bso-plain"
+    plain = BsoParams(mode="plain")
+    with pytest.raises(ConfigError, match=message):
+        train_model(separable_dataset(), optimizer="bso-ewma", bso_params=plain)
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(separable_dataset(), ExperimentSettings(bso_params=plain), ratios=(0.8,), seeds=(0,))
+    assert ExperimentSettings(bso_params=BsoParams(mode="ewma")) == ExperimentSettings()
 
 
 def test_settings_store_python_numbers():
