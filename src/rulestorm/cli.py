@@ -321,33 +321,43 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+PREDICTION_BLOCK_ROWS = 16_384
+
+
 def write_predictions(
     path: Path, ds: Dataset, model: Model, classes: np.ndarray, scores: np.ndarray
 ) -> None:
     """Write one ``record,true_label,predicted_label,score`` row per record.
 
     The bytes are those of a csv.writer given ``(i, repr(true), repr(predicted),
-    repr(score))``: no cell needs quoting, and rows end in ``\\r\\n``. Each
-    distinct score and each (true, predicted) label pair is formatted once.
-    Scores are told apart by their bits, so ``-0.0`` stays apart from ``0.0``.
+    repr(score))``: no cell needs quoting, and rows end in ``\\r\\n``. The rows
+    go out in blocks of PREDICTION_BLOCK_ROWS records, each joined into one
+    string and written at once, so memory does not grow with the record
+    count. Each (true, predicted) label pair is formatted once, and each
+    distinct score once per block. Scores are told apart by their bits, so
+    ``-0.0`` stays apart from ``0.0``.
     """
     c = len(model.class_values)
     labels = np.array(
         [f",{t!r},{p!r}," for t in ds.class_values for p in model.class_values],
         dtype=object,
     )
-    distinct, codes = np.unique(scores.view(np.int64), return_inverse=True)
-    texts = np.array([f"{v!r}\r\n" for v in distinct.view(np.float64).tolist()], dtype=object)
+    bits = scores.view(np.int64)
+
+    def block(start: int) -> str:
+        stop = min(start + PREDICTION_BLOCK_ROWS, ds.n)
+        distinct, codes = np.unique(bits[start:stop], return_inverse=True)
+        texts = np.array([f"{v!r}\r\n" for v in distinct.view(np.float64).tolist()], dtype=object)
+        parts = [""] * (3 * (stop - start))
+        parts[0::3] = map(str, range(start, stop))
+        parts[1::3] = labels[(ds.y[start:stop] - 1) * c + (classes[start:stop] - 1)].tolist()
+        parts[2::3] = texts[codes].tolist()
+        return "".join(parts)
+
     with open(path, "w", newline="") as handle:
         handle.write("record,true_label,predicted_label,score\r\n")
-        handle.writelines(
-            map(
-                "{}{}{}".format,
-                range(ds.n),
-                labels[(ds.y - 1) * c + (classes - 1)].tolist(),
-                texts[codes].tolist(),
-            )
-        )
+        # writelines drops each block's text before it asks for the next
+        handle.writelines(map(block, range(0, ds.n, PREDICTION_BLOCK_ROWS)))
 
 
 def cmd_evaluate(args) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,8 +26,9 @@ class TriangularMF:
 @dataclass(frozen=True)
 class FuzzyPartition:
     """Labels over [minimum, maximum]. Each breakpoint and both ends of the
-    range are finite numbers (`errors.is_number`), a <= b <= c and minimum <=
-    maximum, and degenerate is True or False; ConfigError otherwise. A numpy
+    range are finite numbers (`errors.is_number`), a <= b <= c, minimum <=
+    maximum, the distance from the least of these numbers to the greatest is
+    finite, and degenerate is True or False; ConfigError otherwise. A numpy
     scalar among those numbers is stored as its Python number
     (`errors.as_python`)."""
 
@@ -43,6 +45,9 @@ class FuzzyPartition:
             raise ConfigError(f"range [{self.minimum}, {self.maximum}]: need finite minimum <= maximum")
         if not isinstance(self.degenerate, bool):
             raise ConfigError(f"degenerate must be true or false, got {self.degenerate!r}")
+        numbers = [self.minimum, self.maximum, *(v for mf in self.mfs for v in (mf.a, mf.b, mf.c))]
+        if not math.isfinite(float(max(numbers)) - float(min(numbers))):
+            raise ConfigError(f"partition spans [{min(numbers)}, {max(numbers)}]: too wide for its degrees")
         mfs = tuple(TriangularMF(*map(as_python, (mf.a, mf.b, mf.c))) for mf in self.mfs)
         object.__setattr__(self, "mfs", mfs)
         object.__setattr__(self, "minimum", as_python(self.minimum))
@@ -108,36 +113,54 @@ def degree(partition: FuzzyPartition, k: int, x: float) -> float:
 
 
 def degree_matrix(partition: FuzzyPartition, xs: np.ndarray) -> np.ndarray:
-    """Vectorized degrees: shape (len(xs), p). Matches degree() per cell."""
+    """Vectorized degrees: shape (len(xs), p), the transposed view of a C-order
+    (p, len(xs)) array with one row per label. Matches degree() per cell, bit
+    for bit, on numbers (NaN has no degree).
+
+    The values are clipped once; then each label takes one sweep: the rising
+    side (x - a) / (b - a), its minimum with the falling side (c - x) / (c - b)
+    (with 1.0 at a shoulder), and the maximum with 0.0. Inside the support the
+    smaller side is the one `degree` picks, and both are 1.0 at x == b; outside
+    it one side is at most 0. A label with a == b == c is 1.0 everywhere. The
+    partition's numbers span a finite width, so no side is NaN. A side can be
+    -0.0 (-0.0 - 0.0, or a negative quotient that underflows), and numpy's
+    maximum may keep either zero when -0.0 meets 0.0; adding 0.0 makes it the
+    0.0 that `degree` gives."""
     xs = np.asarray(xs, dtype=float)
+    out = np.empty((partition.p, xs.shape[0]))
     if partition.degenerate:
-        out = np.zeros((xs.shape[0], partition.p))
-        out[:, 0] = 1.0
-        return out
+        out[:] = 0.0
+        out[0] = 1.0
+        return out.T
     x = np.clip(xs, partition.minimum, partition.maximum)
-    out = np.empty((x.shape[0], partition.p))
-    for idx, mf in enumerate(partition.mfs):
-        d = np.where(x == mf.b, 1.0, 0.0)
-        if mf.a < mf.b:
-            rising = (x > mf.a) & (x < mf.b)
-            d = np.where(rising, (x - mf.a) / (mf.b - mf.a), d)
-        else:
-            d = np.where(x <= mf.a, 1.0, d)
-        if mf.b < mf.c:
-            falling = (x > mf.b) & (x < mf.c)
-            d = np.where(falling, (mf.c - x) / (mf.c - mf.b), d)
-        else:
-            d = np.where(x >= mf.c, 1.0, d)
-        out[:, idx] = d
-    return out
+    falling = np.empty_like(x)
+    with np.errstate(over="ignore"):  # a side that overflows is beyond 1 or below 0 all the same
+        for row, mf in zip(out, partition.mfs):
+            if mf.a < mf.b:
+                np.divide(np.subtract(x, mf.a, out=row), mf.b - mf.a, out=row)
+                if mf.b < mf.c:
+                    np.divide(np.subtract(mf.c, x, out=falling), mf.c - mf.b, out=falling)
+                    np.minimum(row, falling, out=row)
+                else:
+                    np.minimum(row, 1.0, out=row)
+            elif mf.b < mf.c:
+                np.divide(np.subtract(mf.c, x, out=row), mf.c - mf.b, out=row)
+                np.minimum(row, 1.0, out=row)
+            else:
+                row[:] = 1.0
+                continue
+            np.maximum(row, 0.0, out=row)
+            row += 0.0
+    return out.T
 
 
 def degree_table(partitions: tuple[FuzzyPartition, ...], x: np.ndarray, p: int) -> np.ndarray:
     """Degrees of every record in every label, shape (m, p + 2, n), indexed
     [attribute, label, record]. Label 0 holds 1.0 and label p + 1 holds 0.0,
     the neutral elements of min and max: the AND and OR don't-cares."""
-    table = np.zeros((len(partitions), p + 2, x.shape[0]))
+    table = np.empty((len(partitions), p + 2, x.shape[0]))
     table[:, 0] = 1.0
+    table[:, p + 1] = 0.0
     for j, partition in enumerate(partitions):
         table[j, 1 : p + 1] = degree_matrix(partition, x[:, j]).T
     return table
@@ -152,13 +175,13 @@ def rank_table(partitions: tuple[FuzzyPartition, ...], x: np.ndarray, p: int) ->
     `rules.fold_rules` folds ranks as it folds degrees. Each attribute's
     degrees are computed once per distinct value."""
     distinct = [np.unique(x[:, j], return_inverse=True) for j in range(x.shape[1])]
-    degrees = [degree_matrix(partition, xs) for partition, (xs, _) in zip(partitions, distinct)]
+    degrees = [degree_matrix(partition, xs).T for partition, (xs, _) in zip(partitions, distinct)]
     values = np.unique(np.concatenate([[0.0, 1.0], *(d.ravel() for d in degrees)]))
     ranks = np.empty((len(partitions), p + 2, x.shape[0]), dtype=np.min_scalar_type(len(values) - 1))
     ranks[:, 0] = np.searchsorted(values, 1.0)
     ranks[:, p + 1] = np.searchsorted(values, 0.0)
     for j, (d, (_, inverse)) in enumerate(zip(degrees, distinct)):
-        ranks[j, 1 : p + 1] = np.searchsorted(values, d).T[:, inverse]
+        ranks[j, 1 : p + 1] = np.searchsorted(values, d)[:, inverse]
     return values, ranks
 
 

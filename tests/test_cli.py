@@ -10,7 +10,9 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -412,11 +414,19 @@ def prediction_cases(draw):
     return data_values, model_values, scores, draw(st.integers(0, 2**32 - 1))
 
 
+BLOCK = cli.PREDICTION_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7, BLOCK])
 @settings(max_examples=300, deadline=None)
 @given(case=prediction_cases())
 @example(case=([0.0, 1.0], [-1.5, 0.25, 3.0], [*SPECIAL_SCORES, 0.0, -0.0], 0))
 @example(case=([0.0, 1.0, 2.0], [0.0, 1.0], [0.3] * 500 + [-0.0] * 7 + [0.3] * 9, 1))
-def test_write_predictions_equals_csv_writer(predictions_dir, case):
+# 0.3, 0.0 and -0.0 on both sides of the boundaries after records 2, 6, 7 and BLOCK
+@example(case=([0.0, 1.0], [0.0, 1.0], [0.3] * 5 + [0.0, -0.0] * 2 + [0.3] * (BLOCK - 11) + [0.0, -0.0] * 2 + [0.3], 2))
+def test_write_predictions_equals_csv_writer(predictions_dir, block_rows, case):
+    """The cases hold at most about a thousand rows, so block sizes down to
+    one row put every kind of case across block boundaries."""
     data_values, model_values, scores, seed = case
     rng = np.random.default_rng(seed)
     n = len(scores)
@@ -429,9 +439,29 @@ def test_write_predictions_equals_csv_writer(predictions_dir, case):
     model = one_attribute_model(model_values)
     classes = rng.integers(1, len(model_values) + 1, size=n)
     scores = np.array(scores, dtype=np.float64)
-    cli.write_predictions(predictions_dir / "predictions.csv", ds, model, classes, scores)
+    with mock.patch.object(cli, "PREDICTION_BLOCK_ROWS", block_rows):
+        cli.write_predictions(predictions_dir / "predictions.csv", ds, model, classes, scores)
     expected = csv_writer_predictions(predictions_dir / "reference.csv", ds, model, classes, scores)
     assert (predictions_dir / "predictions.csv").read_bytes() == expected
+
+
+def test_write_predictions_peak_memory_does_not_grow_with_records(tmp_path):
+    """write_predictions formats and writes one block of records at a time,
+    so its traced peak is the same on 20,000 and 80,000 records."""
+
+    def peak(n):
+        rng = np.random.default_rng(0)
+        ds = Dataset(np.zeros((n, 1)), rng.integers(1, 3, size=n), ("a1",), (0.0, 1.0))
+        classes, scores = rng.integers(1, 3, size=n), rng.random(n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli.write_predictions(tmp_path / "predictions.csv", ds, one_attribute_model([0.0, 1.0]), classes, scores)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    assert peak(80_000) <= peak(20_000) + 2**20
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import any_partition, values_near
 from oracles import antecedent_count, decode_oracle, predict_scores_oracle, reference_objective
 
 from rulestorm import inference, rules
@@ -272,6 +273,34 @@ def test_predict_dataset_equals_classify(seed, n, m, p, c, extra_rules, zero_wei
     for k in range(ds.n):
         cls, score = classify(model, ds.x[k])
         assert (int(preds[k]), float(scores[k])) == (cls, score)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    sum_scores=st.booleans(),
+    block_bytes=st.sampled_from([1, 200, rules.BLOCK_BYTES]),
+    **{**case, "n": st.integers(1, 30)},
+)
+def test_predict_dataset_equals_classify_on_any_partitions(
+    data, seed, n, m, p, c, extra_rules, zero_weights, sum_scores, block_bytes
+):
+    """A loaded model can hold any partitions with a <= b <= c, not only
+    uniform ones: shoulders, a == b == c, gaps, overlaps, signed zeros and
+    degenerate ones. About half the records sit on, beside or beyond a
+    partition's numbers; scores must match bit for bit."""
+    ds, _, rs = random_case(seed, n, m, p, c, c + extra_rules, zero_weights)
+    partitions = tuple(data.draw(any_partition(p)) for _ in range(m))
+    rng = np.random.default_rng(seed)
+    near = [rng.choice(values_near(pt), size=n) for pt in partitions]
+    inside = [pt.minimum + (pt.maximum - pt.minimum) * rng.random(n) for pt in partitions]
+    x = np.where(rng.random((n, m)) < 0.5, np.column_stack(near), np.column_stack(inside))
+    model = Model(partitions, rs, ds.class_values, ds.attribute_names, c, {"sum_scores": sum_scores})
+    with mock.patch.object(rules, "BLOCK_BYTES", block_bytes):
+        preds, scores = predict_dataset(model, Dataset(x, ds.y, ds.attribute_names, ds.class_values))
+    for k in range(n):
+        cls, score = classify(model, x[k])
+        assert (int(preds[k]), struct.pack("<d", scores[k])) == (cls, struct.pack("<d", score))
 
 
 def test_predict_dataset_peak_memory_does_not_grow_with_records():

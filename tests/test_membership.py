@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import any_partition, values_near
 from oracles import fuzzify
 
 from rulestorm.dataset import AttributeStats, load_csv
@@ -59,11 +60,23 @@ UNIT_MFS = (TriangularMF(0.0, 0.0, 0.5), TriangularMF(0.0, 0.5, 1.0), Triangular
         (dict(minimum="0"), "finite minimum <= maximum"),
         (dict(maximum=True), "finite minimum <= maximum"),
         (dict(maximum=10**400), "finite minimum <= maximum"),
+        (dict(minimum=-1e308, maximum=1e308), "too wide for its degrees"),
+        (dict(mfs=UNIT_MFS[:2] + (TriangularMF(0.5, 1.0, 1.7e308),), minimum=-1e308), "too wide"),
     ],
 )
 def test_a_partition_checks_every_value_it_holds(change, message):
     with pytest.raises(ConfigError, match=message):
         FuzzyPartition(**{"mfs": UNIT_MFS, "minimum": 0.0, "maximum": 1.0, **change})
+
+
+@st.composite
+def partitions_and_values(draw):
+    """(partition, values): any valid FuzzyPartition of 1 to 5 labels, and
+    values at each of its numbers, a float either side of each, at +-0.0, at
+    +-inf, and anywhere."""
+    pt = draw(any_partition(draw(st.integers(1, 5))))
+    xs = [*values_near(pt), *draw(st.lists(st.floats(allow_nan=False), max_size=10))]
+    return pt, draw(st.permutations(xs))
 
 
 class TestDegree:
@@ -115,21 +128,20 @@ class TestDegree:
             total = sum(degree(pt, k, x) for k in range(1, p + 1))
             assert abs(total - 1.0) <= 1e-9
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        lo=st.floats(-100, 100),
-        width=st.floats(0.5, 200),
-        p=st.integers(2, 6),
-        frac=st.lists(st.floats(0, 1), min_size=1, max_size=10),
-    )
-    def test_scalar_and_matrix_paths_agree(self, lo, width, p, frac):
-        pt = part(lo, lo + width, p)
-        xs = np.array([lo + f * width for f in frac])
-        mat = degree_matrix(pt, xs)
-        assert mat.shape == (len(xs), p)
-        for i, x in enumerate(xs):
-            for k in range(1, p + 1):
-                assert mat[i, k - 1] == pytest.approx(degree(pt, k, x), abs=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(case=partitions_and_values())
+    @example(case=(FuzzyPartition(UNIT_MFS, 0.0, 1.0), [-0.0, 0.0, 0.25, 0.5, 1.0, -1.0, 2.0]))
+    @example(case=(FuzzyPartition((TriangularMF(0.0, 0.0, 0.0), TriangularMF(-0.0, 0.0, 0.0)), 0.0, 0.0), [-0.0, 0.0]))
+    @example(case=(FuzzyPartition((TriangularMF(-1.0, -0.0, -0.0), TriangularMF(0.0, 0.0, 1.0)), -0.0, 0.0), [-0.0, 0.0]))
+    @example(case=(FuzzyPartition((TriangularMF(5e-324, 10.0, 20.0),), 0.0, 30.0), [0.0, -0.0, 5e-324, 30.0]))
+    # x - a (x = -0.0, a = 0.0) and c - x (c = -0.0, x = 0.0) are -0.0 here
+    @example(case=(FuzzyPartition((TriangularMF(0.0, 0.5, 1.0), TriangularMF(-1.0, -0.5, -0.0)), -1.0, 1.0), [-0.0, 0.0]))
+    def test_matrix_path_equals_scalar_degree_bit_for_bit(self, case):
+        pt, xs = case
+        mat = degree_matrix(pt, np.array(xs))
+        assert mat.shape == (len(xs), pt.p)
+        expected = np.array([[degree(pt, k, x) for k in range(1, pt.p + 1)] for x in xs])
+        assert np.array_equal(mat.view(np.int64), expected.view(np.int64))
 
 
 class TestFuzzify:

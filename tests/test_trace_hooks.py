@@ -12,7 +12,7 @@ import sys
 import numpy as np
 from conftest import REPO_ROOT
 
-from rulestorm import bso, ga
+from rulestorm import bso, cli, ga
 from rulestorm.search import Evaluation
 
 
@@ -69,3 +69,16 @@ def test_the_search_helpers_record_spans_in_a_run():
         ga.run_ga(ga.GaParams(population_size=6, generations=2), objective, lower, upper)
     helpers = ("bso.cluster_population", "bso.select_base", "bso.generate_candidate", "ga.tournament_pick")
     assert [name for name in helpers if name not in rec.names] == []
+
+
+def test_evaluate_with_out_records_the_score_spans(tmp_path):
+    """The score workload's per-layer figures come from these spans: a small
+    traced `evaluate --out` must reach the degrees, the batch prediction and
+    the CSV loader, through the names the worker traces (`load_csv` through
+    `cli`'s own lookup; a span is named after the defining module)."""
+    model, data = REPO_ROOT / "perfbench" / "score_model.json", REPO_ROOT / "data" / "pima.csv"
+    with tracer.installed(worker.trace_targets()) as rec:
+        assert cli.main(["evaluate", str(model), "--data", str(data), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "predictions.csv").exists()
+    spans = ("membership.degree_matrix", "inference.predict_dataset", "dataset.load_csv")
+    assert [name for name in spans if name not in rec.names] == []
